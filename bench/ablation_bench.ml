@@ -136,7 +136,9 @@ let extension_bids ctx =
   let rows =
     List.map
       (fun lambda ->
-        let a = Bids.refine ~lambda ~rng inst bids (Bids.sdga ~lambda inst bids) in
+        let objective = Bids.spec ~lambda bids in
+        let start = Sdga.solve ~ctx:(Ctx.make ~objective ()) inst in
+        let a = Sra.refine ~ctx:(Ctx.make ~rng ~objective ()) inst start in
         [
           Printf.sprintf "%.2f" lambda;
           Report.percent_cell (Metrics.optimality_ratio_against inst ~ideal a);

@@ -30,7 +30,9 @@ let () =
   let candidates =
     List.map
       (fun lambda ->
-        let a = Bids.refine ~lambda ~rng inst bids (Bids.sdga ~lambda inst bids) in
+        let objective = Bids.spec ~lambda bids in
+        let start = Sdga.solve ~ctx:(Ctx.make ~objective ()) inst in
+        let a = Sra.refine ~ctx:(Ctx.make ~rng ~objective ()) inst start in
         Printf.printf "%.2f    %8.3f  %8.3f\n" lambda
           (Assignment.coverage inst a)
           (Bids.bid_satisfaction inst bids a);

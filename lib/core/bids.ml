@@ -75,23 +75,3 @@ let objective ?(lambda = 0.7) inst t assignment =
   !acc
 
 let spec ?(lambda = 0.7) t = Objective.blend ~lambda t.preferences
-
-(* The solver entries are thin wrappers now: the λ-blend is
-   [Objective.Blend], and the generic Ctx-driven solvers carry the
-   blended stage gains / acceptance scores that used to be hand-rolled
-   here. Bit-identical to the old loops — same stage gains, same keep
-   probabilities (coverage component only), same acceptance
-   threshold. *)
-let sdga ?lambda ?(candidates = 0) inst t =
-  let ctx =
-    Ctx.(default |> with_candidates candidates |> with_objective (spec ?lambda t))
-  in
-  Sdga.solve ~ctx inst
-
-let refine ?lambda ?params ?(candidates = 0) ~rng inst t start =
-  let ctx =
-    Ctx.(
-      default |> with_candidates candidates |> with_rng rng
-      |> with_objective (spec ?lambda t))
-  in
-  Sra.refine ?params ~ctx inst start

@@ -44,29 +44,3 @@ val objective : ?lambda:float -> Instance.t -> t -> Assignment.t -> float
 
 val bid_satisfaction : Instance.t -> t -> Assignment.t -> float
 (** Mean assigned-pair bid: how happy reviewers are with what they got. *)
-
-val sdga : ?lambda:float -> ?candidates:int -> Instance.t -> t -> Assignment.t
-(** Stage-deepening greedy under the blended objective (the Stage-WGRAP
-    pair gain becomes [lambda * coverage_gain + (1-lambda) * bid/delta_p]).
-    Feasibility constraints are unchanged. [candidates], when positive,
-    selects the candidate-pruned {!Gain_matrix} backing (and with it the
-    pruned {!Stage.solve} backend); [0] (the default) is dense. A thin
-    wrapper over {!Sdga.solve} with {!spec} in the context — kept for
-    the bench/ablation call sites; bit-identical to the pre-objective
-    hand-rolled loop. *)
-
-val refine :
-  ?lambda:float ->
-  ?params:Sra.params ->
-  ?candidates:int ->
-  rng:Wgrap_util.Rng.t ->
-  Instance.t ->
-  t ->
-  Assignment.t ->
-  Assignment.t
-(** Stochastic refinement of the blended objective: identical removal
-    model (keep-probabilities use the pure coverage component), refill
-    stages use the blended gain, best-so-far tracked under
-    {!objective}. [candidates] selects the pruned matrix backing exactly
-    as in {!sdga}. A thin wrapper over {!Sra.refine} with {!spec} in
-    the context. *)

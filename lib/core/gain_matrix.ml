@@ -7,13 +7,12 @@
    on the paper's support) does not invalidate it, so SDGA stages and
    SRA rounds recompute only the rows that actually moved.
 
-   Two backings share the interface. Dense (k = 0): each row covers all
-   n_r reviewers, bit-identical to the historical flat-array matrix.
-   Candidate-pruned (k > 0): each row covers only the paper's top-k
-   candidate reviewers from the instance's inverted topic index, so the
-   whole matrix is O(n_p * k) instead of O(n_p * n_r) — the memory-wall
-   fix. Nothing n_p * n_r-sized is ever allocated in pruned mode; the
-   cached score matrix is refused and the Eq. 9 column sums stream. *)
+   One row layout: a row holds one cell per entry of the paper's
+   candidate list. Candidate-pruned (k > 0), that is the paper's top-k
+   reviewers from the instance's inverted topic index, so the whole
+   matrix is O(n_p * k); dense (k = 0), it is one identity list
+   [|0..n_r-1|] shared by every row. No allocation is n_p * n_r-sized:
+   the Eq. 9 column sums stream through one transient row. *)
 
 type row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -23,14 +22,13 @@ type t = {
   n_r : int;
   dim : int;
   k : int;  (* candidates per paper; 0 = dense *)
+  all : int array;  (* dense: every reviewer id, the list of every row *)
   cands : int array option array;  (* pruned: per-paper ids, ascending *)
-  rows : row option array;  (* lazy gain rows; length n_r or |cands| *)
+  rows : row option array;  (* lazy gain rows, one cell per candidate *)
   gvec : Topic_vector.t option array;  (* lazy group vector per paper *)
   version : int array;  (* current group version per paper *)
   row_version : int array;  (* version the row reflects; -1 = never *)
-  mutable scratch_row : float array;  (* n_r staging, dense mode only *)
   mutable scratch_vec : float array;  (* dim, staging for set_group *)
-  mutable scores : float array array option;  (* cached score matrix *)
   mutable denom : float array option;  (* cached Eq. 9 column sums *)
 }
 
@@ -39,8 +37,8 @@ let create ?(candidates = 0) inst =
     invalid_arg "Gain_matrix.create: candidates must be >= 0";
   let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
   let dim = Instance.n_topics inst in
-  (* k >= n_r prunes nothing: normalize to the dense backing so the
-     dense bit-identity guarantee holds by construction. *)
+  (* k >= n_r prunes nothing: normalize to dense rows (the identity
+     list), so such a width is bit-identical to dense by construction. *)
   let k = if candidates >= n_r then 0 else candidates in
   {
     inst;
@@ -48,19 +46,18 @@ let create ?(candidates = 0) inst =
     n_r;
     dim;
     k;
+    all = (if k = 0 then Array.init n_r Fun.id else [||]);
     cands = Array.make n_p None;
     rows = Array.make n_p None;
     gvec = Array.make n_p None;
     version = Array.make n_p 0;
     row_version = Array.make n_p (-1);
-    scratch_row = [||];
     scratch_vec = [||];
-    scores = None;
     denom = None;
   }
 
 let pruned t = t.k > 0
-let candidate_count t = t.k
+let candidate_count t = if t.k = 0 then t.n_r else t.k
 
 (* Computed by scanning the row slots rather than kept as a shared
    counter: pool workers allocate rows concurrently during {!rebuild},
@@ -83,26 +80,21 @@ let group_vec t paper =
       t.gvec.(paper) <- Some g;
       g
 
-let candidate_list t paper =
-  match t.cands.(paper) with
-  | Some c -> c
-  | None ->
-      let c = Instance.candidates t.inst ~k:t.k ~paper in
-      t.cands.(paper) <- Some c;
-      c
-
 let candidates t ~paper =
-  if t.k = 0 then invalid_arg "Gain_matrix.candidates: dense matrix";
-  candidate_list t paper
-
-let row_length t paper =
-  if t.k = 0 then t.n_r else Array.length (candidate_list t paper)
+  if t.k = 0 then t.all
+  else
+    match t.cands.(paper) with
+    | Some c -> c
+    | None ->
+        let c = Instance.candidates t.inst ~k:t.k ~paper in
+        t.cands.(paper) <- Some c;
+        c
 
 let row_buffer t paper =
   match t.rows.(paper) with
   | Some row -> row
   | None ->
-      let len = row_length t paper in
+      let len = Array.length (candidates t ~paper) in
       let row = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
       t.rows.(paper) <- Some row;
       row
@@ -175,29 +167,13 @@ let gain t ~paper ~reviewer =
     (Instance.reviewer_support t.inst reviewer)
     (Instance.paper_support t.inst paper)
 
-(* Recompute a stale dense row [paper] through [scratch] (any n_r float
-   buffer — the kernels write OCaml arrays). The shared [t.scratch_row]
-   serves the sequential callers; {!rebuild}'s workers pass their own
-   buffer so domains never share staging memory. *)
-let ensure_row_with t ~scratch paper =
+(* Recompute a stale row: one O(nnz) sparse gain per candidate, written
+   straight into the Bigarray row. The arithmetic is the per-reviewer
+   body of [Scoring.gain_into], so every cell is bit-identical to the
+   dense kernel's. *)
+let ensure_row t paper =
   if t.row_version.(paper) <> t.version.(paper) then begin
-    Scoring.gain_into t.inst.Instance.scoring ~dst:scratch
-      ~group:(group_vec t paper) ~reviewers:t.inst.Instance.rsupp
-      (Instance.paper_support t.inst paper);
-    let row = row_buffer t paper in
-    for r = 0 to t.n_r - 1 do
-      Bigarray.Array1.set row r scratch.(r)
-    done;
-    t.row_version.(paper) <- t.version.(paper)
-  end
-
-(* Pruned rows skip the staging entirely: one O(nnz) sparse gain per
-   candidate, written straight into the Bigarray row. The arithmetic is
-   the per-reviewer body of [Scoring.gain_into], so a candidate's cell
-   is bit-identical to its dense counterpart. *)
-let ensure_row_pruned t paper =
-  if t.row_version.(paper) <> t.version.(paper) then begin
-    let cands = candidate_list t paper in
+    let cands = candidates t ~paper in
     let row = row_buffer t paper in
     let group = group_vec t paper in
     let ps = Instance.paper_support t.inst paper in
@@ -210,76 +186,23 @@ let ensure_row_pruned t paper =
     t.row_version.(paper) <- t.version.(paper)
   end
 
-let ensure_row t paper =
-  if t.k > 0 then ensure_row_pruned t paper
-  else begin
-    if Array.length t.scratch_row = 0 then t.scratch_row <- Array.make t.n_r 0.;
-    ensure_row_with t ~scratch:t.scratch_row paper
-  end
-
-let blit_row t ~paper ~dst =
-  if t.k > 0 then invalid_arg "Gain_matrix.blit_row: pruned matrix";
-  if Array.length dst <> t.n_r then
-    invalid_arg "Gain_matrix.blit_row: dst length mismatch";
-  ensure_row t paper;
-  let row = row_buffer t paper in
-  for r = 0 to t.n_r - 1 do
-    dst.(r) <- Bigarray.Array1.get row r
-  done
-
 let iter_row t ~paper f =
   ensure_row t paper;
   let row = row_buffer t paper in
-  if t.k > 0 then begin
-    let cands = candidate_list t paper in
-    for i = 0 to Array.length cands - 1 do
-      f ~reviewer:cands.(i) ~gain:(Bigarray.Array1.get row i)
-    done
-  end
-  else
-    for r = 0 to t.n_r - 1 do
-      f ~reviewer:r ~gain:(Bigarray.Array1.get row r)
-    done
+  let cands = candidates t ~paper in
+  for i = 0 to Array.length cands - 1 do
+    f ~reviewer:cands.(i) ~gain:(Bigarray.Array1.get row i)
+  done
 
 let fold_row t ~paper ~init f =
   let acc = ref init in
   iter_row t ~paper (fun ~reviewer ~gain -> acc := f !acc ~reviewer ~gain);
   !acc
 
-(* Dense-only internal: the full single-reviewer score cache behind
-   {!column_denominators} and [adopt_static]. Not exported — the pruned
-   backing's whole point is never to materialize an [n_p * n_r] cache,
-   so consumers go through the backing-agnostic row accessors or
-   {!Instance.pair_score}. *)
-let score_matrix t =
-  if t.k > 0 then
-    invalid_arg "Gain_matrix.score_matrix: pruned matrix (O(n_p * n_r) cache)";
-  match t.scores with
-  | Some m -> m
-  | None ->
-      let m = Instance.score_matrix t.inst in
-      t.scores <- Some m;
-      m
-
 (* Eq. 9 denominators: per-reviewer sums of the single-reviewer score
-   matrix, COI cells (the [forbidden] sentinel) excluded. The one
-   implementation shared by {!Sra.column_denominators} and the cached
-   accessor below. *)
-let score_column_sums ~n_reviewers rows =
-  let denom = Array.make n_reviewers 0. in
-  Array.iter
-    (fun row ->
-      for r = 0 to n_reviewers - 1 do
-        if row.(r) <> Lap.Hungarian.forbidden then
-          denom.(r) <- denom.(r) +. row.(r)
-      done)
-    rows;
-  denom
-
-(* The same sums without materializing the matrix: rows stream through
-   one transient buffer in paper order, so the accumulation order — and
-   hence every float — matches the cached dense computation exactly.
-   O(n_r) live memory against the dense cache's O(n_p * n_r). *)
+   matrix, COI cells (the [forbidden] sentinel) excluded. The matrix is
+   never materialized: score rows stream through one transient buffer
+   in paper order, O(n_r) live memory. *)
 let streamed_column_sums ?deadline t =
   let module Timer = Wgrap_util.Timer in
   let denom = Array.make t.n_r 0. in
@@ -297,43 +220,30 @@ let column_denominators t =
   match t.denom with
   | Some d -> d
   | None ->
-      let d =
-        if t.k > 0 then streamed_column_sums t
-        else score_column_sums ~n_reviewers:t.n_r (score_matrix t)
-      in
+      let d = streamed_column_sums t in
       t.denom <- Some d;
       d
 
-let adopt_static t ~from =
-  if t.n_p <> from.n_p || t.n_r <> from.n_r then
-    invalid_arg "Gain_matrix.adopt_static: shape mismatch";
-  (match from.scores with Some m -> t.scores <- Some m | None -> ());
-  match from.denom with Some d -> t.denom <- Some d | None -> ()
-
 let spawn t =
-  let s =
-    {
-      inst = t.inst;
-      n_p = t.n_p;
-      n_r = t.n_r;
-      dim = t.dim;
-      k = t.k;
-      (* Candidate lists are immutable once retrieved: share the entries
-         computed so far, but give the spawn its own slot array so
-         domains never write into a shared one. *)
-      cands = Array.copy t.cands;
-      rows = Array.make t.n_p None;
-      gvec = Array.make t.n_p None;
-      version = Array.make t.n_p 0;
-      row_version = Array.make t.n_p (-1);
-      scratch_row = [||];
-      scratch_vec = [||];
-      scores = None;
-      denom = None;
-    }
-  in
-  adopt_static s ~from:t;
-  s
+  {
+    inst = t.inst;
+    n_p = t.n_p;
+    n_r = t.n_r;
+    dim = t.dim;
+    k = t.k;
+    all = t.all;
+    (* Candidate lists are immutable once retrieved: share the entries
+       computed so far, but give the spawn its own slot array so
+       domains never write into a shared one. *)
+    cands = Array.copy t.cands;
+    rows = Array.make t.n_p None;
+    gvec = Array.make t.n_p None;
+    version = Array.make t.n_p 0;
+    row_version = Array.make t.n_p (-1);
+    scratch_vec = [||];
+    (* Immutable once computed: shared, not copied. *)
+    denom = t.denom;
+  }
 
 let rebind t inst =
   if
@@ -360,11 +270,10 @@ let rebind t inst =
       t.cands.(p) <- None;
       t.rows.(p) <- None
     done;
-  t.scores <- None;
   t.denom <- None
 
 (* Row-parallel iteration shared by {!prime} and {!rebuild}: rows are
-   independent by construction ({!Instance.score_row}, one gain row per
+   independent by construction (one candidate list and one gain row per
    paper), and every worker polls the deadline so a budgeted caller can
    cut the pass off mid-way and fall back to lazy rows. *)
 let iter_rows ?pool t f =
@@ -378,42 +287,17 @@ let iter_rows ?pool t f =
 
 let prime ?pool ?deadline t =
   let module Timer = Wgrap_util.Timer in
-  if t.k > 0 then begin
-    (* Pruned static state: every candidate list (slots are disjoint, so
-       pool workers may fill them concurrently) and the streamed Eq. 9
-       sums; the O(n_p * n_r) score matrix is never materialized. *)
-    iter_rows ?pool t (fun paper ->
-        Timer.check_opt deadline;
-        match t.cands.(paper) with
-        | Some _ -> ()
-        | None ->
-            t.cands.(paper) <- Some (Instance.candidates t.inst ~k:t.k ~paper));
-    match t.denom with
-    | Some _ -> ()
-    | None -> t.denom <- Some (streamed_column_sums ?deadline t)
-  end
-  else begin
-    (match t.scores with
-    | Some _ -> ()
-    | None ->
-        let m = Array.make t.n_p [||] in
-        iter_rows ?pool t (fun paper ->
-            Timer.check_opt deadline;
-            m.(paper) <- Instance.score_row t.inst ~paper);
-        t.scores <- Some m);
-    match t.denom with
-    | Some _ -> ()
-    | None ->
-        t.denom <- Some (score_column_sums ~n_reviewers:t.n_r (score_matrix t))
-  end
+  (* Every candidate list (slots are disjoint, so pool workers may fill
+     them concurrently), then the streamed Eq. 9 sums. *)
+  iter_rows ?pool t (fun paper ->
+      Timer.check_opt deadline;
+      ignore (candidates t ~paper));
+  match t.denom with
+  | Some _ -> ()
+  | None -> t.denom <- Some (streamed_column_sums ?deadline t)
 
 let rebuild ?pool ?deadline t =
   let module Timer = Wgrap_util.Timer in
   iter_rows ?pool t (fun paper ->
       Timer.check_opt deadline;
-      if t.row_version.(paper) <> t.version.(paper) then
-        if t.k > 0 then ensure_row_pruned t paper
-        else
-          (* Worker-local staging: n_r floats per stale row, so domains
-             never write through the shared scratch. *)
-          ensure_row_with t ~scratch:(Array.make t.n_r 0.) paper)
+      ensure_row t paper)

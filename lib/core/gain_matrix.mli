@@ -12,22 +12,25 @@
     for [Reviewer_coverage]), and stale rows are recomputed lazily with
     the O(nnz) sparse kernels on next access.
 
-    Two backings share this interface, chosen at {!create}:
+    One row layout serves every width: a row holds one cell per entry
+    of the paper's candidate list, in ascending reviewer order. The
+    width is chosen at {!create}:
 
     {ul
-    {- {e Dense} ([candidates = 0], or [candidates >= n_r]): each row
-       covers every reviewer — bit-identical values and behaviour to
-       the historical flat [n_p * n_r] matrix, kept as the parity
-       oracle.}
+    {- {e Dense} ([candidates = 0], or [candidates >= n_r]): every row's
+       list is one shared identity list [[|0..n_r-1|]], so a row covers
+       every reviewer.}
     {- {e Candidate-pruned} ([0 < candidates < n_r]): each row covers
        only the paper's top-k candidates from {!Instance.candidates}
        (inverted topic index, exact pair-score ranking, COI filtered),
-       retrieved lazily per paper. Total row storage is O(n_p * k);
-       nothing [n_p * n_r]-sized is ever allocated — no score-matrix
-       cache exists and the Eq. 9 sums stream through one transient row.
-       Candidate cells hold the same floats as their dense
-       counterparts; reviewers outside the candidate set simply have no
-       cell, and consumers fall back to {!gain} for them.}}
+       retrieved lazily per paper. Total row storage is O(n_p * k).
+       Reviewers outside the candidate set simply have no cell, and
+       consumers fall back to {!gain} for them.}}
+
+    Every cell holds the float the dense sparse kernel computes for the
+    pair, whatever the width. No allocation is [n_p * n_r]-sized: rows
+    are per paper, there is no score-matrix cache, and the Eq. 9 sums
+    stream through one transient row.
 
     The matrix holds {e raw} coverage gains: conflicts of interest,
     capacities and group membership are masked by the consumers. Cells
@@ -42,23 +45,24 @@ type t
 
 val create : ?candidates:int -> Instance.t -> t
 (** All groups empty; no rows computed yet. [candidates] is the per-
-    paper top-k width, [0] (the default) for the dense backing; a width
+    paper top-k width, [0] (the default) for dense rows; a width
     [>= n_r] prunes nothing and normalizes to dense. O(n_p) until rows
     are touched — an xl-scale instance costs three option/int slots per
-    paper here, nothing more. Raises [Invalid_argument] on a negative
+    paper here, plus the [n_r] identity list when dense. Raises [Invalid_argument] on a negative
     width. *)
 
 val pruned : t -> bool
 (** Whether the candidate-pruned backing is in force. *)
 
 val candidate_count : t -> int
-(** The normalized per-paper candidate width; [0] for dense. *)
+(** The normalized per-paper row width: the candidate width [k] when
+    pruned, [n_r] on a dense matrix. *)
 
 val candidates : t -> paper:int -> int array
-(** The paper's candidate reviewer ids (ascending; retrieved and then
-    memoized on first call — possibly shorter than the width for papers
-    with narrow supports). Raises [Invalid_argument] on a dense matrix:
-    dense consumers iterate all reviewers and should not pay retrieval. *)
+(** The reviewer ids the paper's row covers, ascending: its top-k
+    candidates when pruned (retrieved and then memoized on first call —
+    possibly shorter than the width for papers with narrow supports),
+    the shared identity list on a dense matrix. Do not mutate. *)
 
 val matrix_bytes : t -> int
 (** Bytes of Bigarray row storage allocated so far — the "peak matrix
@@ -92,16 +96,10 @@ val gain : t -> paper:int -> reviewer:int -> float
     directly with the sparse kernel; does not touch the row cache.
     Works for any reviewer, candidate or not. *)
 
-val blit_row : t -> paper:int -> dst:float array -> unit
-(** Copy the paper's row of [n_r] raw gains into [dst], recomputing it
-    first if stale. Dense matrices only — raises [Invalid_argument] on
-    a pruned one (there is no full row to copy; use {!iter_row}). *)
-
 val iter_row : t -> paper:int -> (reviewer:int -> gain:float -> unit) -> unit
-(** Visit the paper's row, recomputing it first if stale: every
-    reviewer in ascending order on a dense matrix, the candidate set in
-    ascending order on a pruned one. A row accessor consumers can use
-    without knowing the backing. *)
+(** Visit the paper's row, recomputing it first if stale: its candidate
+    list in ascending order, which on a dense matrix is every reviewer.
+    Consumers read rows this way whatever the width. *)
 
 val fold_row :
   t -> paper:int -> init:'a -> ('a -> reviewer:int -> gain:float -> 'a) -> 'a
@@ -110,58 +108,43 @@ val fold_row :
     threading a ref through the callback. *)
 
 val column_denominators : t -> float array
-(** The Eq. 9 denominators [sum_p' c(r, p')] as maintained column sums
-    of the score matrix, computed once and cached. On a pruned matrix
-    the sums stream through one transient row per paper — O(n_r) live
-    memory, bit-identical result (same accumulation order). *)
-
-val score_column_sums : n_reviewers:int -> float array array -> float array
-(** The pure computation behind {!column_denominators}, exposed as the
-    single source of truth for the Eq. 9 denominator (also used by
-    {!Sra.column_denominators}). *)
-
-val adopt_static : t -> from:t -> unit
-(** Share [from]'s cached score matrix and column sums (both immutable
-    once computed) with [t], skipping their recomputation. Raises
-    [Invalid_argument] on shape mismatch; caches [from] has not
-    computed yet are simply not adopted. *)
+(** The Eq. 9 denominators [sum_p' c(r, p')], COI cells excluded,
+    computed once and cached. Score rows stream through one transient
+    row per paper in paper order: O(n_r) live memory. The single source
+    of truth for the denominator ({!Sra.keep_probability} reads it). *)
 
 val spawn : t -> t
 (** A fresh matrix over the same instance and candidate width: empty
-    groups, no rows, but sharing [from]'s static caches (score matrix /
-    column sums, via {!adopt_static}) and every candidate list
-    retrieved so far (immutable once computed; the spawn gets its own
-    slot array, so later lazy retrievals never write shared memory).
-    This is how parallel SRA gives each chain a private matrix without
-    the per-chain full-matrix copies the dense design paid for: chain
-    state is O(n_p) at spawn, rows materialize lazily per domain, and
-    the heavy static state is shared read-only. *)
+    groups, no rows, but sharing the Eq. 9 column sums (immutable once
+    computed) and every candidate list retrieved so far (the spawn gets
+    its own slot array, so later lazy retrievals never write shared
+    memory). This is how parallel SRA gives each chain a private matrix:
+    chain state is O(n_p) at spawn, rows materialize lazily per domain,
+    and the static state is shared read-only. *)
 
 val rebind : t -> Instance.t -> unit
 (** Point the matrix at a same-shaped instance — the resident serve
     state swaps in an instance with extended COI this way. Raw gain
     rows never read the COI mask, so all rows (and group state)
-    survive; the cached score matrix and column sums are dropped (they
-    do mask COI). A scoring-kind change invalidates rows and candidate
+    survive; the cached column sums are dropped (they do mask COI). A scoring-kind change invalidates rows and candidate
     lists instead. The caller's contract: paper and reviewer vectors
     are unchanged (build a fresh matrix otherwise). Raises
     [Invalid_argument] on shape mismatch. *)
 
 val prime : ?pool:Wgrap_par.Pool.t -> ?deadline:Wgrap_util.Timer.deadline -> t -> unit
-(** Force the static state now. Dense: the score matrix and the Eq. 9
-    column sums, row-parallel with [pool] — bit-identical to the lazy
-    sequential computation. Pruned: every candidate list (slots are
-    per-paper, so workers fill them concurrently) and the streamed
-    column sums; no [n_p * n_r] cache. Parallel SRA primes the
-    coordinator's matrix once, then hands chains {!spawn}s of it.
+(** Force the static state now: every candidate list (slots are
+    per-paper, so [pool] workers fill them concurrently; nothing to
+    retrieve on a dense matrix), then the streamed Eq. 9 column sums,
+    sequentially. Parallel SRA primes the coordinator's matrix once,
+    then hands chains {!spawn}s of it.
     [deadline] is polled per row; expiry raises
     [Wgrap_util.Timer.Expired] and leaves the remaining state unset
     (safe: it computes lazily on access). *)
 
 val rebuild : ?pool:Wgrap_par.Pool.t -> ?deadline:Wgrap_util.Timer.deadline -> t -> unit
 (** Recompute all stale gain rows now. With [pool], rows are recomputed
-    across domains (each row is a private Bigarray buffer; dense
-    workers stage through task-local scratch) — bit-identical to the
+    across domains (each row is a private Bigarray buffer) —
+    bit-identical to the
     lazy sequential recomputation. Consumers that read whole rows right
     after a reset ({!Sdga} stage 1, {!Greedy}'s heap seeding) call this
     first to move the row fill onto the pool. [deadline] is polled per

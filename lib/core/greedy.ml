@@ -32,23 +32,9 @@ let solve_impl ?deadline ?gains ?(candidates = 0) ?pool
         g
     | None -> Gain_matrix.create ~candidates inst
   in
-  let is_pruned = Gain_matrix.pruned gm in
-  (* Seed the heap at the true candidate count: COI pairs never enter,
-     and zero-gain seeds are dropped too — gains only shrink as groups
-     grow (submodularity), so a pair that starts at 0 stays at 0 and
-     adds nothing the repair pass would not. *)
-  let seed_hint =
-    if is_pruned then max 1 (n_p * Gain_matrix.candidate_count gm)
-    else begin
-      let c = ref 0 in
-      for p = 0 to n_p - 1 do
-        for r = 0 to n_r - 1 do
-          if not (Instance.forbidden inst ~paper:p ~reviewer:r) then incr c
-        done
-      done;
-      max 1 !c
-    end
-  in
+  (* [capacity] only sizes the heap's first allocation: one slot per
+     row cell, an upper bound on the seeds below. *)
+  let seed_hint = max 1 (n_p * Gain_matrix.candidate_count gm) in
   let heap =
     Heap.create ~capacity:seed_hint
       ~cmp:(fun a b -> Float.compare a.gain b.gain)
@@ -62,30 +48,19 @@ let solve_impl ?deadline ?gains ?(candidates = 0) ?pool
       (try Gain_matrix.rebuild ~pool:p ?deadline gm
        with Wgrap_util.Timer.Expired -> ())
   | _ -> ());
-  (* Pruned matrices seed only candidate pairs (positive-gain ones —
-     the same filter the dense path applies cell by cell); reviewers
-     outside every candidate list reach papers only through the repair
-     pass, exactly like zero-gain dense pairs do. *)
-  if is_pruned then
-    for p = 0 to n_p - 1 do
-      let v = Gain_matrix.version gm ~paper:p in
-      Gain_matrix.iter_row gm ~paper:p (fun ~reviewer:r ~gain ->
-          let gain = transform ~paper:p ~reviewer:r ~coverage_gain:gain in
-          if gain > 0. && not (Instance.forbidden inst ~paper:p ~reviewer:r)
-          then Heap.push heap { gain; reviewer = r; paper = p; version = v })
-    done
-  else begin
-    let row = Array.make n_r 0. in
-    for p = 0 to n_p - 1 do
-      Gain_matrix.blit_row gm ~paper:p ~dst:row;
-      let v = Gain_matrix.version gm ~paper:p in
-      for r = 0 to n_r - 1 do
-        let gain = transform ~paper:p ~reviewer:r ~coverage_gain:row.(r) in
+  (* Seed every row cell with a positive gain: COI pairs never enter,
+     and zero-gain seeds are dropped too — gains only shrink as groups
+     grow (submodularity), so a pair that starts at 0 stays at 0 and
+     adds nothing the repair pass would not. Reviewers outside a pruned
+     row reach the paper only through the repair pass, exactly like
+     zero-gain pairs do. *)
+  for p = 0 to n_p - 1 do
+    let v = Gain_matrix.version gm ~paper:p in
+    Gain_matrix.iter_row gm ~paper:p (fun ~reviewer:r ~gain ->
+        let gain = transform ~paper:p ~reviewer:r ~coverage_gain:gain in
         if gain > 0. && not (Instance.forbidden inst ~paper:p ~reviewer:r)
-        then Heap.push heap { gain; reviewer = r; paper = p; version = v }
-      done
-    done
-  end;
+        then Heap.push heap { gain; reviewer = r; paper = p; version = v })
+  done;
   let remaining = ref (n_p * dp) in
   let stuck = ref false in
   while

@@ -279,12 +279,6 @@ let stage_gain t ~current : pair_gain option =
         order;
       Some (fun ~paper ~reviewer:_ ~coverage_gain -> boost.(paper) *. coverage_gain)
 
-(* The cache-priming hook: force the view's static gain-matrix state
-   (score caches / candidate lists / Eq. 9 column sums) ahead of a
-   solve. Backends with derived caches extend this; today the view
-   transformation happens at {!bind} and the matrix work is shared. *)
-let prime ?pool ?deadline _t gm = Gain_matrix.prime ?pool ?deadline gm
-
 (* JRA consultation point: the single-paper best-group subproblem under
    this objective — the view's vectors and scoring, COIs as exclusions. *)
 let jra_problem ?candidates t ~paper =

@@ -168,16 +168,5 @@ val round_tie_break : t -> (Assignment.t -> float) option
     ([Coverage], [Blend], [Taxonomy]) leaves acceptance strictly
     value-improving — the bit-parity contract of the default chain. *)
 
-val prime :
-  ?pool:Wgrap_par.Pool.t ->
-  ?deadline:Wgrap_util.Timer.deadline ->
-  t ->
-  Gain_matrix.t ->
-  unit
-(** Cache-priming hook: force the objective's derived caches and the
-    gain matrix's static state ahead of a solve (current backends keep
-    no mutable caches beyond the matrix's own). The matrix must be over
-    {!view}. *)
-
 val jra_problem : ?candidates:int -> t -> paper:int -> Jra.problem
 (** The single-paper best-group subproblem under this objective. *)

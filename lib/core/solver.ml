@@ -58,8 +58,6 @@ let describe_exn e =
     | bt -> msg ^ "\n" ^ bt
   else msg
 
-let exn_message = describe_exn
-
 (* Service-mode degradation text: the reason, stamped with the event
    that triggered the re-solve and how much of its deadline was left
    when the reason was recorded — `wgrap serve` answers and quarantine
@@ -123,7 +121,7 @@ let jra_chain ?deadline ~on_reason problem =
         push (Timeout { link = "jra-ilp" });
         false
     | exception e ->
-        push (Fault { link = "jra-ilp"; error = exn_message e });
+        push (Fault { link = "jra-ilp"; error = describe_exn e });
         false
   in
   let bba_exact =
@@ -138,13 +136,13 @@ let jra_chain ?deadline ~on_reason problem =
         end
         else true
     | exception e ->
-        push (Fault { link = "jra-bba"; error = exn_message e });
+        push (Fault { link = "jra-bba"; error = describe_exn e });
         false
   in
   if !best = None then begin
     match Jra.greedy problem with
     | sol -> consider sol
-    | exception e -> push (Fault { link = "jra-greedy"; error = exn_message e })
+    | exception e -> push (Fault { link = "jra-greedy"; error = describe_exn e })
   end;
   match !best with
   | None -> Infeasible "every JRA link failed to produce a group"
@@ -171,55 +169,77 @@ let jra_batch ?(ctx = Ctx.default) problems =
   Array.iter (fun out -> List.iter (notify ctx) (reasons out)) results;
   results
 
-(* {1 CRA chain: SDGA + SRA -> SDGA -> per-stage greedy} *)
+(* {1 CRA chain: primary (SDGA or greedy, + SRA) -> SDGA -> per-stage greedy} *)
+
+(* The chain's one gain matrix: the caller's, or a fresh one over the
+   bound objective's view (a transforming backend, Taxonomy, smooths
+   reviewers), so every link shares rows. *)
+let chain_gains ctx inst =
+  match ctx.Ctx.gains with
+  | Some g -> g
+  | None ->
+      Gain_matrix.create ~candidates:ctx.Ctx.candidates
+        (Objective.view (Objective.bind ctx.Ctx.objective inst))
+
+(* A sub-context for one link: the chain's pool and objective and its
+   gain matrix [gm], plus the link's own deadline, sink, resume state
+   and generator. Never the chain's [on_degrade] (the chain reports its
+   own reasons) and never its [rng] unless passed (each path decides
+   the generator explicitly). *)
+let link_ctx ctx ~gm ?deadline ?sink ?resume ?rng () =
+  {
+    Ctx.default with
+    Ctx.deadline;
+    rng;
+    gains = Some gm;
+    (* Redundant while [gains] is set, but links that build private
+       matrices from a context should inherit the chain's pruning width
+       rather than silently go dense. *)
+    candidates = ctx.Ctx.candidates;
+    checkpoint = sink;
+    resume_from = Option.map Result.ok resume;
+    pool = ctx.Ctx.pool;
+    objective = ctx.Ctx.objective;
+  }
+
+(* SDGA may lead only when the spec is submodular and monotone: Lemma 4
+   is what its stage-confinement guarantee rests on. *)
+let sdga_led spec = Objective.submodular spec && Objective.monotone spec
+
+(* The primary link's name — the stamp its checkpoints carry. *)
+let primary_link spec = if sdga_led spec then "sdga+sra" else "greedy+sra"
 
 (* The bare primary CRA link, exposed so supervisors (lib/shard) can run
    it under their own retry/fallback policy. Unlike [cra] this *raises*
    on failure — Timer.Expired on expiry, the solver's exception on a
    fault — and performs no validation or repair; the caller owns the
-   degradation ladder. *)
-let sdga_sra ?(refine = true) ?(ctx = Ctx.default) inst =
+   degradation ladder. The seed is SDGA ("sdga+sra") for submodular
+   objectives, else the lazy greedy ("greedy+sra": valid for any
+   monotone objective, it runs on raw coverage gains), and all
+   objective-aware work happens in the SRA refinement, which makes no
+   structural assumption. *)
+let primary ?(refine = true) ?(ctx = Ctx.default) inst =
+  let sdga = sdga_led ctx.Ctx.objective in
+  let link = primary_link ctx.Ctx.objective in
   let deadline = ctx.Ctx.deadline in
   let checkpoint = ctx.Ctx.checkpoint in
   Option.iter
-    (fun s ->
-      s.Checkpoint.on_event (Checkpoint.Link_entered { link = "sdga+sra" }))
+    (fun s -> s.Checkpoint.on_event (Checkpoint.Link_entered { link }))
     checkpoint;
-  let sink = Option.map (Checkpoint.with_link "sdga+sra") checkpoint in
-  (* One gain matrix serves SDGA and the refinement; callers running the
-     link repeatedly (retries) pass [ctx.gains] to reuse theirs. It is
-     built over the bound objective's view so a transforming backend
-     (Taxonomy) shares rows between the links too. *)
-  let gm =
-    match ctx.Ctx.gains with
-    | Some g -> g
-    | None ->
-        Gain_matrix.create ~candidates:ctx.Ctx.candidates
-          (Objective.view (Objective.bind ctx.Ctx.objective inst))
-  in
-  let link_ctx ?deadline ?resume ?rng () =
-    {
-      Ctx.default with
-      Ctx.deadline;
-      rng;
-      gains = Some gm;
-      candidates = ctx.Ctx.candidates;
-      checkpoint = sink;
-      resume_from = Option.map Result.ok resume;
-      pool = ctx.Ctx.pool;
-      objective = ctx.Ctx.objective;
-    }
-  in
+  let sink = Option.map (Checkpoint.with_link link) checkpoint in
+  (* One gain matrix serves the seed and the refinement; callers running
+     the link repeatedly (retries) pass [ctx.gains] to reuse theirs. *)
+  let gm = chain_gains ctx inst in
   let fresh_rng () = Ctx.rng_or ~seed:0 ctx in
   (* Only a certified state stamped with this link resumes it; anything
      else (another link's state, a loader rejection) means fresh. *)
   let resume_state =
     match ctx.Ctx.resume_from with
-    | Some (Ok ({ Checkpoint.link = "sdga+sra"; _ } as st)) -> Some st
+    | Some (Ok st) when String.equal st.Checkpoint.link link -> Some st
     | _ -> None
   in
   let refine_from ?resume ~rng a =
-    let sctx = link_ctx ?deadline ?resume ~rng () in
+    let sctx = link_ctx ctx ~gm ?deadline ?sink ?resume ~rng () in
     match resume with
     | None when Ctx.jobs sctx > 1 ->
         (* Fan the refinement out: independent chains, one per job,
@@ -233,7 +253,7 @@ let sdga_sra ?(refine = true) ?(ctx = Ctx.default) inst =
   in
   match resume_state with
   | Some ({ Checkpoint.phase = Checkpoint.Sra_round _; _ } as st) ->
-      (* Interrupted mid-refinement: SDGA's work is inside [st]; the
+      (* Interrupted mid-refinement: the seed's work is inside [st]; the
          restored RNG words make the remaining rounds replay the
          uninterrupted run exactly. *)
       if not refine then st.Checkpoint.best
@@ -245,81 +265,21 @@ let sdga_sra ?(refine = true) ?(ctx = Ctx.default) inst =
         in
         refine_from ~resume:st ~rng st.Checkpoint.best
   | resume ->
-      (* Fresh, or interrupted mid-SDGA (phase [Sdga_stage]): the
-         stage loop re-enters after the committed stages and the
-         refinement starts from the same seed either way. *)
-      (* SDGA gets half the remaining budget; refinement, which
-         improves monotonically and can stop at any round, soaks up
-         the rest. *)
-      let sdga_slice = if refine then slice 0.5 deadline else deadline in
-      let a = Sdga.solve ~ctx:(link_ctx ?deadline:sdga_slice ?resume ()) inst in
-      if (not refine) || Timer.expired_opt deadline then a
-      else refine_from ~rng:(fresh_rng ()) a
-
-(* The bare primary link for non-submodular objectives (OWA): SDGA's
-   stage-confinement guarantee rests on Lemma 4's submodularity, so the
-   seed comes from the lazy greedy (valid for any monotone objective —
-   it runs on raw coverage gains) and all objective-aware work happens
-   in the SRA refinement, which makes no structural assumption. Same
-   raise-on-failure contract as [sdga_sra]; link name "greedy+sra". *)
-let greedy_sra ?(refine = true) ?(ctx = Ctx.default) inst =
-  let deadline = ctx.Ctx.deadline in
-  let checkpoint = ctx.Ctx.checkpoint in
-  Option.iter
-    (fun s ->
-      s.Checkpoint.on_event (Checkpoint.Link_entered { link = "greedy+sra" }))
-    checkpoint;
-  let sink = Option.map (Checkpoint.with_link "greedy+sra") checkpoint in
-  let gm =
-    match ctx.Ctx.gains with
-    | Some g -> g
-    | None ->
-        Gain_matrix.create ~candidates:ctx.Ctx.candidates
-          (Objective.view (Objective.bind ctx.Ctx.objective inst))
-  in
-  let link_ctx ?deadline ?resume ?rng () =
-    {
-      Ctx.default with
-      Ctx.deadline;
-      rng;
-      gains = Some gm;
-      candidates = ctx.Ctx.candidates;
-      checkpoint = sink;
-      resume_from = Option.map Result.ok resume;
-      pool = ctx.Ctx.pool;
-      objective = ctx.Ctx.objective;
-    }
-  in
-  let fresh_rng () = Ctx.rng_or ~seed:0 ctx in
-  let resume_state =
-    match ctx.Ctx.resume_from with
-    | Some (Ok ({ Checkpoint.link = "greedy+sra"; _ } as st)) -> Some st
-    | _ -> None
-  in
-  let refine_from ?resume ~rng a =
-    let sctx = link_ctx ?deadline ?resume ~rng () in
-    match resume with
-    | None when Ctx.jobs sctx > 1 -> Sra.refine_parallel ~ctx:sctx inst a
-    | _ -> Sra.refine ~ctx:sctx inst a
-  in
-  match resume_state with
-  | Some ({ Checkpoint.phase = Checkpoint.Sra_round _; _ } as st) ->
-      (* The greedy seed leaves no checkpoint phases of its own, so any
-         resumable state is mid-refinement; restored RNG words replay
-         the remaining rounds exactly. *)
-      if not refine then st.Checkpoint.best
-      else
-        let rng =
-          match st.Checkpoint.rng with
-          | Some w -> Wgrap_util.Rng.of_words w
-          | None -> fresh_rng ()
-        in
-        refine_from ~resume:st ~rng st.Checkpoint.best
-  | _ ->
-      (* The greedy seed is cheap next to the refinement; give it a
-         smaller slice than SDGA gets in [sdga_sra]. *)
-      let seed_slice = if refine then slice 0.3 deadline else deadline in
-      let a = Greedy.solve ~ctx:(link_ctx ?deadline:seed_slice ()) inst in
+      (* Fresh, or interrupted mid-SDGA (phase [Sdga_stage]; the greedy
+         seed has no checkpoint phases): the stage loop re-enters after
+         the committed stages and the refinement starts from the same
+         seed either way. The seed gets half (SDGA) or, being cheap next
+         to the refinement, 30% (greedy) of the remaining budget;
+         refinement, which improves monotonically and can stop at any
+         round, soaks up the rest. *)
+      let seed_slice =
+        if refine then slice (if sdga then 0.5 else 0.3) deadline else deadline
+      in
+      let seed_ctx = link_ctx ctx ~gm ?deadline:seed_slice ?sink ?resume () in
+      let a =
+        if sdga then Sdga.solve ~ctx:seed_ctx inst
+        else Greedy.solve ~ctx:seed_ctx inst
+      in
       if (not refine) || Timer.expired_opt deadline then a
       else refine_from ~rng:(fresh_rng ()) a
 
@@ -368,7 +328,7 @@ let cra ?(refine = true) ?(ctx = Ctx.default) inst =
                 push (Fault { link; error = msg' });
                 None)
         | exception e ->
-            push (Fault { link; error = exn_message e });
+            push (Fault { link; error = describe_exn e });
             None)
   in
   let run link f =
@@ -382,67 +342,27 @@ let cra ?(refine = true) ?(ctx = Ctx.default) inst =
         push (Timeout { link });
         None
     | exception e ->
-        push (Fault { link; error = exn_message e });
+        push (Fault { link; error = describe_exn e });
         None
   in
   (* One gain matrix serves the whole chain: the primary link fills it,
-     SRA reuses its cached score matrix, Eq. 9 column sums and
-     surviving rows, and the fallback links reset it on entry. Built
-     over the bound objective's view (Taxonomy smooths reviewers). *)
-  let gm =
-    match ctx.Ctx.gains with
-    | Some g -> g
-    | None ->
-        Gain_matrix.create ~candidates:ctx.Ctx.candidates
-          (Objective.view (Objective.bind ctx.Ctx.objective inst))
-  in
-  (* A sub-context for one link: the chain's deadline/pool/objective
-     plus the link's own sink and resume state. Never the chain's
-     [on_degrade] (the chain itself reports via [push]) and never its
-     [rng] (each path below decides the generator explicitly). *)
-  let link_ctx ?deadline ?sink ?resume ?rng () =
-    {
-      Ctx.default with
-      Ctx.deadline;
-      rng;
-      gains = Some gm;
-      (* Redundant while [gains] is set, but links that spawn private
-         matrices from a context (future ones included) should inherit
-         the chain's pruning width rather than silently go dense. *)
-      candidates = ctx.Ctx.candidates;
-      checkpoint = sink;
-      resume_from = Option.map Result.ok resume;
-      pool = ctx.Ctx.pool;
-      objective = ctx.Ctx.objective;
-    }
-  in
-  (* The ladder is routed by the objective's structure: SDGA may lead
-     only when the spec is submodular and monotone (Lemma 4 is what its
-     stage-confinement guarantee rests on); otherwise the primary is the
-     greedy-seeded refinement and SDGA is skipped entirely. *)
-  let sdga_safe =
-    Objective.submodular ctx.Ctx.objective
-    && Objective.monotone ctx.Ctx.objective
-  in
-  let primary_name = if sdga_safe then "sdga+sra" else "greedy+sra" in
-  (* The primary link is the shared [sdga_sra]/[greedy_sra], handed the
-     chain's gain matrix, raw sink and (already Error-stripped) resume
-     state; it re-emits Link_entered and stamps its own sink link. *)
+     SRA reuses its Eq. 9 column sums and surviving rows, and the
+     fallback links reset it on entry. *)
+  let gm = chain_gains ctx inst in
+  let link_ctx = link_ctx ctx ~gm in
+  (* The ladder is routed by the objective's structure: when SDGA may
+     not lead, the primary is the greedy-seeded refinement and SDGA is
+     skipped entirely. *)
+  let sdga_safe = sdga_led ctx.Ctx.objective in
+  let primary_name = primary_link ctx.Ctx.objective in
+  (* The primary link is handed the chain's gain matrix, raw sink and
+     (already Error-stripped) resume state; it re-emits Link_entered
+     and stamps its own sink link. *)
   let primary () =
-    (if sdga_safe then sdga_sra else greedy_sra)
-      ~refine
+    primary ~refine
       ~ctx:
-        {
-          Ctx.default with
-          Ctx.deadline;
-          rng = ctx.Ctx.rng;
-          gains = Some gm;
-          candidates = ctx.Ctx.candidates;
-          checkpoint;
-          resume_from = Option.map Result.ok resume_state;
-          pool = ctx.Ctx.pool;
-          objective = ctx.Ctx.objective;
-        }
+        (link_ctx ?deadline ?sink:checkpoint ?resume:resume_state
+           ?rng:ctx.Ctx.rng ())
       inst
   in
   let sdga_alone () =

@@ -94,40 +94,37 @@ val jra_batch : ?ctx:Ctx.t -> Jra.problem array -> Jra.solution outcome array
     {!jra} would behave. [ctx.on_degrade] fires on the calling domain
     only, after the batch completes, in problem order. *)
 
-val sdga_sra : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t
-(** The bare primary CRA link: SDGA on half the remaining budget (all of
-    it with [refine:false]), then stochastic refinement on the rest.
-    This is what {!cra} runs first; it is exposed so a supervisor (e.g.
-    [Shard.Supervisor]) can drive it under its own retry, checkpoint and
-    fallback policy instead of {!cra}'s built-in chain.
+val primary : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t
+(** The bare primary CRA link, the one {!cra} runs first; it is exposed
+    so a supervisor (e.g. [Shard.Supervisor]) can drive it under its
+    own retry, checkpoint and fallback policy instead of {!cra}'s
+    built-in chain. It routes on [ctx.objective]:
+
+    {ul
+    {- submodular and monotone (Lemma 4 holds): link ["sdga+sra"], SDGA
+       on half the remaining budget, then stochastic refinement on the
+       rest;}
+    {- otherwise (OWA): link ["greedy+sra"], a lazy greedy seed on ~30%
+       of the remaining budget, then the refinement — which makes no
+       submodularity assumption and carries all the objective-aware
+       reweighing — on the rest.}}
+
+    [refine:false] drops the refinement and gives the seed the whole
+    budget.
 
     Contract differences from {!cra}: the result is {e not} validated or
     repaired, and failures {e raise} — {!Wgrap_util.Timer.Expired} when
     the deadline cuts the run short, the solver's own exception on a
     fault — rather than degrade. [ctx.checkpoint] receives a
-    [Link_entered "sdga+sra"] event and link-stamped snapshots exactly
-    as under {!cra}; [ctx.resume_from] resumes when it carries [Ok
-    state] stamped with this link (mid-SDGA replays remaining stages,
-    mid-SRA restores the snapshot RNG and replays remaining rounds
-    sequentially) and is ignored otherwise. [ctx.gains] supplies the
-    gain matrix (a private one is built when absent), [ctx.rng] seeds
-    the refinement (fresh seed-0 generator by default), and a parallel
-    [ctx.pool] fans fresh refinement out via {!Sra.refine_parallel}.
-    [ctx.objective] is consulted by every link; callers picking links by
-    hand are responsible for routing non-submodular specs to
-    {!greedy_sra} instead (as {!cra} does). *)
-
-val greedy_sra : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t
-(** The bare primary CRA link for non-submodular objectives: lazy greedy
-    seed on ~30% of the remaining budget (all of it with
-    [refine:false]), then stochastic refinement — which makes no
-    submodularity assumption and carries all the objective-aware
-    reweighing — on the rest. Same raise-on-failure, no-validation
-    contract as {!sdga_sra}; snapshots and the [Link_entered] event are
-    stamped ["greedy+sra"], and only mid-SRA states resume (the greedy
-    seed has no checkpoint phases). This is what {!cra} runs first when
-    [ctx.objective] is not submodular; exposed for supervisors with
-    their own retry/fallback policy. *)
+    [Link_entered] event and snapshots stamped with the link name
+    exactly as under {!cra}; [ctx.resume_from] resumes when it carries
+    [Ok state] stamped with this link (mid-SDGA replays remaining
+    stages, mid-SRA restores the snapshot RNG and replays remaining
+    rounds sequentially; the greedy seed has no checkpoint phases) and
+    is ignored otherwise. [ctx.gains] supplies the gain matrix (a
+    private one is built when absent), [ctx.rng] seeds the refinement
+    (fresh seed-0 generator by default), and a parallel [ctx.pool] fans
+    fresh refinement out via {!Sra.refine_parallel}. *)
 
 val cra : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t outcome
 (** Full conference assignment. The primary link runs SDGA on half the

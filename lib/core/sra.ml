@@ -9,30 +9,18 @@ type params = {
 
 let default_params = { omega = 10; lambda = 0.05; max_rounds = 10_000 }
 
-(* Eq. 9 denominators — one source of truth, shared with the cached
-   column sums of {!Gain_matrix}. *)
-let column_denominators ~n_reviewers ~score_matrix =
-  Gain_matrix.score_column_sums ~n_reviewers score_matrix
-
-(* Eq. 10 with a precomputed denominator: the probability that pair
-   (r, p) is correct (high means keep). *)
-let keep_probability ~n_reviewers ~denom ~score_matrix ~round ~lambda ~paper
-    ~reviewer =
-  let s = score_matrix.(paper).(reviewer) in
+(* Eq. 10 for one pair: the probability that pair (r, p) is correct
+   (high means keep), from its single-reviewer score and the Eq. 9
+   denominators. *)
+let keep_probability ~denom ~score ~round ~lambda ~reviewer =
   let ratio =
-    if denom.(reviewer) > 0. && s <> Lap.Hungarian.forbidden then
-      s /. denom.(reviewer)
+    if denom.(reviewer) > 0. && score <> Lap.Hungarian.forbidden then
+      score /. denom.(reviewer)
     else 0.
   in
   Float.max
-    (1. /. float_of_int n_reviewers)
+    (1. /. float_of_int (Array.length denom))
     (exp (-.lambda *. float_of_int round) *. ratio)
-
-let removal_probability inst ~score_matrix ~round ~lambda ~paper ~reviewer =
-  let n_reviewers = Instance.n_reviewers inst in
-  let denom = column_denominators ~n_reviewers ~score_matrix in
-  keep_probability ~n_reviewers ~denom ~score_matrix ~round ~lambda ~paper
-    ~reviewer
 
 let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
     ?(candidates = 0) ?checkpoint ?resume_from
@@ -50,32 +38,22 @@ let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
   let gm =
     match gains with Some g -> g | None -> Gain_matrix.create ~candidates inst
   in
-  (* One keep closure for both backings. Keep-probabilities are only
-     ever read for current group members — delta_p pairs per paper per
-     round — so each score is recomputed on demand with the same sparse
-     kernel (and the same COI sentinel) the dense cache was built from:
-     bit-identical keep values, no O(n_p * n_r) read path. The removal
-     model deliberately uses the pure coverage component
-     ({!Objective.coverage_score}): removal targets topical misfit,
-     modular terms (bids) steer the refill stage instead. The Eq. 9
-     denominators come from the matrix's cached (dense) or streamed
-     (pruned) column sums. *)
+  (* Keep-probabilities are only ever read for current group members —
+     delta_p pairs per paper per round — so each score is computed on
+     demand with the sparse kernel (and the COI sentinel) the Eq. 9
+     sums are built from. The removal model deliberately uses the pure
+     coverage component ({!Objective.coverage_score}): removal targets
+     topical misfit, modular terms (bids) steer the refill stage
+     instead. *)
   let keep =
     let denom = Gain_matrix.column_denominators gm in
     fun ~round ~paper ~reviewer ->
-      let s =
+      let score =
         if Instance.forbidden inst ~paper ~reviewer then
           Lap.Hungarian.forbidden
         else Objective.coverage_score obj ~paper ~reviewer
       in
-      let ratio =
-        if denom.(reviewer) > 0. && s <> Lap.Hungarian.forbidden then
-          s /. denom.(reviewer)
-        else 0.
-      in
-      Float.max
-        (1. /. float_of_int n_r)
-        (exp (-.params.lambda *. float_of_int round) *. ratio)
+      keep_probability ~denom ~score ~round ~lambda:params.lambda ~reviewer
   in
   (* Resume only from a state captured in this phase. The snapshot's
      score is trusted over a recomputation so the improvement threshold
@@ -230,7 +208,7 @@ let refine ?params ?on_round ?(ctx = Ctx.default) inst start =
 
 (* Parallel SRA: [chains] completely independent refinement chains, one
    per task, each with its own split RNG stream and private gain matrix
-   ({!Gain_matrix.spawn}: static caches and candidate lists shared
+   ({!Gain_matrix.spawn}: Eq. 9 sums and candidate lists shared
    read-only, rows lazy and worker-private). The winner
    is the highest-scoring chain, ties to the lowest chain index, so the
    result is a pure function of (rng state, chains) — the pool's job
@@ -251,22 +229,22 @@ let refine_parallel ?params ?chains ?(ctx = Ctx.default) inst start =
      (deterministic, so the views agree value-for-value with the
      coordinator's matrix caches). *)
   let obj = Objective.bind ctx.Ctx.objective inst in
-  (* Coordinator-owned matrix: prime the score matrix and Eq. 9 sums
-     once (row-parallel), then hand the immutable caches to every
-     chain's private matrix. If the deadline cuts the priming short the
-     chains fall back to computing the caches lazily — they will find
-     the deadline expired and return the start assignment anyway. *)
+  (* Coordinator-owned matrix: prime the candidate lists (row-parallel)
+     and the streamed Eq. 9 sums once, then hand them to every chain's
+     private matrix. If the deadline cuts the priming short the chains
+     fall back to computing them lazily — they will find the deadline
+     expired and return the start assignment anyway. *)
   let base_gm =
     match ctx.Ctx.gains with
     | Some g -> g
     | None ->
         Gain_matrix.create ~candidates:ctx.Ctx.candidates (Objective.view obj)
   in
-  (try Objective.prime ~pool ?deadline obj base_gm with Timer.Expired -> ());
+  (try Gain_matrix.prime ~pool ?deadline base_gm with Timer.Expired -> ());
   let results =
     Pool.run pool ~n:chains (fun c ->
         (* A spawn, not a full-matrix copy: O(n_p) chain state sharing
-           the coordinator's static caches and candidate lists
+           the coordinator's Eq. 9 sums and candidate lists
            read-only; rows materialize lazily inside the worker's own
            Bigarray buffers. *)
         let gm = Gain_matrix.spawn base_gm in

@@ -10,7 +10,13 @@
     number I) — and refills every paper with one Stage-WGRAP linear
     assignment. The best assignment seen is tracked; the process stops
     when it has not improved for [omega] consecutive rounds (the paper's
-    convergence threshold, default 10). *)
+    convergence threshold, default 10).
+
+    Both halves read one {!Gain_matrix}: the Eq. 9 denominators are its
+    streamed {!Gain_matrix.column_denominators}, and the refill reads
+    its rows, which have one layout at every width — a paper's candidate
+    list, the identity list over every reviewer on a dense matrix. Only
+    the refill's matcher depends on the width (see {!Stage.solve}). *)
 
 type params = {
   omega : int;  (** convergence threshold; paper default 10 *)
@@ -34,15 +40,14 @@ val refine :
     Run environment comes from [ctx] ({!Ctx.default} when omitted):
     [ctx.rng] drives the removal sampling (a fresh seed-0 generator when
     unset); [ctx.deadline] is polled every round and inside the refill
-    stage; [ctx.gains], when set, supplies the cached score matrix and
-    Eq. 9 column sums and carries gain rows across rounds (its group
+    stage; [ctx.gains], when set, supplies the Eq. 9 column sums and
+    carries gain rows across rounds (its group
     state is rebuilt from scratch each round, so any prior state is
     acceptable — e.g. the matrix {!Sdga.solve} just used); otherwise a
     private matrix is created with [ctx.candidates] as its width. Member
-    keep-probabilities recompute their scores on demand through the
-    bound objective's coverage component (bit-identical to the old
-    cached read path — delta_p pairs per paper per round); on a
-    candidate-pruned matrix the Eq. 9 denominators stream and refill
+    keep-probabilities ({!keep_probability}) compute their scores on
+    demand through the bound objective's coverage component — delta_p
+    pairs per paper per round; on a candidate-pruned matrix refill
     stages run the pruned {!Stage.solve} backend.
 
     [ctx.objective] is bound and consulted throughout: removal
@@ -77,10 +82,10 @@ val refine_parallel :
     each seeded from its own {!Wgrap_util.Rng.split} stream of the
     context rng and refining the same [start] with its own
     {!Gain_matrix.spawn} of the coordinator matrix — O(n_p) chain state
-    sharing the static caches read-only, not a full-matrix copy — so
-    chain memory no longer scales with [n_p * n_r]. The best final score
-    wins,
-    ties to the lowest chain index. The result is therefore a pure
+    sharing the Eq. 9 sums and candidate lists read-only, not a
+    full-matrix copy — so chain memory does not scale with
+    [n_p * n_r]. The best final score wins, ties to the lowest chain
+    index. The result is therefore a pure
     function of (rng state, [chains]) — the pool's job count changes
     only wall-clock time, which is what the parallel-equivalence
     property tests pin down.
@@ -95,33 +100,15 @@ val refine_parallel :
     ({!Solver.cra} does) replay it with sequential {!refine} instead.
     [ctx.resume_from] is ignored here. *)
 
-val column_denominators :
-  n_reviewers:int -> score_matrix:float array array -> float array
-(** The Eq. 9 denominators [sum_p' c(r, p')], COI cells excluded — the
-    single source of truth (delegates to
-    {!Gain_matrix.score_column_sums}), shared by {!refine},
-    {!removal_probability} and the bid-aware refinement. *)
-
 val keep_probability :
-  n_reviewers:int ->
   denom:float array ->
-  score_matrix:float array array ->
+  score:float ->
   round:int ->
   lambda:float ->
-  paper:int ->
   reviewer:int ->
   float
-(** Eq. 10 against a precomputed denominator array: the probability that
-    pair (r, p) is {e correct} (high means keep). *)
-
-val removal_probability :
-  Instance.t ->
-  score_matrix:float array array ->
-  round:int ->
-  lambda:float ->
-  paper:int ->
-  reviewer:int ->
-  float
-(** Eq. 10, exposed for unit tests: {!keep_probability} with the
-    denominators recomputed on the fly — hot loops should precompute
-    them once via {!column_denominators} instead. *)
+(** Eq. 10 for one pair: the probability that pair (r, p) is {e
+    correct} (high means keep), given its single-reviewer score [c(r,p)]
+    ({!Lap.Hungarian.forbidden} for a COI pair, which keeps only the
+    [1/R] floor) and the Eq. 9 denominators [denom] from
+    {!Gain_matrix.column_denominators}, one per reviewer. *)

@@ -8,27 +8,32 @@ let paper_array ?papers inst =
   | None -> Array.init (Instance.n_papers inst) Fun.id
 
 (* Shared row builder: raw marginal gains for paper [p] against every
-   reviewer (from the shared gain matrix when given, else computed
-   directly with the sparse kernel into [raw]), then masked in place —
+   reviewer (read from the shared gain matrix's row when given, else
+   computed directly with the sparse kernel into [raw]), masked —
    exhausted capacity, current group members (a [bool array] mask, set
    and cleared around the row instead of a per-cell list scan) and COI
-   pairs become [forbidden] — and passed through [pair_gain]. *)
+   pairs become [forbidden] — and passed through [pair_gain], into
+   [raw]. Masking inside the row callback passes each gain on already
+   boxed, so reading the row costs no extra float allocation. *)
 let fill_row pair_gain inst ~gains ~capacity ~mask ~raw ~current p =
-  let n_r = Instance.n_reviewers inst in
   let members = Assignment.group current p in
+  List.iter (fun r -> mask.(r) <- true) members;
+  let cell ~reviewer:r ~gain =
+    raw.(r) <-
+      (if capacity.(r) = 0 || mask.(r) || Instance.forbidden inst ~paper:p ~reviewer:r
+       then Lap.Hungarian.forbidden
+       else pair_gain ~paper:p ~reviewer:r ~coverage_gain:gain)
+  in
   (match gains with
-  | Some gm -> Gain_matrix.blit_row gm ~paper:p ~dst:raw
+  | Some gm -> Gain_matrix.iter_row gm ~paper:p cell
   | None ->
       let group_vec = Assignment.group_vector inst current p in
       Scoring.gain_into inst.Instance.scoring ~dst:raw ~group:group_vec
         ~reviewers:inst.Instance.rsupp
-        (Instance.paper_support inst p));
-  List.iter (fun r -> mask.(r) <- true) members;
-  for r = 0 to n_r - 1 do
-    if capacity.(r) = 0 || mask.(r) || Instance.forbidden inst ~paper:p ~reviewer:r
-    then raw.(r) <- Lap.Hungarian.forbidden
-    else raw.(r) <- pair_gain ~paper:p ~reviewer:r ~coverage_gain:raw.(r)
-  done;
+        (Instance.paper_support inst p);
+      for r = 0 to Instance.n_reviewers inst - 1 do
+        cell ~reviewer:r ~gain:raw.(r)
+      done);
   List.iter (fun r -> mask.(r) <- false) members
 
 (* {1 Candidate-pruned backend}

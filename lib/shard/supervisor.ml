@@ -201,15 +201,6 @@ let run_shard ~cfg ~ctx ~inst ~(part : Partition.t) ~slice ~solve_streams
             Wgrap.Gain_matrix.create ~candidates:ctx.Ctx.candidates
               (Objective.view (Objective.bind ctx.Ctx.objective sub))
           in
-          (* Chain routing mirrors Solver.cra: SDGA may lead only when
-             the objective keeps its Lemma 4 guarantee. *)
-          let primary =
-            if
-              Objective.submodular ctx.Ctx.objective
-              && Objective.monotone ctx.Ctx.objective
-            then Solver.sdga_sra
-            else Solver.greedy_sra
-          in
           let backoff_before k =
             if k > 0 then begin
               let jitter = 0.5 +. Rng.uniform backoffs.(k) in
@@ -290,7 +281,7 @@ let run_shard ~cfg ~ctx ~inst ~(part : Partition.t) ~slice ~solve_streams
             in
             Fun.protect
               ~finally:(fun () -> Option.iter Store.close store)
-              (fun () -> primary ~refine:cfg.refine ~ctx:sctx sub)
+              (fun () -> Solver.primary ~refine:cfg.refine ~ctx:sctx sub)
           in
           let rec attempt k =
             if k > cfg.retries then None

@@ -3,7 +3,7 @@
 
     {!solve} partitions the papers ({!Partition}), runs one supervised
     task per shard on the context's pool — each task drives the bare
-    primary link {!Wgrap.Solver.sdga_sra} on its sub-instance — then
+    primary link {!Wgrap.Solver.primary} on its sub-instance — then
     merges ({!Merge}) and runs a round-capped boundary {!Wgrap.Sra}
     pass over the full instance to recover cross-shard quality.
 

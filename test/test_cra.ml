@@ -242,28 +242,40 @@ let test_sra_deadline_respected () =
   in
   Alcotest.(check bool) "stops near the deadline" true (dt < 2.)
 
-let test_removal_probability_bounds () =
+(* Test-local Eq. 9 reference: column sums of the dense score matrix,
+   COI cells excluded. *)
+let column_sums m =
+  let sums = Array.make (Array.length m.(0)) 0. in
+  Array.iter
+    (Array.iteri (fun r s ->
+         if s <> Lap.Hungarian.forbidden then sums.(r) <- sums.(r) +. s))
+    m;
+  sums
+
+let test_keep_probability_bounds () =
   let rng = Rng.create 30 in
   let inst = random_instance rng ~n_p:10 ~n_r:6 ~dp:2 in
   let m = Instance.score_matrix inst in
+  let denom = Gain_matrix.column_denominators (Gain_matrix.create inst) in
+  Alcotest.(check (array (float 0.))) "Eq. 9 sums" (column_sums m) denom;
   for p = 0 to 9 do
     for r = 0 to 5 do
       let prob =
-        Sra.removal_probability inst ~score_matrix:m ~round:3 ~lambda:0.05
-          ~paper:p ~reviewer:r
+        Sra.keep_probability ~denom ~score:m.(p).(r) ~round:3 ~lambda:0.05
+          ~reviewer:r
       in
       Alcotest.(check bool) "within (0, 1]" true
         (prob >= 1. /. 6. -. 1e-12 && prob <= 1. +. 1e-12)
     done
   done
 
-let test_removal_probability_decays () =
+let test_keep_probability_decays () =
   let rng = Rng.create 31 in
   let inst = random_instance rng ~n_p:10 ~n_r:6 ~dp:2 in
   let m = Instance.score_matrix inst in
+  let denom = column_sums m in
   let at round =
-    Sra.removal_probability inst ~score_matrix:m ~round ~lambda:0.5 ~paper:0
-      ~reviewer:0
+    Sra.keep_probability ~denom ~score:m.(0).(0) ~round ~lambda:0.5 ~reviewer:0
   in
   Alcotest.(check bool) "decays toward the floor" true (at 1 >= at 50 -. 1e-12);
   Alcotest.(check (float 1e-12)) "floor is 1/R" (1. /. 6.) (at 1_000)
@@ -528,8 +540,8 @@ let () =
           Alcotest.test_case "never worse" `Quick test_sra_never_worse;
           Alcotest.test_case "trace monotone" `Quick test_sra_trace_monotone;
           Alcotest.test_case "deadline" `Quick test_sra_deadline_respected;
-          Alcotest.test_case "removal probability bounds" `Quick test_removal_probability_bounds;
-          Alcotest.test_case "removal probability decays" `Quick test_removal_probability_decays;
+          Alcotest.test_case "removal probability bounds" `Quick test_keep_probability_bounds;
+          Alcotest.test_case "removal probability decays" `Quick test_keep_probability_decays;
         ] );
       ( "local_search",
         [

@@ -190,7 +190,7 @@ let test_bids_sdga_feasible () =
     let bids = Bids.random ~rng inst in
     List.iter
       (fun lambda ->
-        let a = Bids.sdga ~lambda inst bids in
+        let a = Sdga.solve ~ctx:(Ctx.make ~objective:(Bids.spec ~lambda bids) ()) inst in
         Alcotest.(check bool)
           (Printf.sprintf "feasible at lambda=%.1f" lambda)
           true
@@ -206,8 +206,8 @@ let test_bids_tradeoff_direction () =
   for _ = 1 to 8 do
     let inst = tiny_instance rng ~n_p:16 ~n_r:7 ~dp:2 ~dr:6 in
     let bids = Bids.random ~rng inst in
-    sat_high := !sat_high +. Bids.bid_satisfaction inst bids (Bids.sdga ~lambda:0.2 inst bids);
-    sat_low := !sat_low +. Bids.bid_satisfaction inst bids (Bids.sdga ~lambda:1. inst bids)
+    sat_high := !sat_high +. Bids.bid_satisfaction inst bids (Sdga.solve ~ctx:(Ctx.make ~objective:(Bids.spec ~lambda:0.2 bids) ()) inst);
+    sat_low := !sat_low +. Bids.bid_satisfaction inst bids (Sdga.solve ~ctx:(Ctx.make ~objective:(Bids.spec ~lambda:1. bids) ()) inst)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "bid weight raises satisfaction (%.3f >= %.3f)" !sat_high !sat_low)
@@ -222,7 +222,7 @@ let test_bids_lambda_zero_near_transportation_optimum () =
   for _ = 1 to 5 do
     let inst = tiny_instance rng ~n_p:10 ~n_r:6 ~dp:2 ~dr:4 in
     let bids = Bids.random ~rng inst in
-    let a = Bids.sdga ~lambda:0. inst bids in
+    let a = Sdga.solve ~ctx:(Ctx.make ~objective:(Bids.spec ~lambda:0. bids) ()) inst in
     let mine = Bids.objective ~lambda:0. inst bids a in
     let matrix =
       Array.init 10 (fun p -> Array.init 6 (fun r -> Bids.bid bids ~paper:p ~reviewer:r))
@@ -246,8 +246,9 @@ let test_bids_refine_never_worse () =
   let rng = Rng.create 9 in
   let inst = tiny_instance rng ~n_p:14 ~n_r:7 ~dp:2 ~dr:4 in
   let bids = Bids.random ~rng inst in
-  let start = Bids.sdga inst bids in
-  let refined = Bids.refine ~rng inst bids start in
+  let objective = Bids.spec bids in
+  let start = Sdga.solve ~ctx:(Ctx.make ~objective ()) inst in
+  let refined = Sra.refine ~ctx:(Ctx.make ~rng ~objective ()) inst start in
   Alcotest.(check bool) "feasible" true (Assignment.is_feasible inst refined);
   Alcotest.(check bool) "no regression" true
     (Bids.objective inst bids refined >= Bids.objective inst bids start -. 1e-9)

@@ -144,10 +144,11 @@ let random_instance ?(scoring = Scoring.Weighted_coverage) rng ~n_p ~n_r ~dim =
 
 (* Oracle for one row: dense gains against the group vector implied by
    [members], for non-member reviewers (member cells are unspecified by
-   contract — every consumer masks them). *)
+   contract — every consumer masks them). A pruned row has cells for
+   its candidates only; a dense row must fill every one. *)
 let check_rows inst gm groups =
   let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
-  let row = Array.make n_r 0. in
+  let row = Array.make n_r nan in
   for p = 0 to n_p - 1 do
     let vecs = List.map (fun r -> inst.Instance.reviewers.(r)) groups.(p) in
     let gvec =
@@ -155,14 +156,17 @@ let check_rows inst gm groups =
       | [] -> Scoring.empty_group ~dim:(Instance.n_topics inst)
       | _ -> Topic_vector.group_max vecs
     in
-    Gain_matrix.blit_row gm ~paper:p ~dst:row;
+    Array.fill row 0 n_r nan;
+    Gain_matrix.iter_row gm ~paper:p (fun ~reviewer ~gain ->
+        row.(reviewer) <- gain);
     for r = 0 to n_r - 1 do
       if not (List.mem r groups.(p)) then begin
         let expected =
           Scoring.gain inst.Instance.scoring ~group:gvec
             inst.Instance.reviewers.(r) inst.Instance.papers.(p)
         in
-        Alcotest.(check (float tol)) "row cell" expected row.(r);
+        if not (Gain_matrix.pruned gm && Float.is_nan row.(r)) then
+          Alcotest.(check (float tol)) "row cell" expected row.(r);
         Alcotest.(check (float tol))
           "point gain" expected
           (Gain_matrix.gain gm ~paper:p ~reviewer:r)
@@ -225,38 +229,109 @@ let test_gain_matrix_version_monotone () =
   Alcotest.(check int) "idempotent add keeps version" before
     (Gain_matrix.version gm ~paper:0)
 
-(* {1 Eq. 9 denominators: one source of truth} *)
+(* Test-local Eq. 9 reference: column sums of the dense score matrix,
+   COI cells excluded, accumulated in paper order. *)
+let column_sums inst =
+  let sums = Array.make (Instance.n_reviewers inst) 0. in
+  Array.iter
+    (Array.iteri (fun r s ->
+         if s <> Lap.Hungarian.forbidden then sums.(r) <- sums.(r) +. s))
+    (Instance.score_matrix inst);
+  sums
+
+(* A row's cells as (reviewer, gain), in visiting order. *)
+let row_cells gm ~paper =
+  List.rev
+    (Gain_matrix.fold_row gm ~paper ~init:[] (fun acc ~reviewer ~gain ->
+         (reviewer, gain) :: acc))
+
+(* rebind keeps rows across a COI change and re-derives them across a
+   scoring change, at both widths; the Eq. 9 sums follow the new
+   instance either way. *)
+let test_gain_matrix_rebind () =
+  List.iter
+    (fun k ->
+      let rng = Rng.create 37 in
+      let inst = random_instance rng ~n_p:6 ~n_r:10 ~dim:8 in
+      let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
+      let gm = Gain_matrix.create ~candidates:k inst in
+      Alcotest.(check bool) "width" (k > 0) (Gain_matrix.pruned gm);
+      let groups =
+        Array.init n_p (fun p ->
+            List.sort_uniq compare [ (p + 1) mod n_r; (p + 3) mod n_r ])
+      in
+      Array.iteri (fun p g -> Gain_matrix.set_group gm ~paper:p g) groups;
+      let cells = Array.init n_p (fun p -> row_cells gm ~paper:p) in
+      let versions = Array.init n_p (fun p -> Gain_matrix.version gm ~paper:p) in
+      ignore (Gain_matrix.column_denominators gm);
+      (* A new conflict on a pair that scores, so the sums must move. *)
+      let pair =
+        List.find
+          (fun (p, r) ->
+            (not (Instance.forbidden inst ~paper:p ~reviewer:r))
+            && Instance.pair_score inst ~paper:p ~reviewer:r > 0.)
+          (List.concat_map
+             (fun p -> List.init n_r (fun r -> (p, r)))
+             (List.init n_p Fun.id))
+      in
+      let coi_inst = Result.get_ok (Instance.add_coi inst [ pair ]) in
+      Gain_matrix.rebind gm coi_inst;
+      for p = 0 to n_p - 1 do
+        Alcotest.(check int) "version kept" versions.(p)
+          (Gain_matrix.version gm ~paper:p);
+        Alcotest.(check (list (pair int (float 0.))))
+          "row kept" cells.(p) (row_cells gm ~paper:p)
+      done;
+      let expected = column_sums coi_inst in
+      Alcotest.(check bool) "COI moved the sums" false
+        (expected = column_sums inst);
+      Alcotest.(check (array (float 0.)))
+        "sums follow the new COI" expected
+        (Gain_matrix.column_denominators gm);
+      List.iter
+        (fun kind ->
+          let kind_inst = Instance.with_scoring coi_inst kind in
+          Gain_matrix.rebind gm kind_inst;
+          check_rows kind_inst gm groups;
+          Alcotest.(check (array (float 0.)))
+            (Scoring.name kind ^ " sums") (column_sums kind_inst)
+            (Gain_matrix.column_denominators gm))
+        Scoring.all)
+    [ 0; 4 ]
+
+(* {1 Eq. 9 denominators and Eq. 10: one source of truth} *)
 
 let test_denominators_agree () =
   let rng = Rng.create 31 in
   let inst = random_instance rng ~n_p:6 ~n_r:9 ~dim:7 in
   let n_r = Instance.n_reviewers inst in
   let score_matrix = Instance.score_matrix inst in
-  let expected = Array.make n_r 0. in
-  Array.iter
-    (fun row ->
-      for r = 0 to n_r - 1 do
-        if row.(r) <> Lap.Hungarian.forbidden then
-          expected.(r) <- expected.(r) +. row.(r)
+  let expected = column_sums inst in
+  List.iter
+    (fun k ->
+      let denom =
+        Gain_matrix.column_denominators (Gain_matrix.create ~candidates:k inst)
+      in
+      Alcotest.(check (array (float tol))) "gm denominators" expected denom;
+      (* Eq. 10 against the reference sums. *)
+      for p = 0 to Instance.n_papers inst - 1 do
+        for r = 0 to n_r - 1 do
+          let s = score_matrix.(p).(r) in
+          let ratio =
+            if expected.(r) > 0. && s <> Lap.Hungarian.forbidden then
+              s /. expected.(r)
+            else 0.
+          in
+          Alcotest.(check (float tol))
+            "eq10"
+            (Float.max
+               (1. /. float_of_int n_r)
+               (exp (-0.05 *. 3.) *. ratio))
+            (Sra.keep_probability ~denom ~score:s ~round:3 ~lambda:0.05
+               ~reviewer:r)
+        done
       done)
-    score_matrix;
-  let via_sra = Sra.column_denominators ~n_reviewers:n_r ~score_matrix in
-  let gm = Gain_matrix.create inst in
-  let via_gm = Gain_matrix.column_denominators gm in
-  Alcotest.(check (array (float tol))) "sra denominators" expected via_sra;
-  Alcotest.(check (array (float tol))) "gm denominators" expected via_gm;
-  (* removal_probability (the test-facing wrapper) must equal
-     keep_probability against the precomputed array. *)
-  for p = 0 to Instance.n_papers inst - 1 do
-    for r = 0 to n_r - 1 do
-      Alcotest.(check (float tol))
-        "eq10 wrapper"
-        (Sra.keep_probability ~n_reviewers:n_r ~denom:via_sra ~score_matrix
-           ~round:3 ~lambda:0.05 ~paper:p ~reviewer:r)
-        (Sra.removal_probability inst ~score_matrix ~round:3 ~lambda:0.05
-           ~paper:p ~reviewer:r)
-    done
-  done
+    [ 0; 3 ]
 
 (* {1 Solvers: shared gain matrix changes nothing observable} *)
 
@@ -341,6 +416,7 @@ let () =
             test_gain_matrix_incremental;
           Alcotest.test_case "versions monotone" `Quick
             test_gain_matrix_version_monotone;
+          Alcotest.test_case "rebind" `Quick test_gain_matrix_rebind;
         ] );
       ( "denominators",
         [ Alcotest.test_case "one source of truth" `Quick test_denominators_agree ] );

@@ -215,9 +215,9 @@ let gain_matrix_equivalence =
       let lazy_gm = Gain_matrix.create inst in
       let par_gm = Gain_matrix.create inst in
       Gain_matrix.prime ~pool:par_pool par_gm;
-      (* The score cache is internal now; its observable faces are the
-         Eq. 9 column sums (compared below) and the empty-group gain
-         rows, which equal single-reviewer scores cell for cell. *)
+      (* Priming's observable faces are the Eq. 9 column sums (compared
+         below) and the empty-group gain rows, which equal
+         single-reviewer scores cell for cell. *)
       for p = 0 to n_p - 1 do
         let row gm =
           Gain_matrix.fold_row gm ~paper:p ~init:[] (fun acc ~reviewer ~gain ->
@@ -243,7 +243,8 @@ let gain_matrix_equivalence =
       Gain_matrix.rebuild ~pool:par_pool par_gm;
       let row gm p =
         let dst = Array.make n_r 0. in
-        Gain_matrix.blit_row gm ~paper:p ~dst;
+        Gain_matrix.iter_row gm ~paper:p (fun ~reviewer ~gain ->
+            dst.(reviewer) <- gain);
         dst
       in
       for p = 0 to n_p - 1 do

@@ -162,14 +162,15 @@ let pruned_cells_match_dense =
       | exception Failure _ -> ());
       let row = Array.make n_r nan in
       for p = 0 to n_p - 1 do
-        Gain_matrix.blit_row dense ~paper:p ~dst:row;
+        Gain_matrix.iter_row dense ~paper:p (fun ~reviewer ~gain ->
+            row.(reviewer) <- gain);
         Gain_matrix.iter_row pruned ~paper:p (fun ~reviewer ~gain ->
             if not (Float.equal gain row.(reviewer)) then
               QCheck.Test.fail_reportf
                 "cell (%d, %d): pruned %.17g dense %.17g" p reviewer gain
                 row.(reviewer))
       done;
-      (* streamed Eq. 9 sums must equal the cached dense computation *)
+      (* Eq. 9 sums must not depend on the row width *)
       if
         Gain_matrix.column_denominators pruned
         <> Gain_matrix.column_denominators dense

@@ -212,32 +212,28 @@ let module_of_path t path =
 (* Effective effect set of a function-like body relative to module
    [from]: its direct effects, everything propagatable its callees
    transitively do, and mutates-shared whenever it passes a shared value
-   into a callee's mutated parameter. [skip] exempts edges (the
-   domain-race whitelist). *)
-let effective t ~from ?(skip = fun _ -> false) (i : Summary.funinfo) :
-    Effects.Set.t =
+   into a callee's mutated parameter. *)
+let effective t ~from (i : Summary.funinfo) : Effects.Set.t =
   let eff = ref i.effects in
   List.iter
     (fun (c : Summary.callee) ->
-      if not (skip c.target) then
-        List.iter
-          (fun (cmi, (cv : Summary.value)) ->
-            eff :=
-              Effects.Set.union !eff
-                (Effects.Set.inter
-                   (get_trans t cmi cv.vname)
-                   Effects.Set.propagated);
-            if edge_mutates_shared t c (cmi, (cv : Summary.value)) then
-              eff := Effects.Set.add Effects.Mut_global !eff)
-          (resolve t ~from c.target))
+      List.iter
+        (fun (cmi, (cv : Summary.value)) ->
+          eff :=
+            Effects.Set.union !eff
+              (Effects.Set.inter
+                 (get_trans t cmi cv.vname)
+                 Effects.Set.propagated);
+          if edge_mutates_shared t c (cmi, (cv : Summary.value)) then
+            eff := Effects.Set.add Effects.Mut_global !eff)
+        (resolve t ~from c.target))
     i.callees;
   !eff
 
 (* A human-readable witness for why [eff] is in [info]'s effective set:
    either a direct origin, or a breadth-first shortest call chain ending
    at one. *)
-let witness t ~from (info : Summary.funinfo) (eff : Effects.t)
-    ?(skip = fun _ -> false) () : string =
+let witness t ~from (info : Summary.funinfo) (eff : Effects.t) : string =
   let direct (i : Summary.funinfo) =
     List.find_opt (fun (o : Summary.origin) -> o.Summary.oeffect = eff) i.origins
   in
@@ -253,35 +249,34 @@ let witness t ~from (info : Summary.funinfo) (eff : Effects.t)
       let seen = Hashtbl.create 64 in
       let q = Queue.create () in
       let visit chain mi (c : Summary.callee) =
-        if not (skip c.target) then
-          List.iter
-            (fun (cmi, (cv : Summary.value)) ->
-              if eff = Effects.Mut_global && edge_mutates_shared t c (cmi, cv)
-              then
-                raise
-                  (Found
-                     (describe chain
-                        (Printf.sprintf
-                           "passes captured/shared state to %s, which mutates \
-                            its argument"
-                           c.target)));
-              let k = key cmi cv.vname in
-              if
-                Effects.Set.mem eff (get_trans t cmi cv.vname)
-                && not (Hashtbl.mem seen k)
-              then begin
-                Hashtbl.add seen k ();
-                let chain = c.target :: chain in
-                match direct cv.info with
-                | Some o ->
-                    raise
-                      (Found
-                         (describe chain
-                            (Printf.sprintf "%s (%s:%d)" o.oident
-                               t.mods.(cmi).Summary.path o.oline)))
-                | None -> Queue.add (chain, cmi, cv) q
-              end)
-            (resolve t ~from:mi c.target)
+        List.iter
+          (fun (cmi, (cv : Summary.value)) ->
+            if eff = Effects.Mut_global && edge_mutates_shared t c (cmi, cv)
+            then
+              raise
+                (Found
+                   (describe chain
+                      (Printf.sprintf
+                         "passes captured/shared state to %s, which mutates \
+                          its argument"
+                         c.target)));
+            let k = key cmi cv.vname in
+            if
+              Effects.Set.mem eff (get_trans t cmi cv.vname)
+              && not (Hashtbl.mem seen k)
+            then begin
+              Hashtbl.add seen k ();
+              let chain = c.target :: chain in
+              match direct cv.info with
+              | Some o ->
+                  raise
+                    (Found
+                       (describe chain
+                          (Printf.sprintf "%s (%s:%d)" o.oident
+                             t.mods.(cmi).Summary.path o.oline)))
+              | None -> Queue.add (chain, cmi, cv) q
+            end)
+          (resolve t ~from:mi c.target)
       in
       try
         List.iter (visit [] from) info.callees;

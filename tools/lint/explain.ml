@@ -159,10 +159,8 @@ let entries =
          race: unsynchronized cross-domain mutation. Writes through the \
          closure's own parameters are task-local; array-style writes \
          partitioned by the task index are the Pool's documented sharing \
-         idiom; the whitelisted task-local adoption APIs \
-         (Gain_matrix.adopt_static and friends) copy into task-owned \
-         structures. Everything else must be restructured: return values \
-         and let the coordinator combine them.";
+         idiom. Everything else must be restructured: return values and \
+         let the coordinator combine them.";
       bad =
         "let hits = ref 0 in\n\
          Pool.iter pool ~n (fun i -> if probe i then incr hits)";

@@ -103,20 +103,6 @@ let extra_serve_modules : string list ref = ref []
    not write state shared with the coordinator. *)
 let pool_spawn_fns = [ "run"; "map"; "iter"; "reduce" ]
 
-(* Callees a pool closure may reach even though they mutate an
-   argument: each is a documented task-local adoption/scratch API whose
-   writes target structures the task owns (adopt_static copies shared
-   *read-only* caches into the task's private matrix; blit_row fills a
-   caller-supplied scratch buffer). Matched on the resolved
-   "Module.value" name. *)
-let race_safe_callees =
-  [ "Gain_matrix.adopt_static"; "Gain_matrix.blit_row" ]
-
-(* Files whose spawn closures are partitioned-by-index writers proven
-   by construction (each task writes a disjoint row of the backing it
-   owns); the domain-race rule skips spawn sites in these files. *)
-let race_safe_spawn_owners : string list = []
-
 (* Extra files treated as solver modules for the interprocedural
    nondet-reach / transitive-deadline checks — set from the
    --solver-module flag so fixtures outside lib/ can exercise them. *)

@@ -4,9 +4,7 @@
                   transitive effects write coordinator-shared state.
                   Writes through the closure's own parameters are
                   task-local; Indexed-shape writes partitioned by a task
-                  parameter are the Pool's documented sharing idiom; the
-                  whitelisted task-local adoption APIs
-                  (Lint_config.race_safe_callees) are exempt.
+                  parameter are the Pool's documented sharing idiom.
    nondet-reach   a solver entry point that transitively reads a
                   nondeterministic source (Hashtbl iteration order, a
                   wall clock, the unseeded stdlib RNG) — solves stop
@@ -17,17 +15,6 @@
 
 let race_rule = "domain-race"
 let nondet_rule = "nondet-reach"
-
-(* Whitelist test for a call edge out of a spawn closure: matches the
-   reference as written and as resolved ("Module.value"). *)
-let race_safe cg ~from target =
-  List.mem target Lint_config.race_safe_callees
-  || List.exists
-       (fun (mi, (v : Summary.value)) ->
-         List.mem
-           (cg.Callgraph.mods.(mi).Summary.modname ^ "." ^ v.vname)
-           Lint_config.race_safe_callees)
-       (Callgraph.resolve cg ~from target)
 
 let solver_targets () =
   Lint_config.solver_modules @ !Lint_config.extra_solver_modules
@@ -41,33 +28,26 @@ let check (cg : Callgraph.t) : Finding.t list =
     (fun mi (s : Summary.t) ->
       let file_allowed rule = List.mem rule s.file_allows in
       (* domain-race over every spawn site. *)
-      if
-        not
-          (Lint_path.matches_any ~suffixes:Lint_config.race_safe_spawn_owners
-             s.path)
-      then
-        List.iter
-          (fun (v : Summary.value) ->
-            List.iter
-              (fun (sp : Summary.spawn) ->
-                if not sp.allowed then begin
-                  let skip = race_safe cg ~from:mi in
-                  let eff = Callgraph.effective cg ~from:mi ~skip sp.sbody in
-                  if Effects.Set.mem Effects.Mut_global eff then
-                    let w =
-                      Callgraph.witness cg ~from:mi sp.sbody Effects.Mut_global
-                        ~skip ()
-                    in
-                    add s.path sp.sline race_rule
-                      (Printf.sprintf
-                         "closure passed to Pool.%s writes \
-                          coordinator-shared state: %s — tasks run on other \
-                          domains; make the state task-local or partition \
-                          writes by the task index"
-                         sp.pool_fn w)
-                end)
-              v.spawns)
-          s.values;
+      List.iter
+        (fun (v : Summary.value) ->
+          List.iter
+            (fun (sp : Summary.spawn) ->
+              if not sp.allowed then begin
+                let eff = Callgraph.effective cg ~from:mi sp.sbody in
+                if Effects.Set.mem Effects.Mut_global eff then
+                  let w =
+                    Callgraph.witness cg ~from:mi sp.sbody Effects.Mut_global
+                  in
+                  add s.path sp.sline race_rule
+                    (Printf.sprintf
+                       "closure passed to Pool.%s writes \
+                        coordinator-shared state: %s — tasks run on other \
+                        domains; make the state task-local or partition \
+                        writes by the task index"
+                       sp.pool_fn w)
+              end)
+            v.spawns)
+        s.values;
       (* nondet-reach over solver entry points. *)
       if
         Lint_path.matches_any ~suffixes:(solver_targets ()) s.path
@@ -81,7 +61,7 @@ let check (cg : Callgraph.t) : Finding.t list =
             then
               let eff = Callgraph.get_trans cg mi v.vname in
               if Effects.Set.mem Effects.Nondet eff then
-                let w = Callgraph.witness cg ~from:mi v.info Effects.Nondet () in
+                let w = Callgraph.witness cg ~from:mi v.info Effects.Nondet in
                 add s.path v.vline nondet_rule
                   (Printf.sprintf
                      "solver entry point %s transitively reads a \
