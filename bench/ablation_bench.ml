@@ -25,8 +25,10 @@ let ablation_bba_bound ctx =
           Array.iter
             (fun paper ->
               let problem = Jra.make ~paper ~pool:sub ~group_size:dp () in
-              let _, dt = Timer.time (fun () -> Jra_bba.solve ~use_bound problem) in
-              nodes := !nodes + (Jra_bba.last_stats ()).Jra_bba.nodes;
+              let (_, stats), dt =
+                Timer.time (fun () -> Jra_bba.solve_counting ~use_bound problem)
+              in
+              nodes := !nodes + stats.Jra_bba.nodes;
               time := !time +. dt)
             papers;
           (!nodes, !time)

@@ -162,7 +162,7 @@ let cplex_note ctx =
   Array.iter
     (fun paper ->
       let problem = Jra.make ~paper ~pool:sub ~group_size:3 () in
-      let cp_result, cp_dt =
+      let (cp_result, cp_first_dt), cp_dt =
         Timer.time (fun () ->
             Jra_cp.solve
               ~deadline:(Timer.deadline ctx.Context.profile.Context.solver_budget)
@@ -176,7 +176,7 @@ let cplex_note ctx =
       | Jra_cp.Timed_out _, _ -> ());
       cp_total := !cp_total +. cp_dt;
       bba_total := !bba_total +. bba_dt;
-      (match Jra_cp.first_solution_time () with
+      (match cp_first_dt with
       | Some t -> cp_first := !cp_first +. t
       | None -> ()))
     papers;

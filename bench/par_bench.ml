@@ -101,7 +101,9 @@ let run ~quick ~seed ~out =
                 inst start)
         in
         let jra_sols, jra_s =
-          Timer.time (fun () -> Jra_bba.solve_many ~pool problems)
+          Timer.time (fun () ->
+              Pool.run pool ~n:(Array.length problems) (fun i ->
+                  Jra_bba.solve problems.(i)))
         in
         let gm = Gain_matrix.create inst in
         let (), prime_s = Timer.time (fun () -> Gain_matrix.prime ~pool gm) in

@@ -37,6 +37,11 @@ let die code fmt =
 
 let warn fmt = Printf.ksprintf (fun msg -> Printf.eprintf "wgrap: %s\n" msg) fmt
 
+(* Numeric flags are checked before any work starts, so a bad value is a
+   usage error naming the flag, never an exception from deep inside. *)
+let check_flag ~flag ~min v =
+  if v < min then die exit_usage "--%s must be >= %d (got %d)" flag min v
+
 let report_degradation outcome =
   match Solver.reasons outcome with
   | [] -> ()
@@ -264,6 +269,8 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
     ~owa_weights ~taxonomy_tsv ~taxonomy_decay ~json ~refine ~budget ~jobs
     ~candidates ~lenient ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume
     ~shards ~preset ~chaos_shards =
+  check_flag ~flag:"candidates" ~min:0 candidates;
+  check_flag ~flag:"jobs" ~min:0 jobs;
   if Option.is_some chaos_shards && shards <= 0 then
     die exit_usage "--chaos-shards requires --shards N";
   let spec_of inst =
@@ -617,6 +624,7 @@ let resume_arg =
 let serve ~dim ~delta_p ~delta_r ~objective ~owa_weights ~taxonomy_tsv
     ~taxonomy_decay ~state_dir ~resume ~verify ~socket ~event_budget_ms
     ~queue_limit ~p99_limit_ms ~snapshot_every ~max_clients =
+  check_flag ~flag:"queue-limit" ~min:1 queue_limit;
   let module Server = Wgrap_serve.Server in
   let module State = Wgrap_serve.State in
   let module Durable = Wgrap_serve.Durable in

@@ -52,8 +52,9 @@ let () =
   let delta_p = 3 in
   let problem = Jra.make ~excluded ~paper:paper_vec ~pool ~group_size:delta_p () in
 
-  let bba, bba_time = Timer.time (fun () -> Jra_bba.solve problem) in
-  let stats = Jra_bba.last_stats () in
+  let (bba, stats), bba_time =
+    Timer.time (fun () -> Jra_bba.solve_counting problem)
+  in
   Printf.printf "\nBBA: best group in %s (%d nodes expanded, %d prunes)\n"
     (Wgrap_util.Report.seconds_cell bba_time)
     stats.Jra_bba.nodes stats.Jra_bba.pruned;

@@ -20,8 +20,6 @@ type sink = {
   offer : (unit -> state) -> unit;
 }
 
-let null = { on_event = (fun _ -> ()); offer = (fun _ -> ()) }
-
 let with_link link sink =
   { sink with offer = (fun mk -> sink.offer (fun () -> { (mk ()) with link })) }
 

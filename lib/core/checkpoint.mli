@@ -54,9 +54,6 @@ type sink = {
           itself rather than killing the solve. *)
 }
 
-val null : sink
-(** Discards everything. *)
-
 val with_link : string -> sink -> sink
 (** Stamp every offered state with the given chain-link name —
     {!Solver.cra} wraps the caller's sink once per link. *)

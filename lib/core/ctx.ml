@@ -2,8 +2,6 @@ module Timer = Wgrap_util.Timer
 module Rng = Wgrap_util.Rng
 module Pool = Wgrap_par.Pool
 
-type degrade = { link : string; detail : string }
-
 type t = {
   deadline : Timer.deadline option;
   rng : Rng.t option;
@@ -12,7 +10,6 @@ type t = {
   checkpoint : Checkpoint.sink option;
   resume_from : (Checkpoint.state, string) result option;
   pool : Pool.t option;
-  on_degrade : (degrade -> unit) option;
   objective : Objective.spec;
 }
 
@@ -25,28 +22,11 @@ let default =
     checkpoint = None;
     resume_from = None;
     pool = None;
-    on_degrade = None;
     objective = Objective.coverage;
   }
 
-let with_deadline d t = { t with deadline = Some d }
-let with_budget s t = { t with deadline = Some (Timer.deadline s) }
-let with_rng rng t = { t with rng = Some rng }
-let with_seed seed t = { t with rng = Some (Rng.create seed) }
-let with_gains g t = { t with gains = Some g }
-
-let with_candidates k t =
-  if k < 0 then invalid_arg "Ctx.with_candidates: k must be >= 0";
-  { t with candidates = k }
-let with_checkpoint sink t = { t with checkpoint = Some sink }
-let with_resume r t = { t with resume_from = Some r }
-let with_pool p t = { t with pool = Some p }
-let with_jobs jobs t = { t with pool = Some (Pool.create ~jobs) }
-let with_on_degrade f t = { t with on_degrade = Some f }
-let with_objective o t = { t with objective = o }
-
 let make ?deadline ?budget ?rng ?seed ?gains ?(candidates = 0) ?checkpoint
-    ?resume_from ?pool ?jobs ?on_degrade ?(objective = Objective.coverage) () =
+    ?resume_from ?pool ?jobs ?(objective = Objective.coverage) () =
   if candidates < 0 then invalid_arg "Ctx.make: candidates must be >= 0";
   {
     deadline =
@@ -68,17 +48,8 @@ let make ?deadline ?budget ?rng ?seed ?gains ?(candidates = 0) ?checkpoint
       | (Some _ as p), _ -> p
       | None, Some j -> Some (Pool.create ~jobs:j)
       | None, None -> None);
-    on_degrade;
     objective;
   }
 
 let rng_or ~seed t = match t.rng with Some r -> r | None -> Rng.create seed
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
-
-let notify_degrade t ~link ~detail =
-  match t.on_degrade with
-  | None -> ()
-  | Some f ->
-      (* An observer is telemetry; a solve must not change outcome
-         because a progress callback blew up. *)
-      (try f { link; detail } with _ -> ()) [@wgrap.allow "silent-catch"]

@@ -10,21 +10,16 @@
 
     Every field is optional with a conservative default: [Ctx.default]
     (equivalently [Ctx.make ()]) runs unbudgeted, sequentially, seeded
-    from 0, without checkpoints. Builders are pipe-friendly:
+    from 0, without checkpoints. Set only what a run needs:
 
     {[
-      Solver.cra ~ctx:Ctx.(default |> with_budget 30. |> with_jobs 8) inst
+      Solver.cra ~ctx:(Ctx.make ~budget:30. ~jobs:8 ()) inst
     ]}
 
     A context is one {e run}'s environment. The [rng] field is a live,
     mutable generator: reusing one context across several solves
-    continues its stream (build a fresh context, or use {!with_seed},
-    when runs must be independently reproducible). *)
-
-type degrade = { link : string; detail : string }
-(** One degradation notice: the chain link that degraded and a
-    human-readable reason (same text as the {!Solver.reason} the outcome
-    carries). *)
+    continues its stream (build a fresh context, e.g. [Ctx.make ~seed:7
+    ()], when runs must be independently reproducible). *)
 
 type t = {
   deadline : Wgrap_util.Timer.deadline option;
@@ -51,10 +46,6 @@ type t = {
   pool : Wgrap_par.Pool.t option;
       (** domain pool for the parallel paths (SRA chain fan-out, JRA
           batches, gain-matrix rebuilds); [None] = sequential *)
-  on_degrade : (degrade -> unit) option;
-      (** observer fired by {!Solver.jra}/{!Solver.cra} the moment a
-          degradation reason is recorded — for live progress reporting,
-          ahead of the outcome's aggregated reason list *)
   objective : Objective.spec;
       (** the objective every solver entered through this context binds
           and scores against; defaults to {!Objective.coverage} (the
@@ -79,7 +70,6 @@ val make :
   ?resume_from:(Checkpoint.state, string) result ->
   ?pool:Wgrap_par.Pool.t ->
   ?jobs:int ->
-  ?on_degrade:(degrade -> unit) ->
   ?objective:Objective.spec ->
   unit ->
   t
@@ -89,36 +79,6 @@ val make :
     [pool:(Pool.create ~jobs)] ([pool] wins). [objective] defaults to
     {!Objective.coverage}. *)
 
-(** {2 Pipe-style builders}
-
-    Each returns an updated copy; none mutates its argument. *)
-
-val with_deadline : Wgrap_util.Timer.deadline -> t -> t
-
-val with_budget : float -> t -> t
-(** A fresh deadline expiring the given number of seconds from now. *)
-
-val with_rng : Wgrap_util.Rng.t -> t -> t
-
-val with_seed : int -> t -> t
-(** [with_rng (Rng.create seed)]. *)
-
-val with_gains : Gain_matrix.t -> t -> t
-
-val with_candidates : int -> t -> t
-(** Set the candidate width k for solver-built matrices (0 = dense).
-    Raises [Invalid_argument] on a negative width. *)
-
-val with_checkpoint : Checkpoint.sink -> t -> t
-val with_resume : (Checkpoint.state, string) result -> t -> t
-val with_pool : Wgrap_par.Pool.t -> t -> t
-
-val with_jobs : int -> t -> t
-(** [with_pool (Pool.create ~jobs)]. *)
-
-val with_on_degrade : (degrade -> unit) -> t -> t
-val with_objective : Objective.spec -> t -> t
-
 (** {2 Accessors used by the solver implementations} *)
 
 val rng_or : seed:int -> t -> Wgrap_util.Rng.t
@@ -126,7 +86,3 @@ val rng_or : seed:int -> t -> Wgrap_util.Rng.t
 
 val jobs : t -> int
 (** The pool's job count; 1 when no pool is set. *)
-
-val notify_degrade : t -> link:string -> detail:string -> unit
-(** Fire [on_degrade] if set; never raises (observer exceptions are
-    swallowed — reporting must not alter solver behaviour). *)

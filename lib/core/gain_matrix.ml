@@ -160,7 +160,6 @@ let set_group t ~paper members =
   if !changed then t.version.(paper) <- t.version.(paper) + 1
 
 let version t ~paper = t.version.(paper)
-let group_vector t ~paper = group_vec t paper
 
 let gain t ~paper ~reviewer =
   Scoring.gain_sparse t.inst.Instance.scoring ~group:(group_vec t paper)

@@ -88,9 +88,6 @@ val version : t -> paper:int -> int
 (** Monotone per-paper group version — pairs with heap-entry versioning
     in {!Greedy}. *)
 
-val group_vector : t -> paper:int -> Topic_vector.t
-(** The maintained group vector (live; do not mutate). *)
-
 val gain : t -> paper:int -> reviewer:int -> float
 (** One fresh marginal gain against the current group vector, computed
     directly with the sparse kernel; does not touch the row cache.

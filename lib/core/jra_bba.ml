@@ -5,16 +5,11 @@ type stats = {
   pruned : int;
 }
 
-let last = ref { nodes = 0; pruned = 0 }
-let last_stats () = !last
-
 type candidate = { members : int array; cscore : float }
 
-(* The search itself, returning its counters instead of publishing them:
-   every piece of state below is local to the call, which is what lets
-   {!solve_many} run it from several domains at once. Only the
-   single-domain wrappers (and the coordinator, for batches) write the
-   [last] cell. *)
+(* The search itself, returning its counters by value: every piece of
+   state below is local to the call, so any number of domains may run it
+   at once. *)
 let top_k_counted ?(use_bound = true) ?deadline (t : Jra.problem) ~k =
   if k < 1 then invalid_arg "Jra_bba.top_k: k must be >= 1";
   let n = Array.length t.pool in
@@ -153,39 +148,11 @@ let top_k_counted ?(use_bound = true) ?deadline (t : Jra.problem) ~k =
   | sols -> (sols, counters)
 
 let top_k ?use_bound ?deadline t ~k =
-  let sols, counters = top_k_counted ?use_bound ?deadline t ~k in
-  last := counters;
-  sols
+  fst (top_k_counted ?use_bound ?deadline t ~k)
 
-(* The domain-safe entry: returns the counters instead of writing the
-   shared [last] cell, so worker domains (Solver.jra_batch tasks) can
-   run the search without racing on the telemetry ref. *)
 let solve_counting ?use_bound ?deadline t =
   match top_k_counted ?use_bound ?deadline t ~k:1 with
   | s :: _, counters -> (s, counters)
   | [], _ -> assert false
 
-let solve ?use_bound ?deadline t =
-  let sol, counters = solve_counting ?use_bound ?deadline t in
-  last := counters;
-  sol
-
-let solve_many ?use_bound ?deadline ?pool problems =
-  let module Pool = Wgrap_par.Pool in
-  let pool = match pool with Some p -> p | None -> Pool.sequential in
-  (* One task per problem: every search works on its own problem record
-     and its own counters, the deadline is shared read-only, and the
-     result lands in the task's own slot — nothing is written twice. *)
-  let results =
-    Pool.run pool ~n:(Array.length problems) (fun i ->
-        top_k_counted ?use_bound ?deadline problems.(i) ~k:1)
-  in
-  last :=
-    Array.fold_left
-      (fun acc (_, c) ->
-        { nodes = acc.nodes + c.nodes; pruned = acc.pruned + c.pruned })
-      { nodes = 0; pruned = 0 }
-      results;
-  Array.map
-    (fun (sols, _) -> match sols with s :: _ -> s | [] -> assert false)
-    results
+let solve ?use_bound ?deadline t = fst (solve_counting ?use_bound ?deadline t)

@@ -35,11 +35,9 @@ val solve :
 val solve_counting :
   ?use_bound:bool -> ?deadline:Wgrap_util.Timer.deadline -> Jra.problem ->
   Jra.solution * stats
-(** {!solve}, returning the search counters instead of recording them in
-    the {!last_stats} cell. This is the variant safe to call from worker
-    domains: it touches no shared state, the caller owns the counters.
-    Anything running under a {!Wgrap_par.Pool} task (e.g. the Solver
-    batch chain) must use it instead of {!solve}/{!top_k}. *)
+(** {!solve}, also returning the search counters. The search keeps all
+    its state local to the call, so this (like {!solve} and {!top_k}) is
+    safe to run from several domains at once. *)
 
 val top_k :
   ?use_bound:bool -> ?deadline:Wgrap_util.Timer.deadline -> Jra.problem ->
@@ -48,24 +46,3 @@ val top_k :
     tying exactly with the k-th score may be replaced by equal-scoring
     ones. On [deadline] expiry, the (possibly fewer than [k]) incumbents
     found so far are returned. *)
-
-val solve_many :
-  ?use_bound:bool ->
-  ?deadline:Wgrap_util.Timer.deadline ->
-  ?pool:Wgrap_par.Pool.t ->
-  Jra.problem array ->
-  Jra.solution array
-(** [solve] over a batch of independent problems, in input order. With
-    [pool], problems are solved across domains — each search's state is
-    call-local (see {!stats} aggregation below), the deadline is shared
-    read-only, and results are slot-per-problem, so the output is
-    bit-identical at any job count. A [deadline] applies to the batch as
-    a whole: late problems inherit whatever remains, exactly as a
-    sequential loop over {!solve} would behave. After the call,
-    {!last_stats} reports totals summed over the batch. *)
-
-val last_stats : unit -> stats
-(** Counters from the most recent {!solve}/{!top_k} call, or batch
-    totals after {!solve_many}. Written only from the calling domain
-    (workers return their counters; the coordinator aggregates), but not
-    synchronised beyond that — call it from the domain that solved. *)

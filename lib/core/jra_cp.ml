@@ -4,9 +4,6 @@ type outcome =
   | Solved of Jra.solution
   | Timed_out of Jra.solution option
 
-let last_first_solution = ref None
-let first_solution_time () = !last_first_solution
-
 let solve ?deadline (t : Jra.problem) =
   let selectable r =
     match t.excluded with None -> true | Some mask -> not mask.(r)
@@ -56,12 +53,12 @@ let solve ?deadline (t : Jra.problem) =
     let group = List.sort compare (List.map (fun i -> pool_ids.(i)) (Array.to_list assignment)) in
     { Jra.group; score = value }
   in
+  let outcome, stats = Cpsolve.maximize ?deadline ~bound model ~score in
   let outcome =
-    match Cpsolve.maximize ?deadline ~bound model ~score with
+    match outcome with
     | Cpsolve.Optimal (assignment, value) -> Solved (decode assignment value)
     | Cpsolve.Timed_out best ->
         Timed_out (Option.map (fun (a, v) -> decode a v) best)
     | Cpsolve.No_solution -> assert false
   in
-  last_first_solution := (Cpsolve.stats ()).Cpsolve.first_solution_time;
-  outcome
+  (outcome, stats.Cpsolve.first_solution_time)

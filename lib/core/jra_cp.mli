@@ -12,8 +12,8 @@ type outcome =
   | Solved of Jra.solution
   | Timed_out of Jra.solution option
 
-val solve : ?deadline:Wgrap_util.Timer.deadline -> Jra.problem -> outcome
-
-val first_solution_time : unit -> float option
-(** Seconds until the most recent call reached its first feasible leaf
-    (the paper reports 90 ms for CPLEX on R = 30). *)
+val solve :
+  ?deadline:Wgrap_util.Timer.deadline -> Jra.problem -> outcome * float option
+(** The outcome, with the seconds this call took to reach its first
+    feasible leaf ([None] if it reached none; the paper reports 90 ms
+    for CPLEX on R = 30). *)

@@ -278,8 +278,3 @@ let stage_gain t ~current : pair_gain option =
           w := !w *. ratio)
         order;
       Some (fun ~paper ~reviewer:_ ~coverage_gain -> boost.(paper) *. coverage_gain)
-
-(* JRA consultation point: the single-paper best-group subproblem under
-   this objective — the view's vectors and scoring, COIs as exclusions. *)
-let jra_problem ?candidates t ~paper =
-  Jra.of_instance ?candidates t.view ~paper

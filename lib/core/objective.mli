@@ -167,6 +167,3 @@ val round_tie_break : t -> (Assignment.t -> float) option
     coverage tail while the worst papers are stuck. [None]
     ([Coverage], [Blend], [Taxonomy]) leaves acceptance strictly
     value-improving — the bit-parity contract of the default chain. *)
-
-val jra_problem : ?candidates:int -> t -> paper:int -> Jra.problem
-(** The single-paper best-group subproblem under this objective. *)

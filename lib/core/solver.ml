@@ -82,29 +82,11 @@ let describe_reason ?event ?deadline r =
       in
       base ^ " [" ^ String.concat " " parts ^ "]"
 
-(* The live-progress half of a [push]: every recorded reason is also
-   surfaced through the context's [on_degrade] observer. *)
-let degrade_of_reason = function
-  | Timeout { link } -> (link, "deadline expired")
-  | Fault { link; error } -> (link, error)
-  | Stale_checkpoint { error } -> ("checkpoint", error)
-
-let notify ctx r =
-  let link, detail = degrade_of_reason r in
-  Ctx.notify_degrade ctx ~link ~detail
-
 (* {1 JRA chain: ILP -> BBA -> greedy} *)
 
-(* [on_reason] fires the moment a reason is recorded; {!jra} wires it to
-   the context observer, {!jra_batch} keeps it silent inside workers and
-   lets the coordinator report afterwards (observers are a single-domain
-   contract). *)
-let jra_chain ?deadline ~on_reason problem =
+let jra_chain ?deadline problem =
   let rev_reasons = ref [] in
-  let push r =
-    rev_reasons := r :: !rev_reasons;
-    on_reason r
-  in
+  let push r = rev_reasons := r :: !rev_reasons in
   let best = ref None in
   let consider (sol : Jra.solution) =
     match !best with
@@ -151,23 +133,17 @@ let jra_chain ?deadline ~on_reason problem =
       else Degraded (sol, List.rev !rev_reasons)
 
 let jra ?(ctx = Ctx.default) problem =
-  jra_chain ?deadline:ctx.Ctx.deadline ~on_reason:(notify ctx) problem
+  jra_chain ?deadline:ctx.Ctx.deadline problem
 
+(* Workers run the whole anytime chain on their own problem; the ILP and
+   BBA backends keep call-local state, the deadline is shared read-only,
+   and each outcome carries its own reasons. *)
 let jra_batch ?(ctx = Ctx.default) problems =
   let module Pool = Wgrap_par.Pool in
   let pool = match ctx.Ctx.pool with Some p -> p | None -> Pool.sequential in
   let deadline = ctx.Ctx.deadline in
-  (* Workers run the whole anytime chain on their own problem; the ILP
-     and BBA backends keep call-local state and the deadline is shared
-     read-only. Reasons are reported by the coordinator afterwards, in
-     problem order, so the observer never runs off the calling domain. *)
-  let results =
-    Pool.run pool
-      ~n:(Array.length problems)
-      (fun i -> jra_chain ?deadline ~on_reason:ignore problems.(i))
-  in
-  Array.iter (fun out -> List.iter (notify ctx) (reasons out)) results;
-  results
+  Pool.run pool ~n:(Array.length problems) (fun i ->
+      jra_chain ?deadline problems.(i))
 
 (* {1 CRA chain: primary (SDGA or greedy, + SRA) -> SDGA -> per-stage greedy} *)
 
@@ -183,12 +159,10 @@ let chain_gains ctx inst =
 
 (* A sub-context for one link: the chain's pool and objective and its
    gain matrix [gm], plus the link's own deadline, sink, resume state
-   and generator. Never the chain's [on_degrade] (the chain reports its
-   own reasons) and never its [rng] unless passed (each path decides
-   the generator explicitly). *)
+   and generator. Never the chain's [rng] unless passed (each path
+   decides the generator explicitly). *)
 let link_ctx ctx ~gm ?deadline ?sink ?resume ?rng () =
   {
-    Ctx.default with
     Ctx.deadline;
     rng;
     gains = Some gm;
@@ -288,10 +262,7 @@ let cra ?(refine = true) ?(ctx = Ctx.default) inst =
   let checkpoint = ctx.Ctx.checkpoint in
   let resume_from = ctx.Ctx.resume_from in
   let rev_reasons = ref [] in
-  let push r =
-    rev_reasons := r :: !rev_reasons;
-    notify ctx r
-  in
+  let push r = rev_reasons := r :: !rev_reasons in
   (* A rejected checkpoint (corrupt, stale, failed certification) never
      poisons the answer: the run degrades to fresh with the loader's
      verdict carried as a machine-readable reason. *)

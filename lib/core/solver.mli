@@ -28,7 +28,7 @@
 
 module Ctx = Ctx
 (** The unified run context every entry point takes as [?ctx]; see
-    {!Ctx.t} for the fields and builders. *)
+    {!Ctx.t} for the fields and {!Ctx.make}. *)
 
 type reason =
   | Timeout of { link : string }
@@ -82,8 +82,7 @@ val jra : ?ctx:Ctx.t -> Jra.problem -> Jra.solution outcome
     exact chain runs to completion and the outcome is [Complete]. With
     one, the ILP link gets half the remaining time, branch-and-bound the
     remainder, and the greedy pick backstops both; the best-scoring
-    incumbent seen anywhere in the chain is returned. [ctx.on_degrade]
-    observes each reason as it is recorded. Never raises. *)
+    incumbent seen anywhere in the chain is returned. Never raises. *)
 
 val jra_batch : ?ctx:Ctx.t -> Jra.problem array -> Jra.solution outcome array
 (** {!jra} over a batch of independent problems, in input order. With a
@@ -91,8 +90,8 @@ val jra_batch : ?ctx:Ctx.t -> Jra.problem array -> Jra.solution outcome array
     shared read-only; every other piece of chain state is per-problem),
     and the outcomes are identical at any job count. [ctx.deadline]
     covers the batch as a whole, exactly as a sequential loop over
-    {!jra} would behave. [ctx.on_degrade] fires on the calling domain
-    only, after the batch completes, in problem order. *)
+    {!jra} would behave. Each outcome carries its own reasons. This is
+    the one batch-JRA entry. *)
 
 val primary : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t
 (** The bare primary CRA link, the one {!cra} runs first; it is exposed
@@ -159,8 +158,8 @@ val cra : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t outcome
     degrades, it never lies.
 
     [ctx.gains], when set, is used as the chain's shared gain matrix
-    instead of a private one; [ctx.on_degrade] observes each reason as
-    it is recorded.
+    instead of a private one. Degradation reasons reach the caller only
+    through the outcome, in the order they were recorded.
 
     [ctx.objective] selects the ladder (see the module preamble) and is
     threaded into every link; with the default coverage objective the

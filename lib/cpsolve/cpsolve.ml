@@ -17,9 +17,6 @@ type stats = {
   first_solution_time : float option;
 }
 
-let last_stats = ref { nodes = 0; first_solution_time = None }
-let stats () = !last_stats
-
 exception Out_of_time
 
 let maximize ?deadline ?(bound = fun _ _ -> infinity) model ~score =
@@ -67,12 +64,14 @@ let maximize ?deadline ?(bound = fun _ _ -> infinity) model ~score =
     end
   in
   let finish timed_out =
-    last_stats := { nodes = !nodes; first_solution_time = !first_solution };
-    match (!incumbent, timed_out) with
-    | Some best, false -> Optimal (best, !incumbent_value)
-    | best, true ->
-        Timed_out (Option.map (fun b -> (b, !incumbent_value)) best)
-    | None, false -> No_solution
+    let outcome =
+      match (!incumbent, timed_out) with
+      | Some best, false -> Optimal (best, !incumbent_value)
+      | best, true ->
+          Timed_out (Option.map (fun b -> (b, !incumbent_value)) best)
+      | None, false -> No_solution
+    in
+    (outcome, { nodes = !nodes; first_solution_time = !first_solution })
   in
   match assign 0 with
   | () -> finish false

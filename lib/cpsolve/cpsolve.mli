@@ -27,25 +27,23 @@ type outcome =
   | Timed_out of (int array * float) option
   | No_solution
 
-val maximize :
-  ?deadline:Wgrap_util.Timer.deadline ->
-  ?bound:(int array -> int -> float) ->
-  model ->
-  score:(int array -> float) ->
-  outcome
-(** [maximize model ~score] explores assignments depth-first in value
-    order. [bound partial depth] must upper-bound the best complete
-    extension of [partial] (positions [0, depth-1] are set); branches
-    whose bound does not beat the incumbent are pruned.
-
-    [first_solution_time] in {!val:stats} records when the first feasible
-    leaf was reached, matching the paper's "uses 90 ms to return the first
-    feasible assignment group" observation. *)
-
 type stats = {
   nodes : int;
   first_solution_time : float option;  (** seconds from search start *)
 }
 
-val stats : unit -> stats
-(** Statistics of the most recent {!maximize} call (single-threaded). *)
+val maximize :
+  ?deadline:Wgrap_util.Timer.deadline ->
+  ?bound:(int array -> int -> float) ->
+  model ->
+  score:(int array -> float) ->
+  outcome * stats
+(** [maximize model ~score] explores assignments depth-first in value
+    order. [bound partial depth] must upper-bound the best complete
+    extension of [partial] (positions [0, depth-1] are set); branches
+    whose bound does not beat the incumbent are pruned.
+
+    The returned {!stats} belong to this call alone: [first_solution_time]
+    records when the first feasible leaf was reached, matching the
+    paper's "uses 90 ms to return the first feasible assignment group"
+    observation. *)

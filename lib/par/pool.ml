@@ -7,7 +7,6 @@ type t = { jobs : int }
 let parallel_supported = Pool_backend.parallel_supported
 let recommended_jobs () = max 1 (Pool_backend.recommended_jobs ())
 let create ~jobs = { jobs = max 1 jobs }
-let auto () = create ~jobs:(recommended_jobs ())
 let sequential = { jobs = 1 }
 let jobs t = t.jobs
 let run t ~n f = Pool_backend.run ~jobs:t.jobs ~n f

@@ -11,7 +11,7 @@
     {b Determinism contract}: results are returned in task-index order
     no matter which domain computed them, so for a pure task function
     the result is bit-identical at any job count. All of the parallel
-    solver paths ({!Wgrap.Sra.refine_parallel}, {!Wgrap.Jra_bba.solve_many},
+    solver paths ({!Wgrap.Sra.refine_parallel}, {!Wgrap.Solver.jra_batch},
     {!Wgrap.Gain_matrix.rebuild}) build on this: their property tests pin
     [jobs = n] against [jobs = 1] exactly.
 
@@ -38,9 +38,6 @@ val create : jobs:int -> t
 (** A pool allowed up to [jobs] domains per operation (clamped to at
     least 1). [jobs] beyond {!recommended_jobs} is allowed but
     oversubscribes the machine. *)
-
-val auto : unit -> t
-(** [create ~jobs:(recommended_jobs ())]. *)
 
 val sequential : t
 (** The [jobs = 1] pool: every operation runs in the calling domain, in

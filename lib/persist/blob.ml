@@ -1,7 +1,7 @@
 (* Atomic, CRC-trailered text blobs: the generic half of the snapshot
    discipline, for durable state that is not a solver checkpoint (the
-   resident service state of Wgrap_serve). Same atomicity contract as
-   {!Snapshot}: full image to a temp file, fsync, rename. *)
+   resident service state of Wgrap_serve). {!replace} is the one
+   temp-file, fsync, rename writer that {!Snapshot} shares. *)
 
 type error = Missing | Corrupt of string
 
@@ -31,12 +31,16 @@ let with_trailer payload =
     if payload = "" || payload.[String.length payload - 1] = '\n' then payload
     else payload ^ "\n"
   in
-  (payload, payload ^ "crc " ^ Crc32.hex payload ^ "\n")
+  payload ^ "crc " ^ Crc32.hex payload ^ "\n"
 
-let write ~path payload =
-  let _, image = with_trailer payload in
+(* Atomicity discipline: the full image goes to a temp file in the same
+   directory, is fsynced, and only then renamed over the live path —
+   POSIX rename is atomic, so readers see either the old image or the
+   new one, never a torn hybrid. A crash mid-write leaves at worst a
+   stale [.tmp] that the next write overwrites. *)
+let replace ~op ~path image =
   let tmp = path ^ ".tmp" in
-  Persist_error.wrap ~path ~op:"writing blob" @@ fun () ->
+  Persist_error.wrap ~path ~op @@ fun () ->
   match
     let fd =
       Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -46,7 +50,7 @@ let write ~path payload =
       (fun () ->
         write_all fd image 0 (String.length image);
         (* The fsync result is the write's verdict: if it raises, the
-           caller must treat the snapshot as not taken (serve mode turns
+           caller must treat the image as not taken (serve mode turns
            this into a degraded health report, never a silent success). *)
         Unix.fsync fd);
     Sys.rename tmp path;
@@ -54,11 +58,14 @@ let write ~path payload =
   with
   | () -> ()
   | exception e ->
-      (* Fail-stop: a blob that could not be completed (short write,
+      (* Fail-stop: an image that could not be completed (short write,
          full disk) must not linger as a half-written temp file; the
          live path was never touched. *)
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
+
+let write ~path payload =
+  replace ~op:"writing blob" ~path (with_trailer payload)
 
 let read path =
   if not (Sys.file_exists path) then Error Missing

@@ -1,38 +1,7 @@
 type error = Missing | Corrupt of string
 
-let rec write_all fd s off len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s off len in
-    write_all fd s (off + n) (len - n)
-  end
-
-(* Atomicity discipline: the full image goes to a temp file in the same
-   directory, is fsynced, and only then renamed over the live path —
-   POSIX rename is atomic, so readers see either the old snapshot or
-   the new one, never a torn hybrid. A crash mid-write leaves at worst
-   a stale [.tmp] that the next write overwrites. *)
 let write ~path st =
-  let data = Codec.encode_state st in
-  let tmp = path ^ ".tmp" in
-  Persist_error.wrap ~path ~op:"writing snapshot" @@ fun () ->
-  match
-    let fd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        write_all fd data 0 (String.length data);
-        Unix.fsync fd);
-    Sys.rename tmp path;
-    (* the rename is durable only once the directory entry is on disk *)
-    Blob.fsync_dir path
-  with
-  | () -> ()
-  | exception e ->
-      (* fail-stop: never leave a half-written temp snapshot behind *)
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
+  Blob.replace ~op:"writing snapshot" ~path (Codec.encode_state st)
 
 let read path =
   if not (Sys.file_exists path) then Error Missing

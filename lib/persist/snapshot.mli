@@ -6,8 +6,8 @@ type error =
   | Corrupt of string  (** unreadable, torn, checksum or decode failure *)
 
 val write : path:string -> Wgrap.Checkpoint.state -> unit
-(** Atomically replace [path] with the encoded state. Raises
-    [Unix.Unix_error] / [Sys_error] on I/O failure — callers
+(** Atomically replace [path] with the encoded state ({!Blob.replace}).
+    Raises [Unix.Unix_error] / [Sys_error] on I/O failure — callers
     ({!Store}) degrade by disabling checkpointing, never by killing the
     solve. *)
 

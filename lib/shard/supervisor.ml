@@ -264,7 +264,6 @@ let run_shard ~cfg ~ctx ~inst ~(part : Partition.t) ~slice ~solve_streams
             in
             let sctx =
               {
-                Ctx.default with
                 Ctx.deadline;
                 (* Every attempt replays the same stream: retry after a
                    mid-attempt failure resumes the checkpointed rounds
@@ -381,23 +380,10 @@ let solve ?(config = default_config) ?(ctx = Ctx.default) ~shards inst =
         Pool.run pool ~n:part.Partition.shards
           (run_shard ~cfg ~ctx ~inst ~part ~slice ~solve_streams ~backoff_streams)
       in
-      (* Observer contract: reasons surface on the calling domain, in
-         shard order, after the fan-out — like Solver.jra_batch. *)
-      let boundary_reasons = ref [] in
-      let reasons_now () =
+      (* Reasons are reported in shard order, then the boundary pass's. *)
+      let shard_reasons =
         List.concat_map (fun r -> List.rev r.rev_reasons) (Array.to_list reports)
-        @ List.rev !boundary_reasons
       in
-      let announce r =
-        let link, detail =
-          match r with
-          | Solver.Timeout { link } -> (link, "deadline expired")
-          | Solver.Fault { link; error } -> (link, error)
-          | Solver.Stale_checkpoint { error } -> ("checkpoint", error)
-        in
-        Ctx.notify_degrade ctx ~link ~detail
-      in
-      List.iter announce (reasons_now ());
       let provenance = Array.to_list (Array.map (fun r -> r.prov) reports) in
       let missing =
         Array.to_list reports
@@ -414,8 +400,8 @@ let solve ?(config = default_config) ?(ctx = Ctx.default) ~shards inst =
         match Merge.merge inst part results with
         | Error msg -> (Solver.Infeasible ("shard merge failed: " ^ msg), provenance)
         | Ok (merged, _trimmed) ->
-            let final =
-              if cfg.boundary_rounds <= 0 then merged
+            let final, boundary_reasons =
+              if cfg.boundary_rounds <= 0 then (merged, [])
               else
                 (* Boundary repair: a short, round-capped, undeadlined
                    SRA pass over the full instance knits shard seams
@@ -438,20 +424,15 @@ let solve ?(config = default_config) ?(ctx = Ctx.default) ~shards inst =
                       }
                     inst merged
                 with
-                | a -> a
+                | a -> (a, [])
                 | exception e ->
-                    let r =
-                      Solver.Fault
-                        { link = "boundary-sra"; error = Solver.describe_exn e }
-                    in
-                    boundary_reasons := r :: !boundary_reasons;
-                    announce r;
-                    merged
+                    let error = Solver.describe_exn e in
+                    (merged, [ Solver.Fault { link = "boundary-sra"; error } ])
             in
             (match Assignment.validate inst final with
             | Error msg ->
                 (Solver.Infeasible ("merged assignment invalid: " ^ msg), provenance)
             | Ok () -> (
-                match reasons_now () with
+                match shard_reasons @ boundary_reasons with
                 | [] -> (Solver.Complete final, provenance)
                 | rs -> (Solver.Degraded (final, rs), provenance)))

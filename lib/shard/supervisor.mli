@@ -85,9 +85,9 @@ val solve :
     resume manifest, and routing each shard's primary link like
     {!Wgrap.Solver.cra}: SDGA-led only for submodular monotone specs,
     greedy-seeded SRA otherwise), [pool] fans shards out across domains
-    (sub-solves stay sequential so any job count is bit-identical), and
-    [on_degrade] observes every recorded reason — on the calling
-    domain, in shard order, after the shards finish. Specs whose
+    (sub-solves stay sequential so any job count is bit-identical).
+    Degradation reasons come back in the outcome, in shard order, with
+    the boundary pass's last. Specs whose
     parameters are shaped to the whole instance ([Blend]'s preference
     matrix) cannot be re-bound to a paper shard and fail the bind
     fast with [Invalid_argument].

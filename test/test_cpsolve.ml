@@ -5,7 +5,7 @@ let model ?(all_different = true) ?(symmetry_break = true) arity domain =
 
 let test_single_var () =
   let score a = float_of_int a.(0) in
-  match Cpsolve.maximize (model 1 5) ~score with
+  match fst (Cpsolve.maximize (model 1 5) ~score) with
   | Cpsolve.Optimal (a, v) ->
       Alcotest.(check int) "picks max" 4 a.(0);
       Alcotest.(check (float 1e-9)) "value" 4. v
@@ -14,7 +14,7 @@ let test_single_var () =
 let test_all_different () =
   (* Two vars, domain 2, maximize sum: must use both values. *)
   let score a = float_of_int (a.(0) + a.(1)) in
-  match Cpsolve.maximize (model 2 2) ~score with
+  match fst (Cpsolve.maximize (model 2 2) ~score) with
   | Cpsolve.Optimal (a, v) ->
       Alcotest.(check (float 1e-9)) "0 + 1" 1. v;
       Alcotest.(check bool) "distinct" true (a.(0) <> a.(1))
@@ -37,20 +37,20 @@ let test_bound_prunes () =
   let leaves = ref 0 in
   let score _ = incr leaves; 1. in
   let bound _ depth = if depth = 0 then infinity else 0. in
-  (match Cpsolve.maximize ~bound (model 2 6) ~score with
+  (match fst (Cpsolve.maximize ~bound (model 2 6) ~score) with
   | Cpsolve.Optimal (_, v) -> Alcotest.(check (float 1e-9)) "value" 1. v
   | _ -> Alcotest.fail "expected Optimal");
   Alcotest.(check bool) "pruned most leaves" true (!leaves < 15)
 
 let test_deadline () =
   let d = Timer.deadline (-1.) in
-  match Cpsolve.maximize ~deadline:d (model 3 10) ~score:(fun _ -> 0.) with
+  let score _ = 0. in
+  match fst (Cpsolve.maximize ~deadline:d (model 3 10) ~score) with
   | Cpsolve.Timed_out _ -> ()
   | _ -> Alcotest.fail "expected Timed_out"
 
 let test_stats_recorded () =
-  ignore (Cpsolve.maximize (model 2 3) ~score:(fun _ -> 0.));
-  let s = Cpsolve.stats () in
+  let _, s = Cpsolve.maximize (model 2 3) ~score:(fun _ -> 0.) in
   Alcotest.(check bool) "nodes counted" true (s.Cpsolve.nodes > 0);
   Alcotest.(check bool) "first solution seen" true
     (s.Cpsolve.first_solution_time <> None)
@@ -78,7 +78,7 @@ let cp_matches_exhaustive =
       for i = 0 to k - 1 do
         best := !best +. sorted.(i)
       done;
-      match Cpsolve.maximize (model k n) ~score with
+      match fst (Cpsolve.maximize (model k n) ~score) with
       | Cpsolve.Optimal (_, v) -> Float.abs (v -. !best) < 1e-9
       | _ -> false)
 

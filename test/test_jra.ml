@@ -116,10 +116,10 @@ let test_bba_score_consistent () =
 let test_bba_pruning_helps () =
   let rng = Rng.create 11 in
   let prob = random_problem rng ~dim:6 ~n:20 ~dp:3 in
-  ignore (Jra_bba.solve prob);
-  let with_bound = (Jra_bba.last_stats ()).Jra_bba.nodes in
-  ignore (Jra_bba.solve ~use_bound:false prob);
-  let without = (Jra_bba.last_stats ()).Jra_bba.nodes in
+  let nodes use_bound =
+    (snd (Jra_bba.solve_counting ~use_bound prob)).Jra_bba.nodes
+  in
+  let with_bound = nodes true and without = nodes false in
   Alcotest.(check bool)
     (Printf.sprintf "bounded explores fewer nodes (%d < %d)" with_bound without)
     true
@@ -193,7 +193,7 @@ let cp_matches_bfs =
       let dp = 1 + Rng.int rng (min 3 n) in
       let prob = random_problem rng ~dim ~n ~dp in
       let a = Jra_bfs.solve prob in
-      match Jra_cp.solve prob with
+      match fst (Jra_cp.solve prob) with
       | Jra_cp.Solved b -> Float.abs (a.Jra.score -. b.Jra.score) < 1e-9
       | Jra_cp.Timed_out _ -> false)
 
@@ -208,7 +208,7 @@ let test_ilp_respects_exclusions () =
 let test_cp_deadline () =
   let rng = Rng.create 14 in
   let prob = random_problem rng ~dim:4 ~n:30 ~dp:3 in
-  match Jra_cp.solve ~deadline:(Timer.deadline (-1.)) prob with
+  match fst (Jra_cp.solve ~deadline:(Timer.deadline (-1.)) prob) with
   | Jra_cp.Timed_out _ -> ()
   | Jra_cp.Solved _ -> Alcotest.fail "expected Timed_out"
 

@@ -166,22 +166,30 @@ let jra_problems rng inst ~n_p =
 
 let solution_pair (s : Jra.solution) = (s.Jra.group, s.Jra.score)
 
+(* BBA fanned out over a pool: solutions and each problem's own search
+   counters must match at any job count. *)
 let jra_batch_equivalence =
-  QCheck.Test.make ~name:"Jra_bba.solve_many jobs=N = jobs=1 = solve loop"
+  QCheck.Test.make ~name:"Jra_bba.solve_counting jobs=N = jobs=1 = loop"
     ~count:60 seeds (fun seed ->
       let rng = Rng.create seed in
       let n_r = 5 + Rng.int rng 5 in
       let n_p = n_r + Rng.int rng 6 in
       let inst = random_instance rng ~n_p ~n_r ~dp:2 in
       let problems = jra_problems rng inst ~n_p in
-      let loop = Array.map (fun p -> Jra_bba.solve p) problems in
-      let seq = Jra_bba.solve_many ~pool:Pool.sequential problems in
-      let par = Jra_bba.solve_many ~pool:par_pool problems in
-      let key = Array.map solution_pair in
-      if key loop <> key seq then
-        QCheck.Test.fail_report "solve_many jobs=1 differs from a solve loop";
-      if key seq <> key par then
-        QCheck.Test.fail_reportf "solve_many jobs=%d differs from jobs=1"
+      let key ((s : Jra.solution), (c : Jra_bba.stats)) =
+        (solution_pair s, c.Jra_bba.nodes, c.Jra_bba.pruned)
+      in
+      let run pool =
+        Pool.run pool ~n:(Array.length problems) (fun i ->
+            key (Jra_bba.solve_counting problems.(i)))
+      in
+      let loop = Array.map (fun p -> key (Jra_bba.solve_counting p)) problems in
+      let seq = run Pool.sequential in
+      let par = run par_pool in
+      if loop <> seq then
+        QCheck.Test.fail_report "Pool.run jobs=1 differs from a plain loop";
+      if seq <> par then
+        QCheck.Test.fail_reportf "Pool.run jobs=%d differs from jobs=1"
           test_jobs;
       true)
 

@@ -349,6 +349,37 @@ let test_disk_full_store_disables () =
         Alcotest.(check bool) "store disabled, solve continues" true
           (Store.is_disabled store))
 
+(* The atomic writer is fail-stop: when the temp image cannot be
+   completed, the call raises Disk_full with its own op label, the live
+   file keeps its old bytes and no temp entry is left behind. *)
+let test_disk_full_atomic_writers () =
+  if Sys.file_exists dev_full then
+    let check name ~op write =
+      with_dir (fun dir ->
+          let path = Filename.concat dir "live" in
+          write path `Old;
+          let before = read_file path in
+          Unix.symlink dev_full (path ^ ".tmp");
+          (match write path `New with
+          | () -> Alcotest.failf "%s: write through /dev/full succeeded" name
+          | exception Persist_error.Disk_full { op = op'; _ } ->
+              Alcotest.(check string) (name ^ ": op label") op op');
+          Alcotest.(check string) (name ^ ": live file untouched") before
+            (read_file path);
+          Alcotest.(check (list string)) (name ^ ": no temp entry left")
+            [ "live" ]
+            (Array.to_list (Sys.readdir dir)))
+    in
+    check "blob" ~op:"writing blob" (fun path v ->
+        Wgrap_persist.Blob.write ~path
+          (match v with `Old -> "old payload" | `New -> "new payload"));
+    check "snapshot" ~op:"writing snapshot" (fun path v ->
+        let st = sample_state () in
+        Snapshot.write ~path
+          (match v with
+          | `Old -> st
+          | `New -> { st with Checkpoint.score = 9.75 }))
+
 (* {1 Store certification} *)
 
 let test_instance = lazy (random_instance (Rng.create 5) ~n_p:10 ~n_r:8 ~dp:3)
@@ -647,6 +678,8 @@ let () =
             test_disk_full_real_enospc;
           Alcotest.test_case "store disables on full disk" `Quick
             test_disk_full_store_disables;
+          Alcotest.test_case "atomic writers roll back" `Quick
+            test_disk_full_atomic_writers;
         ] );
       ( "certification",
         [

@@ -102,7 +102,9 @@ let jra_deadline_tests =
     Alcotest.test_case "CP anytime" `Quick (fun () ->
         let problem = Lazy.force milp_jra in
         let t0 = Timer.now () in
-        let outcome = Jra_cp.solve ~deadline:(Timer.deadline budget) problem in
+        let outcome, _ =
+          Jra_cp.solve ~deadline:(Timer.deadline budget) problem
+        in
         Alcotest.(check bool) "returned promptly" true
           (Timer.now () -. t0 < wall_limit);
         match cp_outcome_to_solution outcome with
@@ -561,6 +563,46 @@ let kill_resume_test =
                      && Float.abs (score -. uninterrupted) <= 1e-9
                  | _ -> true)))
 
+(* {1 CLI usage errors}
+
+   A numeric flag outside its range must be a usage error (exit 1, one
+   line naming the flag) before any work starts — never an uncaught
+   exception from the layer that finally rejects it. *)
+
+let cli_exe = "../bin/wgrap_cli.exe"
+
+let run_cli args =
+  let cmd =
+    String.concat " " (List.map Filename.quote (cli_exe :: args))
+    ^ " </dev/null 2>&1"
+  in
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (n, out)
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + n, out)
+
+let contains ~sub s =
+  let ls = String.length s and lb = String.length sub in
+  let rec scan i = i + lb <= ls && (String.sub s i lb = sub || scan (i + 1)) in
+  scan 0
+
+let test_cli_bad_numeric_flags () =
+  List.iter
+    (fun (flag, args) ->
+      let code, out = run_cli args in
+      Alcotest.(check int) (flag ^ ": exit code") 1 code;
+      Alcotest.(check bool) (flag ^ ": no internal error") false
+        (contains ~sub:"internal error" out);
+      Alcotest.(check bool) (flag ^ ": names the flag") true
+        (contains ~sub:flag out))
+    (let assign = [ "assign"; "--preset"; "quick"; "--shards"; "1" ] in
+     [
+       ("--candidates", assign @ [ "--candidates=-3" ]);
+       ("--jobs", assign @ [ "--jobs=-2" ]);
+       ("--queue-limit", [ "serve"; "--dim"; "4"; "--queue-limit=0" ]);
+     ])
+
 let () =
   Alcotest.run "robustness"
     [
@@ -581,4 +623,9 @@ let () =
           QCheck_alcotest.to_alcotest chaos_coi_test;
         ] );
       ("kill/resume", [ QCheck_alcotest.to_alcotest kill_resume_test ]);
+      ( "cli",
+        [
+          Alcotest.test_case "bad numeric flags exit 1" `Quick
+            test_cli_bad_numeric_flags;
+        ] );
     ]
