@@ -182,7 +182,7 @@ let write_assignment_lines ~out a =
     Printf.printf "assignment written to %s\n" out
   end
 
-let instance_of_preset_name ~seed name =
+let instance_of_preset_name ~seed ~delta_p name =
   match Dataset.Synthetic.preset_of_name name with
   | None ->
       die exit_usage "unknown preset %S (one of %s)" name
@@ -196,7 +196,14 @@ let instance_of_preset_name ~seed name =
           "preset %s is disk-streamed only (Dataset.Synthetic.write_preset_tsv \
            / fold_preset_tsv); it is too large to materialize for assign"
           name
-      else Dataset.Synthetic.instance_of_preset ~seed p
+      else
+        match
+          Dataset.Synthetic.instance_of_preset ~seed
+            { p with Dataset.Synthetic.delta_p }
+        with
+        | inst -> inst
+        | exception Invalid_argument e ->
+            die exit_data "cannot build instance: %s" e
 
 let shard_fault_injector ~seed ~shards spec =
   let faults =
@@ -269,6 +276,7 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
     ~owa_weights ~taxonomy_tsv ~taxonomy_decay ~json ~refine ~budget ~jobs
     ~candidates ~lenient ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume
     ~shards ~preset ~chaos_shards =
+  check_flag ~flag:"delta-p" ~min:1 delta_p;
   check_flag ~flag:"candidates" ~min:0 candidates;
   check_flag ~flag:"jobs" ~min:0 jobs;
   if Option.is_some chaos_shards && shards <= 0 then
@@ -280,7 +288,7 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
   match preset with
   | Some name ->
       if shards <= 0 then die exit_usage "--preset requires --shards N";
-      let inst = instance_of_preset_name ~seed name in
+      let inst = instance_of_preset_name ~seed ~delta_p name in
       if not json then
         Printf.printf "preset %s: %d papers, %d reviewers\n" name
           (Instance.n_papers inst) (Instance.n_reviewers inst);
@@ -456,6 +464,7 @@ let checkpoint_info ~dir =
 
 let jra ~seed ~authors_path ~papers_path ~paper_id ~delta_p ~top_k ~budget
     ~lenient ~strict =
+  check_flag ~flag:"delta-p" ~min:1 delta_p;
   let corpus = load_corpus ~lenient authors_path papers_path in
   if paper_id < 0 || paper_id >= Array.length corpus.Dataset.Corpus.papers then
     die exit_usage "paper id %d out of range" paper_id;

@@ -93,8 +93,9 @@ SEQ_AT_KILL=$(sed -n 's/.*entries=\([0-9]*\).*/\1/p' "$WORK/verify1.txt")
 
 echo "== resume and re-feed the whole stream (at-least-once retry) =="
 # Paced like the first pass: a full-speed file feed would exceed the
-# admission bound on purpose (that is the overload contract, measured
-# separately by bench/serve_bench.exe) and shed the tail as busy.
+# admission bound on purpose (that is the overload contract, pinned
+# separately by test_serve's "queue bound" case) and shed the tail as
+# busy.
 (
   while IFS= read -r line; do
     printf '%s\n' "$line"

@@ -1,8 +1,9 @@
-(* Faithful replica of the pre-PR dense solvers, kept verbatim so
-   [perf_pr2] can measure the sparse kernel against the exact code it
-   replaced, in the same process and on the same instances. Everything
+(* Faithful replica of the dense solvers the sparse kernel replaced,
+   kept verbatim as a reference implementation: test_kernel's
+   "SDGA/SRA = dense replica" case checks that [Sdga.solve] and
+   [Sra.refine] reach its coverage on the same instances. Everything
    here recomputes O(T) dense gains per cell and scans member lists per
-   cell — the behavior PR 2 removed from lib/core. *)
+   cell — the behavior the sparse kernel removed from lib/core. *)
 
 module Rng = Wgrap_util.Rng
 open Wgrap

@@ -397,6 +397,64 @@ let test_sra_with_gains_matches_without () =
   Alcotest.(check (list (pair int int)))
     "sra pairs" (sorted_pairs plain) (sorted_pairs shared)
 
+(* {1 Sparse solvers vs the dense replica they replaced}
+
+   [Dense_baseline] is the verbatim pre-sparse SDGA/SRA. On a 30 x 60,
+   delta_p = 3 instance for each cell of T in {25, 100, 250} x
+   sparsity in {5%, 20%, dense} (seed 2015), both paths must reach the
+   same coverage: SDGA directly, SRA over 4 rounds from the same seed
+   with the early stop disabled. *)
+
+let replica_vec rng ~dim ~sparsity =
+  match sparsity with
+  | None -> Topic_vector.normalize (Array.init dim (fun _ -> 0.05 +. Rng.uniform rng))
+  | Some s ->
+      let k = max 1 (int_of_float (Float.round (s *. float_of_int dim))) in
+      let v = Array.make dim 0. in
+      Array.iter
+        (fun t -> v.(t) <- 0.05 +. Rng.uniform rng)
+        (Rng.sample_without_replacement rng k dim);
+      Topic_vector.normalize v
+
+let test_solvers_match_dense_replica () =
+  let n_p = 30 and n_r = 60 and delta_p = 3 and rounds = 4 in
+  List.iter
+    (fun (dim, sparsity) ->
+      let rng = Rng.create 2015 in
+      let papers = Array.init n_p (fun _ -> replica_vec rng ~dim ~sparsity) in
+      let reviewers = Array.init n_r (fun _ -> replica_vec rng ~dim ~sparsity) in
+      let delta_r = Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p in
+      let inst =
+        Instance.create_exn ~papers ~reviewers ~delta_p ~delta_r ()
+      in
+      let cell =
+        Printf.sprintf "T=%d sparsity=%s" dim
+          (match sparsity with
+          | None -> "dense"
+          | Some s -> Printf.sprintf "%.0f%%" (s *. 100.))
+      in
+      let sdga = Sdga.solve inst in
+      Alcotest.(check (float 1e-9))
+        (cell ^ ": SDGA coverage")
+        (Assignment.coverage inst (Dense_baseline.sdga inst))
+        (Assignment.coverage inst sdga);
+      let lambda = Sra.default_params.Sra.lambda in
+      let dense =
+        Dense_baseline.sra_refine ~lambda ~rounds ~rng:(Rng.create 42) inst sdga
+      in
+      let sparse =
+        Sra.refine
+          ~params:{ Sra.omega = max_int; lambda; max_rounds = rounds }
+          ~ctx:(Ctx.make ~seed:42 ()) inst sdga
+      in
+      Alcotest.(check (float 1e-9))
+        (cell ^ ": SRA coverage")
+        (Assignment.coverage inst dense)
+        (Assignment.coverage inst sparse))
+    (List.concat_map
+       (fun dim -> List.map (fun s -> (dim, s)) [ Some 0.05; Some 0.20; None ])
+       [ 25; 100; 250 ])
+
 let () =
   Alcotest.run "kernel"
     [
@@ -427,5 +485,7 @@ let () =
           Alcotest.test_case "greedy" `Quick
             test_greedy_with_gains_matches_without;
           Alcotest.test_case "sra" `Quick test_sra_with_gains_matches_without;
+          Alcotest.test_case "SDGA/SRA = dense replica" `Quick
+            test_solvers_match_dense_replica;
         ] );
     ]

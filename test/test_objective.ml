@@ -286,6 +286,47 @@ let test_summary_json_shape () =
   Alcotest.(check bool) "extra fields lead" true
     (contains ~sub:{|{"k": 1|} extra)
 
+(* The fairness gate, the reason min and owa exist: on a contested
+   committee, Solver.cra under each must beat plain coverage on both the
+   worst-off paper and the Gini spread. The committee is the quick
+   preset (seed 2015) with its reviewer pool cut to ~1.1x the slot
+   demand and delta_r retightened to the minimum feasible workload;
+   with the preset's full pool every objective parks each paper at its
+   coverage ceiling and there is nothing to trade. *)
+let test_fairness_beats_coverage () =
+  let base =
+    Dataset.Synthetic.instance_of_preset ~seed:2015
+      Dataset.Synthetic.quick_preset
+  in
+  let n_p = Instance.n_papers base and dp = base.Instance.delta_p in
+  let n_r = n_p * dp * 11 / 10 / base.Instance.delta_r in
+  let inst =
+    Instance.create_exn ~papers:base.Instance.papers
+      ~reviewers:(Array.sub base.Instance.reviewers 0 n_r)
+      ~delta_p:dp
+      ~delta_r:(Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p:dp)
+      ()
+  in
+  let profile spec =
+    let ctx = Ctx.make ~seed:2015 ~objective:spec () in
+    match Solver.value (Solver.cra ~ctx inst) with
+    | None -> Alcotest.fail "scarce committee: infeasible"
+    | Some a ->
+        let s = Summary.compute ~objective:spec inst a in
+        (s.Summary.coverage_min, s.Summary.coverage_gini)
+  in
+  let cov_min, cov_gini = profile Objective.coverage in
+  List.iter
+    (fun (name, spec) ->
+      let fair_min, fair_gini = profile spec in
+      Printf.printf "%s: min %.4f (coverage %.4f), gini %.4f (coverage %.4f)\n"
+        name fair_min cov_min fair_gini cov_gini;
+      if not (fair_min > cov_min && fair_gini < cov_gini) then
+        Alcotest.failf
+          "%s does not beat coverage: min %.4f vs %.4f, gini %.4f vs %.4f" name
+          fair_min cov_min fair_gini cov_gini)
+    [ ("min", Objective.min_coverage); ("owa", Objective.owa [| 3.; 2.; 1. |]) ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -306,5 +347,7 @@ let () =
         :: qsuite [ taxonomy_smooth_matches_walk ] );
       ( "fairness",
         Alcotest.test_case "summary JSON shape" `Quick test_summary_json_shape
+        :: Alcotest.test_case "min/owa beat coverage on min and Gini" `Slow
+             test_fairness_beats_coverage
         :: qsuite [ fairness_matches_oracles ] );
     ]

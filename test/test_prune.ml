@@ -278,6 +278,32 @@ let dense_identity_at_large_k =
       same "cra" (cra (dense_ctx ())) (cra (big_ctx ()));
       true)
 
+(* ------------------------------------------ pruned coverage vs dense *)
+
+(* Pruning quality on a fixed workload where dense and pruned SDGA both
+   complete exactly: 80 x 160, delta_p = 3, T = 250 at 20% sparsity,
+   seed 2015. At k = 16 and k = 32 the pruned coverage must stay
+   >= 0.99x dense. Reviewers are drawn before papers. *)
+let test_pruned_coverage_ratio () =
+  let rng = Rng.create 2015 in
+  let reviewers = Array.init 160 (fun _ -> sparse_vec rng ~dim:250 ~nnz:50) in
+  let papers = Array.init 80 (fun _ -> sparse_vec rng ~dim:250 ~nnz:50) in
+  let inst =
+    Instance.create_exn ~papers ~reviewers ~delta_p:3
+      ~delta_r:(Instance.min_workload ~papers:80 ~reviewers:160 ~delta_p:3)
+      ()
+  in
+  let coverage ctx = Assignment.coverage inst (Sdga.solve ~ctx inst) in
+  let dense = coverage (Ctx.make ~seed:2015 ()) in
+  List.iter
+    (fun k ->
+      let ratio = coverage (Ctx.make ~seed:2015 ~candidates:k ()) /. dense in
+      Printf.printf "k=%d: pruned coverage ratio %.6f\n" k ratio;
+      if ratio < 0.99 then
+        Alcotest.failf "k=%d: pruned coverage ratio %.6f < 0.99 x dense" k
+          ratio)
+    [ 16; 32 ]
+
 (* ------------------------------------------------- jobs determinism *)
 
 let pruned_jobs_determinism =
@@ -339,5 +365,7 @@ let () =
           QCheck_alcotest.to_alcotest pruned_solves_valid;
           QCheck_alcotest.to_alcotest dense_identity_at_large_k;
           QCheck_alcotest.to_alcotest pruned_jobs_determinism;
+          Alcotest.test_case "k=16/32 SDGA coverage >= 0.99x dense" `Quick
+            test_pruned_coverage_ratio;
         ] );
     ]

@@ -601,7 +601,44 @@ let test_cli_bad_numeric_flags () =
        ("--candidates", assign @ [ "--candidates=-3" ]);
        ("--jobs", assign @ [ "--jobs=-2" ]);
        ("--queue-limit", [ "serve"; "--dim"; "4"; "--queue-limit=0" ]);
+       ("--delta-p", assign @ [ "--delta-p"; "0" ]);
+       ("--delta-p", [ "jra"; "--paper"; "3"; "--delta-p"; "0" ]);
      ])
+
+(* --delta-p reaches the preset instance: every output line names
+   exactly that many reviewers, and a group size the preset's capacity
+   cannot cover is a data error, not a crash. *)
+let test_cli_preset_delta_p () =
+  let out = Filename.temp_file "wgrap_preset" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code, log =
+        run_cli
+          [ "assign"; "--preset"; "quick"; "--shards"; "1"; "--candidates";
+            "16"; "--no-refine"; "--delta-p"; "2"; "--out"; out ]
+      in
+      Alcotest.(check int) ("exit code\n" ^ log) 0 code;
+      let lines =
+        In_channel.with_open_text out In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      Alcotest.(check int) "one line per paper" 300 (List.length lines);
+      List.iter
+        (fun line ->
+          match String.split_on_char '\t' line with
+          | [ _; group ] ->
+              Alcotest.(check int) ("reviewers on " ^ line) 2
+                (List.length (String.split_on_char ';' group))
+          | _ -> Alcotest.failf "malformed line %S" line)
+        lines);
+  let code, log =
+    run_cli [ "assign"; "--preset"; "quick"; "--shards"; "1"; "--delta-p"; "31" ]
+  in
+  Alcotest.(check int) "over capacity: exit code" 2 code;
+  Alcotest.(check bool) "over capacity: no internal error" false
+    (contains ~sub:"internal error" log)
 
 let () =
   Alcotest.run "robustness"
@@ -627,5 +664,7 @@ let () =
         [
           Alcotest.test_case "bad numeric flags exit 1" `Quick
             test_cli_bad_numeric_flags;
+          Alcotest.test_case "--delta-p reaches the preset" `Quick
+            test_cli_preset_delta_p;
         ] );
     ]

@@ -94,6 +94,29 @@ let test_parity_many_seeds () =
         seed c4 c1
   done
 
+(* Partition quality at preset scale: the quick preset (3000 reviewers
+   x 300 papers), k = 16, seed 2015, refinement off. Both legs run
+   through the supervisor, so shards=1 is the unsharded baseline on the
+   same code path; shards=4 must keep >= 0.97x its coverage. *)
+let test_preset_shard_ratio () =
+  let inst =
+    Dataset.Synthetic.instance_of_preset ~seed:2015
+      Dataset.Synthetic.quick_preset
+  in
+  let config = { Sup.default_config with Sup.refine = false } in
+  let coverage shards =
+    let ctx = Solver.Ctx.make ~seed:2015 ~candidates:16 () in
+    let o, _ = Sup.solve ~config ~ctx ~shards inst in
+    let a = value_exn o in
+    check_valid (Printf.sprintf "shards=%d" shards) inst a;
+    Assignment.coverage inst a
+  in
+  let c1 = coverage 1 in
+  let c4 = coverage 4 in
+  Printf.printf "shards=4 / shards=1 coverage ratio %.6f\n" (c4 /. c1);
+  if c4 < 0.97 *. c1 then
+    Alcotest.failf "shards=4 coverage %.6f < 0.97 x shards=1 %.6f" c4 c1
+
 let test_sharded_deterministic () =
   let rng = Rng.create 77 in
   let inst = random_instance rng ~n_p:24 ~n_r:60 ~dp:2 in
@@ -377,6 +400,8 @@ let () =
         [
           Alcotest.test_case "70 seeds: sharded ~ unsharded" `Slow
             test_parity_many_seeds;
+          Alcotest.test_case "quick preset: shards=4 >= 0.97x shards=1" `Quick
+            test_preset_shard_ratio;
           Alcotest.test_case "same seed, same bytes" `Quick
             test_sharded_deterministic;
           Alcotest.test_case "more shards than papers" `Quick

@@ -16,12 +16,10 @@ let random_owners = [ "lib/util/rng.ml" ]
    scoring kernels, whose index ranges are established by construction. *)
 let unsafe_owners = [ "lib/core/scoring.ml"; "lib/core/gain_matrix.ml" ]
 
-(* Rule dense-alloc: the only modules allowed to materialize an
-   O(papers x reviewers) block are the Gain_matrix dense backing itself
-   (it is the k = 0 oracle the pruned path is validated against) and
-   the bench baseline that measures exactly what the dense wall costs. *)
-let dense_alloc_owners =
-  [ "lib/core/gain_matrix.ml"; "bench/dense_baseline.ml" ]
+(* Rule dense-alloc: the only module allowed to materialize an
+   O(papers x reviewers) block is the Gain_matrix dense backing itself
+   (it is the k = 0 oracle the pruned path is validated against). *)
+let dense_alloc_owners = [ "lib/core/gain_matrix.ml" ]
 
 (* Rule swallowed-cancel: Timer.Expired is the cooperative cancel
    signal — a handler that absorbs it turns a deadline overrun into a
