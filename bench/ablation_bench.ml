@@ -145,7 +145,8 @@ let extension_bids ctx =
           Printf.sprintf "%.2f" lambda;
           Report.percent_cell (Metrics.optimality_ratio_against inst ~ideal a);
           Report.float_cell (Bids.bid_satisfaction inst bids a);
-          Report.float_cell (Bids.objective ~lambda inst bids a);
+          Report.float_cell
+            (Objective.value (Objective.bind objective inst) a);
         ])
       [ 1.0; 0.9; 0.7; 0.5; 0.3; 0.0 ]
   in

@@ -62,6 +62,8 @@ let enforce_tolerance ~strict outcome =
 (* {1 generate} *)
 
 let generate ~seed ~scale ~authors_path ~papers_path =
+  if not (scale > 0. && scale <= 1.) then
+    die exit_usage "--scale must be in (0, 1] (got %g)" scale;
   let rng = Rng.create seed in
   let config = Dataset.Synthetic.scaled Dataset.Synthetic.default_config scale in
   let corpus, _ = Dataset.Synthetic.generate ~config ~rng () in
@@ -110,25 +112,15 @@ let pool_of_jobs jobs =
 
 (* {2 objective selection}
 
-   --objective names the scoring backend (Objective.spec); owa weights
-   and the taxonomy tree are only parsed/loaded when their backend is
-   selected, and the taxonomy dimension is checked against the instance
-   it will be bound to. *)
+   --objective names the scoring backend (Objective.spec). The name is
+   checked as soon as the flags are applied, before any work; the
+   returned function builds the spec for the instance's topic
+   dimension, loading the taxonomy tree only when that backend is
+   selected and checking it against the dimension it will be bound
+   to. *)
 
-let parse_owa_weights csv =
-  let ws =
-    String.split_on_char ',' csv
-    |> List.filter (fun s -> not (String.equal (String.trim s) ""))
-    |> List.map (fun s ->
-           match float_of_string_opt (String.trim s) with
-           | Some w -> w
-           | None -> die exit_usage "invalid OWA weight %S in --owa-weights" s)
-  in
-  if ws = [] then die exit_usage "--owa-weights is empty";
-  Array.of_list ws
-
-let objective_spec ~objective ~owa_weights ~taxonomy_tsv ~taxonomy_decay ~dim =
-  let tree_spec () =
+let objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay =
+  let tree_spec dim =
     match taxonomy_tsv with
     | None -> die exit_usage "--objective taxonomy requires --taxonomy-tsv"
     | Some path -> (
@@ -139,18 +131,12 @@ let objective_spec ~objective ~owa_weights ~taxonomy_tsv ~taxonomy_decay ~dim =
         | Error e -> die exit_data "error loading taxonomy %s: %s" path e)
   in
   match objective with
-  | "coverage" -> Objective.coverage
-  | "min" -> Objective.min_coverage
-  | "owa" -> (
-      match owa_weights with
-      | None -> die exit_usage "--objective owa requires --owa-weights"
-      | Some csv -> (
-          try Objective.owa (parse_owa_weights csv)
-          with Invalid_argument m -> die exit_usage "%s" m))
-  | "taxonomy" -> tree_spec ()
+  | "coverage" -> fun ~dim:_ -> Objective.coverage
+  | "min" -> fun ~dim:_ -> Objective.min_coverage
+  | "taxonomy" -> fun ~dim -> tree_spec dim
   | other ->
       die exit_usage
-        "unknown objective %S (one of coverage, min, owa, taxonomy)" other
+        "--objective must be one of coverage, min, taxonomy (got %S)" other
 
 let report_summary ~json ?shards summary =
   if json then print_string (Summary.to_json ?shards summary)
@@ -273,18 +259,17 @@ let assign_sharded ~seed ~shards ~chaos_shards ~objective ~json ~refine ~budget
   if not (json && String.equal out "-") then write_assignment_lines ~out a
 
 let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
-    ~owa_weights ~taxonomy_tsv ~taxonomy_decay ~json ~refine ~budget ~jobs
-    ~candidates ~lenient ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume
-    ~shards ~preset ~chaos_shards =
+    ~taxonomy_tsv ~taxonomy_decay ~json ~refine ~budget ~jobs ~candidates
+    ~lenient ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume ~shards
+    ~preset ~chaos_shards =
   check_flag ~flag:"delta-p" ~min:1 delta_p;
   check_flag ~flag:"candidates" ~min:0 candidates;
   check_flag ~flag:"jobs" ~min:0 jobs;
+  check_flag ~flag:"shards" ~min:0 shards;
   if Option.is_some chaos_shards && shards <= 0 then
     die exit_usage "--chaos-shards requires --shards N";
-  let spec_of inst =
-    objective_spec ~objective ~owa_weights ~taxonomy_tsv ~taxonomy_decay
-      ~dim:(Instance.n_topics inst)
-  in
+  let spec_for = objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay in
+  let spec_of inst = spec_for ~dim:(Instance.n_topics inst) in
   match preset with
   | Some name ->
       if shards <= 0 then die exit_usage "--preset requires --shards N";
@@ -465,6 +450,7 @@ let checkpoint_info ~dir =
 let jra ~seed ~authors_path ~papers_path ~paper_id ~delta_p ~top_k ~budget
     ~lenient ~strict =
   check_flag ~flag:"delta-p" ~min:1 delta_p;
+  check_flag ~flag:"top-k" ~min:1 top_k;
   let corpus = load_corpus ~lenient authors_path papers_path in
   if paper_id < 0 || paper_id >= Array.length corpus.Dataset.Corpus.papers then
     die exit_usage "paper id %d out of range" paper_id;
@@ -630,9 +616,9 @@ let resume_arg =
 
 (* {1 serve} *)
 
-let serve ~dim ~delta_p ~delta_r ~objective ~owa_weights ~taxonomy_tsv
-    ~taxonomy_decay ~state_dir ~resume ~verify ~socket ~event_budget_ms
-    ~queue_limit ~p99_limit_ms ~snapshot_every ~max_clients =
+let serve ~dim ~delta_p ~delta_r ~objective ~taxonomy_tsv ~taxonomy_decay
+    ~state_dir ~resume ~verify ~socket ~event_budget_ms ~queue_limit
+    ~p99_limit_ms ~snapshot_every ~max_clients =
   check_flag ~flag:"queue-limit" ~min:1 queue_limit;
   let module Server = Wgrap_serve.Server in
   let module State = Wgrap_serve.State in
@@ -641,8 +627,7 @@ let serve ~dim ~delta_p ~delta_r ~objective ~owa_weights ~taxonomy_tsv
     {
       (Server.default ~dim ~delta_p ~delta_r) with
       objective =
-        objective_spec ~objective ~owa_weights ~taxonomy_tsv ~taxonomy_decay
-          ~dim;
+        objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay ~dim;
       event_budget =
         (if event_budget_ms <= 0. then None else Some (event_budget_ms /. 1000.));
       queue_limit;
@@ -727,21 +712,10 @@ let objective_arg =
     & info [ "objective" ] ~docv:"NAME"
         ~doc:
           "Scoring backend: $(b,coverage) (Eq. 9 weighted coverage, the \
-           default), $(b,min) (maximize the worst-off paper), $(b,owa) \
-           (order-weighted average over ascending per-paper coverages, \
-           needs $(b,--owa-weights)) or $(b,taxonomy) (tree-smoothed \
-           expertise, needs $(b,--taxonomy-tsv)). Non-submodular backends \
-           route greedy-seeded refinement chains instead of SDGA-led ones.")
-
-let owa_weights_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "owa-weights" ] ~docv:"CSV"
-        ~doc:
-          "Comma-separated non-negative OWA weights applied to the \
-           ascending-sorted per-paper coverages (e.g. $(b,3,2,1) weights \
-           the three worst-served papers).")
+           default), $(b,min) (maximize the worst-off paper) or \
+           $(b,taxonomy) (tree-smoothed expertise, needs \
+           $(b,--taxonomy-tsv)). Non-submodular backends route \
+           greedy-seeded refinement chains instead of SDGA-led ones.")
 
 let taxonomy_tsv_arg =
   Arg.(
@@ -846,17 +820,16 @@ let assign_cmd =
     (Cmd.info "assign" ~doc:"Conference assignment (SDGA + SRA anytime harness)")
     Term.(
       const
-        (fun seed authors_path papers_path dataset delta_p objective owa_weights
+        (fun seed authors_path papers_path dataset delta_p objective
              taxonomy_tsv taxonomy_decay json no_refine budget jobs candidates
              lenient strict out checkpoint_dir checkpoint_every resume shards
              preset chaos_shards ->
           assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
-            ~owa_weights ~taxonomy_tsv ~taxonomy_decay ~json
-            ~refine:(not no_refine) ~budget ~jobs ~candidates ~lenient ~strict
-            ~out ~checkpoint_dir ~checkpoint_every ~resume ~shards ~preset
-            ~chaos_shards)
+            ~taxonomy_tsv ~taxonomy_decay ~json ~refine:(not no_refine) ~budget
+            ~jobs ~candidates ~lenient ~strict ~out ~checkpoint_dir
+            ~checkpoint_every ~resume ~shards ~preset ~chaos_shards)
       $ seed_arg $ authors_arg $ papers_arg $ dataset $ delta_p $ objective_arg
-      $ owa_weights_arg $ taxonomy_tsv_arg $ taxonomy_decay_arg $ json
+      $ taxonomy_tsv_arg $ taxonomy_decay_arg $ json
       $ no_refine $ budget_arg $ jobs $ candidates $ lenient_arg $ strict_arg
       $ out $ checkpoint_dir_arg $ checkpoint_every_arg $ resume_arg $ shards
       $ preset $ chaos_shards)
@@ -997,16 +970,15 @@ let serve_cmd =
        ~doc:"Kill-safe online assignment service (WAL-backed event loop)")
     Term.(
       const
-        (fun dim delta_p delta_r objective owa_weights taxonomy_tsv
-             taxonomy_decay state_dir resume verify socket event_budget_ms
-             queue_limit p99_limit_ms snapshot_every max_clients ->
-          serve ~dim ~delta_p ~delta_r ~objective ~owa_weights ~taxonomy_tsv
-            ~taxonomy_decay ~state_dir ~resume ~verify ~socket ~event_budget_ms
-            ~queue_limit ~p99_limit_ms ~snapshot_every ~max_clients)
-      $ dim $ delta_p $ delta_r $ objective_arg $ owa_weights_arg
-      $ taxonomy_tsv_arg $ taxonomy_decay_arg $ state_dir $ resume $ verify
-      $ socket $ event_budget $ queue_limit $ p99_limit $ snapshot_every
-      $ max_clients)
+        (fun dim delta_p delta_r objective taxonomy_tsv taxonomy_decay
+             state_dir resume verify socket event_budget_ms queue_limit
+             p99_limit_ms snapshot_every max_clients ->
+          serve ~dim ~delta_p ~delta_r ~objective ~taxonomy_tsv ~taxonomy_decay
+            ~state_dir ~resume ~verify ~socket ~event_budget_ms ~queue_limit
+            ~p99_limit_ms ~snapshot_every ~max_clients)
+      $ dim $ delta_p $ delta_r $ objective_arg $ taxonomy_tsv_arg
+      $ taxonomy_decay_arg $ state_dir $ resume $ verify $ socket
+      $ event_budget $ queue_limit $ p99_limit $ snapshot_every $ max_clients)
 
 let () =
   (* Degraded runs report faults on stderr; with backtraces recorded the

@@ -63,15 +63,4 @@ let bid_satisfaction inst t assignment =
   ignore inst;
   if !count = 0 then 0. else !total /. float_of_int !count
 
-let objective ?(lambda = 0.7) inst t assignment =
-  let dp = float_of_int inst.Instance.delta_p in
-  let acc = ref 0. in
-  Array.iteri
-    (fun p group ->
-      let coverage = Assignment.paper_score inst assignment p in
-      let bids = List.fold_left (fun s r -> s +. bid t ~paper:p ~reviewer:r) 0. group in
-      acc := !acc +. (lambda *. coverage) +. ((1. -. lambda) *. bids /. dp))
-    assignment.Assignment.groups;
-  !acc
-
 let spec ?(lambda = 0.7) t = Objective.blend ~lambda t.preferences

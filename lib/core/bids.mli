@@ -36,11 +36,8 @@ val spec : ?lambda:float -> t -> Objective.spec
     ([Objective.Blend {preferences; lambda}]); [lambda] defaults to 0.7.
     This is the composable form: put it in a {!Ctx.t} and any solver —
     including {!Solver.cra}'s full fallback chain — optimizes the
-    blend. *)
-
-val objective : ?lambda:float -> Instance.t -> t -> Assignment.t -> float
-(** The blended objective; [lambda] defaults to 0.7. [lambda = 1] is
-    exactly the WGRAP coverage objective. *)
+    blend; [Objective.value] over the bound spec evaluates it, and
+    [lambda = 1] is exactly the WGRAP coverage objective. *)
 
 val bid_satisfaction : Instance.t -> t -> Assignment.t -> float
 (** Mean assigned-pair bid: how happy reviewers are with what they got. *)

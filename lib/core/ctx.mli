@@ -49,10 +49,10 @@ type t = {
   objective : Objective.spec;
       (** the objective every solver entered through this context binds
           and scores against; defaults to {!Objective.coverage} (the
-          paper's Eq. 9, bit-identical to the pre-objective path). When
-          the spec {!Objective.transforms} the instance, a supplied
-          [gains] matrix must have been created over the bound
-          objective's {!Objective.view}. *)
+          paper's Eq. 9, bit-identical to the pre-objective path). A
+          supplied [gains] matrix must have been created over the bound
+          objective's {!Objective.view}, which differs from the
+          instance for [Taxonomy]. *)
 }
 
 val default : t

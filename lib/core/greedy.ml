@@ -9,7 +9,7 @@ let solve_impl ?deadline ?gains ?(candidates = 0) ?pool
   (* Only a current-independent transform is sound here: a lazy heap
      assumes a popped stale gain can only over-estimate, which holds for
      coverage plus any modular term (Blend) but not for rank-dependent
-     reweighing (OWA returns None and runs on raw coverage gains —
+     reweighing (min returns None and runs on raw coverage gains —
      greedy is its seed, SRA does the objective-aware work). *)
   let transform =
     match Objective.static_gain obj with

@@ -31,7 +31,7 @@ val solve : ?ctx:Ctx.t -> Instance.t -> Assignment.t
 
     [ctx.objective]'s {!Objective.static_gain} transform (when it has
     one — Blend's modular bid term) is applied to every seeded and
-    refreshed heap gain; rank-dependent objectives (OWA) have no static
+    refreshed heap gain; rank-dependent objectives (min) have no static
     transform and run on raw coverage gains — greedy is their safe
     seed, the objective-aware refinement happens in {!Sra}. *)
 

@@ -8,7 +8,7 @@ type pair_gain = paper:int -> reviewer:int -> coverage_gain:float -> float
 type spec =
   | Coverage
   | Blend of { preferences : float array array; lambda : float }
-  | Owa of { weights : float array }
+  | Min
   | Taxonomy of { tree : Taxonomy.t; decay : float }
 
 let coverage = Coverage
@@ -20,65 +20,52 @@ let blend ?(lambda = 0.7) preferences =
     invalid_arg "Objective.blend: empty preference matrix";
   Blend { preferences; lambda }
 
-let owa weights =
-  if Array.length weights = 0 then
-    invalid_arg "Objective.owa: empty weight vector";
-  if Array.exists (fun w -> (not (Float.is_finite w)) || w < 0.) weights then
-    invalid_arg "Objective.owa: weights must be finite and >= 0";
-  if not (Array.exists (fun w -> w > 0.) weights) then
-    invalid_arg "Objective.owa: at least one weight must be positive";
-  Owa { weights = Array.copy weights }
-
-let min_coverage = Owa { weights = [| 1. |] }
+let min_coverage = Min
 
 let taxonomy ?(decay = 0.5) tree =
   if decay < 0. || decay > 1. || Float.is_nan decay then
     invalid_arg "Objective.taxonomy: decay must lie in [0, 1]";
   Taxonomy { tree; decay }
 
-let is_min = function Owa { weights = [| w |] } -> w > 0. | _ -> false
-
 let name = function
   | Coverage -> "coverage"
   | Blend _ -> "blend"
-  | Owa _ as s -> if is_min s then "min" else "owa"
+  | Min -> "min"
   | Taxonomy _ -> "taxonomy"
 
 (* One line, deterministic for a fixed spec — what shard manifests pin
    so a resumed run fail-stops on an objective mismatch instead of
-   merging assignments optimized for different things. *)
+   merging assignments optimized for different things. The payloads
+   are fingerprinted by an MD5 digest over their full content
+   (Hashtbl.hash reads only the first few values, so two trees that
+   differ past the ~10th edge would describe identically). Every float
+   is printed exactly: %.17g round-trips the scalars, %h the matrix. *)
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
 let describe = function
   | Coverage -> "coverage"
+  | Min -> "min"
   | Blend { preferences; lambda } ->
-      Printf.sprintf "blend(lambda=%.6g,prefs=%d)"
-        lambda
-        (Hashtbl.hash preferences land 0xFFFFFF)
-  | Owa { weights } ->
-      Printf.sprintf "owa(w=%s)"
-        (String.concat ","
-           (List.map (Printf.sprintf "%.6g") (Array.to_list weights)))
+      let rows =
+        Array.to_list preferences
+        |> List.map (fun row ->
+               String.concat " "
+                 (List.map (Printf.sprintf "%h") (Array.to_list row)))
+      in
+      Printf.sprintf "blend(lambda=%.17g,prefs=%s)" lambda (digest rows)
   | Taxonomy { tree; decay } ->
-      Printf.sprintf "taxonomy(decay=%.6g,tree=%d)"
-        decay
-        (Hashtbl.hash (Taxonomy.to_lines tree) land 0xFFFFFF)
+      Printf.sprintf "taxonomy(decay=%.17g,tree=%s)" decay
+        (digest (Taxonomy.to_lines tree))
 
 (* Submodularity: coverage satisfies Lemma 4; a blend adds a modular
    (group-independent) bid term to it, and the taxonomy objective IS
-   coverage on a transformed instance. OWA aggregates per-paper scores
-   through a rank-dependent weight vector, which breaks the per-topic
+   coverage on a transformed instance. The min aggregates per-paper
+   scores through the rank order, which breaks the per-topic
    additivity Lemma 4 needs — SDGA's stage-confinement guarantee does
    not apply, so Solver.cra routes the greedy-seeded SRA chain. *)
 let submodular = function
   | Coverage | Blend _ | Taxonomy _ -> true
-  | Owa _ -> false
-
-(* All four are monotone: adding a reviewer never lowers any paper's
-   coverage, bids are non-negative, and OWA weights are >= 0. *)
-let monotone = function Coverage | Blend _ | Owa _ | Taxonomy _ -> true
-
-let transforms = function
-  | Taxonomy _ -> true
-  | Coverage | Blend _ | Owa _ -> false
+  | Min -> false
 
 type t = {
   spec : spec;
@@ -89,7 +76,7 @@ type t = {
 
 let bind spec inst =
   match spec with
-  | Coverage | Owa _ -> { spec; view = inst }
+  | Coverage | Min -> { spec; view = inst }
   | Blend { preferences; _ } ->
       if
         Array.length preferences <> Instance.n_papers inst
@@ -120,7 +107,7 @@ let coverage_score t ~paper ~reviewer =
 let pair_score t ~paper ~reviewer =
   let c = Instance.pair_score t.view ~paper ~reviewer in
   match t.spec with
-  | Coverage | Owa _ | Taxonomy _ -> c
+  | Coverage | Min | Taxonomy _ -> c
   | Blend { preferences; lambda } ->
       (lambda *. c)
       +. (1. -. lambda)
@@ -137,7 +124,7 @@ let group_score t ~paper group =
           t.view.Instance.papers.(paper)
   in
   match t.spec with
-  | Coverage | Owa _ | Taxonomy _ -> c
+  | Coverage | Min | Taxonomy _ -> c
   | Blend { preferences; lambda } ->
       let bids =
         List.fold_left (fun s r -> s +. preferences.(paper).(r)) 0. group
@@ -151,7 +138,7 @@ let marginal_gain t ~group ~paper ~reviewer =
       t.view.Instance.reviewers.(reviewer) t.view.Instance.papers.(paper)
   in
   match t.spec with
-  | Coverage | Owa _ | Taxonomy _ -> g
+  | Coverage | Min | Taxonomy _ -> g
   | Blend { preferences; lambda } ->
       (lambda *. g)
       +. (1. -. lambda)
@@ -162,21 +149,7 @@ let per_paper_scores t assignment =
   Array.init (Instance.n_papers t.view) (fun p ->
       Assignment.paper_score t.view assignment p)
 
-(* OWA aggregation: weights applied to the ascending-sorted per-paper
-   scores, positions past the weight vector contributing nothing. The
-   unit weight vector [|1.|] is exactly min-coverage; a full uniform
-   vector recovers the utilitarian sum. *)
-let owa_value ~weights scores =
-  let sorted = Array.copy scores in
-  Array.sort Float.compare sorted;
-  let n = min (Array.length weights) (Array.length sorted) in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. (weights.(i) *. sorted.(i))
-  done;
-  !acc
-
-(* Leximin geometric weights for the OWA family: rank weight
+(* Leximin geometric weights for the min objective: rank weight
    [ratio^rank] over the ascending sort of the per-paper coverages —
    strictly decreasing, so the induced aggregate is inequality-averse
    (between equal-sum distributions it always prefers the flatter one,
@@ -188,13 +161,13 @@ let owa_value ~weights scores =
    positions on large instances. *)
 let leximin_ratio ~n_papers = 0.5 ** (4. /. float_of_int (max 1 n_papers))
 
-(* SRA consults this only on {!value} plateaus — an OWA value with a
-   short weight vector (min-coverage is [|1.|]) plateaus as soon as
-   its worst papers are stuck, and the surrogate keeps refinement
-   flattening the rest of the distribution instead of stalling. *)
+(* SRA consults this only on {!value} plateaus — the min plateaus as
+   soon as its worst papers are stuck, and the surrogate keeps
+   refinement flattening the rest of the distribution instead of
+   stalling. *)
 let round_tie_break t =
   match t.spec with
-  | Owa _ ->
+  | Min ->
       let ratio = leximin_ratio ~n_papers:(Instance.n_papers t.view) in
       Some
         (fun assignment ->
@@ -212,7 +185,10 @@ let round_tie_break t =
 let value t assignment =
   match t.spec with
   | Coverage | Taxonomy _ -> Assignment.coverage t.view assignment
-  | Owa { weights } -> owa_value ~weights (per_paper_scores t assignment)
+  | Min ->
+      let scores = per_paper_scores t assignment in
+      if Array.length scores = 0 then 0.
+      else Array.fold_left Float.min Float.infinity scores
   | Blend { preferences; lambda } ->
       let dp = float_of_int t.view.Instance.delta_p in
       let acc = ref 0. in
@@ -228,11 +204,11 @@ let value t assignment =
 
 (* A current-independent per-pair gain transform — what the lazy greedy
    heap can apply without invalidating on every commit. Only the blend
-   has one (its bid term is modular); rank-dependent OWA weights need
-   the per-round {!stage_gain} instead. *)
+   has one (its bid term is modular); the min's rank-dependent boost
+   needs the per-round {!stage_gain} instead. *)
 let static_gain t : pair_gain option =
   match t.spec with
-  | Coverage | Owa _ | Taxonomy _ -> None
+  | Coverage | Min | Taxonomy _ -> None
   | Blend { preferences; lambda } ->
       let dp = float_of_int t.view.Instance.delta_p in
       Some
@@ -240,21 +216,18 @@ let static_gain t : pair_gain option =
           (lambda *. coverage_gain)
           +. ((1. -. lambda) *. preferences.(paper).(reviewer) /. dp))
 
-(* Per-paper refill boost = leximin geometric rank weight plus the
-   paper's normalized OWA weight. The geometric part makes every
-   refill stage inequality-averse across the whole distribution —
-   contested reviewers tilt toward worse-covered papers at every rank,
-   not only the explicitly weighted ones (with 3 weighted ranks out of
-   5000 papers a weight-only boost leaves the refill coverage-shaped
-   for 99.9% of papers) — while never zeroing a paper's gain, so the
-   stage still gives every paper its best available reviewers. The
-   OWA weight on top concentrates extra pull on the ranks the
-   objective value actually reads. *)
+(* Per-paper refill boost = leximin geometric rank weight, plus 1 on
+   the worst-covered paper (the one the value reads). The geometric
+   part makes every refill stage inequality-averse across the whole
+   distribution — contested reviewers tilt toward worse-covered papers
+   at every rank, not only the worst one — while never zeroing a
+   paper's gain, so the stage still gives every paper its best
+   available reviewers. *)
 let stage_gain t ~current : pair_gain option =
   match t.spec with
   | Coverage | Taxonomy _ -> None
   | Blend _ -> static_gain t
-  | Owa { weights } ->
+  | Min ->
       let scores = per_paper_scores t current in
       let order = Array.init (Array.length scores) Fun.id in
       Array.sort
@@ -264,17 +237,11 @@ let stage_gain t ~current : pair_gain option =
           | c -> c)
         order;
       let ratio = leximin_ratio ~n_papers:(Array.length scores) in
-      let wsum = Array.fold_left ( +. ) 0. weights in
       let boost = Array.make (Array.length scores) 0. in
       let w = ref 1. in
       Array.iteri
         (fun rank p ->
-          let owa_w =
-            if rank < Array.length weights && wsum > 0. then
-              weights.(rank) /. wsum
-            else 0.
-          in
-          boost.(p) <- !w +. owa_w;
+          boost.(p) <- (if rank = 0 then !w +. 1. else !w);
           w := !w *. ratio)
         order;
       Some (fun ~paper ~reviewer:_ ~coverage_gain -> boost.(paper) *. coverage_gain)

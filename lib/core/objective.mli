@@ -14,20 +14,20 @@
       the default and the bit-identical parity oracle.
     - [Blend] — coverage λ-blended with a modular reviewer-preference
       (bid) term; the generalization of the old [Bids] solver entry.
-    - [Owa] — order-weighted average of the ascending-sorted per-paper
-      coverages (Lian et al.); [weights = [|1.|]] is min-coverage /
-      egalitarian. {b Not} submodular: Lemma 4's per-topic additivity
-      fails, so {!Solver.cra} routes greedy-seeded SRA chains instead
-      of SDGA-led ones.
+    - [Min] — the worst-off paper's coverage (egalitarian fairness).
+      {b Not} submodular: Lemma 4's per-topic additivity fails, so
+      {!Solver.cra} routes greedy-seeded SRA chains instead of
+      SDGA-led ones.
     - [Taxonomy] — hierarchical keyword similarity (Kalmukov): reviewer
       expertise bleeds along a topic-tree with per-hop [decay]; realized
       as coverage over an instance view with tree-smoothed reviewer
       vectors ({!Taxonomy.smooth}), so every coverage kernel applies
       unchanged.
 
-    Chain-routing contract: a solver ladder may lead with SDGA only if
-    [submodular spec && monotone spec]; otherwise it must start from a
-    greedy (exchange-safe) seed. See DESIGN.md "Objectives". *)
+    Every backend is monotone (adding a reviewer never lowers the
+    value). Chain-routing contract: a solver ladder may lead with SDGA
+    only if [submodular spec]; otherwise it must start from a greedy
+    (exchange-safe) seed. See DESIGN.md "Objectives". *)
 
 type pair_gain = paper:int -> reviewer:int -> coverage_gain:float -> float
 (** A per-pair gain transform: maps a raw coverage marginal gain to the
@@ -39,9 +39,7 @@ type spec =
   | Blend of { preferences : float array array; lambda : float }
       (** [lambda * coverage + (1 - lambda) * bid / delta_p], with
           [preferences] a [P x R] non-negative bid matrix. *)
-  | Owa of { weights : float array }
-      (** Weights applied to the {e ascending}-sorted per-paper
-          coverages; positions beyond the vector contribute 0. *)
+  | Min  (** The smallest per-paper coverage; [0.] with no papers. *)
   | Taxonomy of { tree : Taxonomy.t; decay : float }
 
 (** {1 Constructors} *)
@@ -53,12 +51,8 @@ val blend : ?lambda:float -> float array array -> spec
     [Invalid_argument] unless [lambda] lies in [0, 1] and the matrix is
     non-empty; the shape is checked against the instance at {!bind}. *)
 
-val owa : float array -> spec
-(** Copies the vector. Raises [Invalid_argument] on an empty vector,
-    a negative/non-finite weight, or an all-zero vector. *)
-
 val min_coverage : spec
-(** [Owa {weights = [|1.|]}]: maximize the worst-off paper. *)
+(** [Min]: maximize the worst-off paper. *)
 
 val taxonomy : ?decay:float -> Taxonomy.t -> spec
 (** Default [decay = 0.5]. Raises [Invalid_argument] unless [decay]
@@ -67,29 +61,18 @@ val taxonomy : ?decay:float -> Taxonomy.t -> spec
 (** {1 Spec inspection} *)
 
 val name : spec -> string
-(** ["coverage"], ["blend"], ["owa"], ["min"] (unit-weight OWA), or
-    ["taxonomy"] — the [--objective] vocabulary. *)
+(** ["coverage"], ["blend"], ["min"] or ["taxonomy"] — the
+    [--objective] vocabulary. *)
 
 val describe : spec -> string
 (** One deterministic line pinning the spec and its parameters — what
-    shard manifests record so a resume fail-stops on a mismatch. *)
-
-val is_min : spec -> bool
+    shard manifests record so a resume fail-stops on a mismatch.
+    [Blend] preferences and [Taxonomy] trees are fingerprinted by a
+    digest over their full content. *)
 
 val submodular : spec -> bool
 (** Whether the induced set function satisfies Lemma 4's conditions, so
-    the SDGA stage-confinement guarantee applies. False for [Owa]. *)
-
-val monotone : spec -> bool
-(** Whether adding a reviewer can never lower the objective. True for
-    all current backends. *)
-
-val transforms : spec -> bool
-(** Whether {!bind} rewrites the instance ([view t != inst]). When
-    true, any externally supplied {!Gain_matrix} (e.g. [ctx.gains])
-    must have been created over {!view}, not the raw instance — the
-    solver entry points that bind for you ({!Solver.cra},
-    {!Sdga.solve}, …) uphold this. True only for [Taxonomy]. *)
+    the SDGA stage-confinement guarantee applies. False for [Min]. *)
 
 (** {1 Binding} *)
 
@@ -105,8 +88,11 @@ val spec : t -> spec
 
 val view : t -> Instance.t
 (** The instance to build gain matrices, stages and JRA subproblems
-    over. Physically the bound instance except for transforming
-    backends. *)
+    over. Physically the bound instance except for [Taxonomy], which
+    rewrites the reviewer vectors; any externally supplied
+    {!Gain_matrix} (e.g. [ctx.gains]) must then have been created over
+    the view, not the raw instance — the solver entry points that bind
+    for you ({!Solver.cra}, {!Sdga.solve}, …) uphold this. *)
 
 (** {1 Scoring} *)
 
@@ -131,10 +117,6 @@ val marginal_gain :
 
 val per_paper_scores : t -> Assignment.t -> float array
 
-val owa_value : weights:float array -> float array -> float
-(** The OWA aggregation itself (exposed for tests and {!Summary}):
-    weights dotted with the ascending sort of the scores. *)
-
 val value : t -> Assignment.t -> float
 (** The objective value of a (possibly partial) assignment — what SRA
     acceptance, checkpoint records and {!Summary} report. *)
@@ -145,23 +127,23 @@ val static_gain : t -> pair_gain option
 (** A current-assignment-independent gain transform, if the backend has
     one ([Blend]'s bid term is modular). [None] means raw coverage
     gains are already correct ([Coverage], [Taxonomy]) or the transform
-    is rank-dependent and must be recomputed per round ([Owa]). Safe to
+    is rank-dependent and must be recomputed per round ([Min]). Safe to
     bake into a lazy greedy heap. *)
 
 val stage_gain : t -> current:Assignment.t -> pair_gain option
 (** The per-stage gain transform given the current partial assignment:
-    [static_gain] when that exists; for [Owa], a rank-boost built from
+    [static_gain] when that exists; for [Min], a rank-boost built from
     the current per-paper scores — the leximin geometric weight of the
-    paper's ascending rank (see {!round_tie_break}) plus its
-    normalized OWA weight — so every refill stage steers contested
+    paper's ascending rank (see {!round_tie_break}), plus 1 on the
+    worst-covered paper — so every refill stage steers contested
     reviewers toward worse-covered papers, with extra pull on the
-    ranks the OWA value reads. *)
+    paper the value reads. *)
 
 val round_tie_break : t -> (Assignment.t -> float) option
 (** A secondary score SRA may consult when {!value} plateaus within
     epsilon: accepting tie-rounds that raise it keeps refinement
-    moving along the objective's level sets. [Some] only for the OWA
-    family — a leximin surrogate (geometric rank weights, ratio
+    moving along the objective's level sets. [Some] only for [Min] —
+    a leximin surrogate (geometric rank weights, ratio
     pinned so the weight halves across a quarter of the papers, over
     the ascending-sorted per-paper coverages) that flattens the
     coverage tail while the worst papers are stuck. [None]

@@ -66,7 +66,7 @@ let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
          Array.init n_r (fun r ->
              min per_stage (inst.Instance.delta_r - used.(r)))
        in
-       (* Recomputed per stage: OWA's rank boost depends on the papers'
+       (* Recomputed per stage: the min's rank boost depends on the papers'
           current scores; Coverage/Taxonomy return None (identity). *)
        let pair_gain = Objective.stage_gain obj ~current:assignment in
        let pairs =

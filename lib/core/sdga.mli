@@ -42,8 +42,8 @@ val solve : ?ctx:Ctx.t -> Instance.t -> Assignment.t
       stage gain ({!Objective.stage_gain}) and checkpoint score
       ({!Objective.value}); the default coverage objective is
       bit-identical to the pre-objective path. Note SDGA's guarantee
-      only holds when the objective is submodular and monotone —
-      {!Solver.cra} routes non-submodular specs (OWA) through a
+      only holds when the objective is submodular —
+      {!Solver.cra} routes non-submodular specs (min) through a
       greedy-led chain instead.
 
     Raises [Failure] only if the instance is infeasible under its COIs

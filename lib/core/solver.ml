@@ -176,12 +176,11 @@ let link_ctx ctx ~gm ?deadline ?sink ?resume ?rng () =
     objective = ctx.Ctx.objective;
   }
 
-(* SDGA may lead only when the spec is submodular and monotone: Lemma 4
-   is what its stage-confinement guarantee rests on. *)
-let sdga_led spec = Objective.submodular spec && Objective.monotone spec
-
-(* The primary link's name — the stamp its checkpoints carry. *)
-let primary_link spec = if sdga_led spec then "sdga+sra" else "greedy+sra"
+(* The primary link's name — the stamp its checkpoints carry. SDGA may
+   lead only when the spec is submodular: Lemma 4 is what its
+   stage-confinement guarantee rests on. *)
+let primary_link spec =
+  if Objective.submodular spec then "sdga+sra" else "greedy+sra"
 
 (* The bare primary CRA link, exposed so supervisors (lib/shard) can run
    it under their own retry/fallback policy. Unlike [cra] this *raises*
@@ -193,7 +192,7 @@ let primary_link spec = if sdga_led spec then "sdga+sra" else "greedy+sra"
    objective-aware work happens in the SRA refinement, which makes no
    structural assumption. *)
 let primary ?(refine = true) ?(ctx = Ctx.default) inst =
-  let sdga = sdga_led ctx.Ctx.objective in
+  let sdga = Objective.submodular ctx.Ctx.objective in
   let link = primary_link ctx.Ctx.objective in
   let deadline = ctx.Ctx.deadline in
   let checkpoint = ctx.Ctx.checkpoint in
@@ -324,7 +323,7 @@ let cra ?(refine = true) ?(ctx = Ctx.default) inst =
   (* The ladder is routed by the objective's structure: when SDGA may
      not lead, the primary is the greedy-seeded refinement and SDGA is
      skipped entirely. *)
-  let sdga_safe = sdga_led ctx.Ctx.objective in
+  let sdga_safe = Objective.submodular ctx.Ctx.objective in
   let primary_name = primary_link ctx.Ctx.objective in
   (* The primary link is handed the chain's gain matrix, raw sink and
      (already Error-stripped) resume state; it re-emits Link_entered

@@ -15,7 +15,7 @@
       stochastic refinement ({!Sdga}, {!Sra}) -> SDGA alone -> per-stage
       greedy ({!Greedy}), with {!Repair.complete} patching any short
       groups left by a truncated run;
-    - CRA, non-submodular objectives (OWA — [ctx.objective] routes the
+    - CRA, non-submodular objectives (min — [ctx.objective] routes the
       ladder): greedy seed + stochastic refinement -> greedy alone.
       SDGA is skipped because its guarantee rests on Lemma 4.
 
@@ -100,10 +100,10 @@ val primary : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t
     built-in chain. It routes on [ctx.objective]:
 
     {ul
-    {- submodular and monotone (Lemma 4 holds): link ["sdga+sra"], SDGA
+    {- submodular (Lemma 4 holds): link ["sdga+sra"], SDGA
        on half the remaining budget, then stochastic refinement on the
        rest;}
-    {- otherwise (OWA): link ["greedy+sra"], a lazy greedy seed on ~30%
+    {- otherwise (min): link ["greedy+sra"], a lazy greedy seed on ~30%
        of the remaining budget, then the refinement — which makes no
        submodularity assumption and carries all the objective-aware
        reweighing — on the rest.}}

@@ -78,7 +78,7 @@ let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
       | Some (_, st) -> st.Checkpoint.score
       | None -> Objective.value obj start)
   in
-  (* Plateau tie-breaking (OWA family only): [tie_break = None] keeps
+  (* Plateau tie-breaking (min only): [tie_break = None] keeps
      acceptance strictly value-improving, the coverage parity
      contract. The surrogate of the resumed best is recomputed — it is
      a pure function of the assignment, so no codec change. *)

@@ -55,7 +55,7 @@ val refine :
     ({!Objective.coverage_score} — removal models topical misfit),
     refill stages apply its {!Objective.stage_gain} transform, and
     acceptance/best-so-far tracking uses {!Objective.value}. SRA makes
-    no submodularity assumption, so every backend (including OWA) may
+    no submodularity assumption, so every backend (including min) may
     use it.
 
     [ctx.checkpoint] receives a {!Checkpoint.Round_improved} event on

@@ -83,7 +83,7 @@ val solve :
     roots every split stream, [candidates] prunes each shard's gain
     matrix, [objective] selects the scoring backend (recorded in the
     resume manifest, and routing each shard's primary link like
-    {!Wgrap.Solver.cra}: SDGA-led only for submodular monotone specs,
+    {!Wgrap.Solver.cra}: SDGA-led only for submodular specs,
     greedy-seeded SRA otherwise), [pool] fans shards out across domains
     (sub-solves stay sequential so any job count is bit-identical).
     Degradation reasons come back in the outcome, in shard order, with

@@ -9,6 +9,11 @@
 #   B. a checkpointed run SIGKILLed mid-solve, then resumed with
 #      --resume — the resumed run must also exit 0, and its merged
 #      assignment must be byte-identical to run A's.
+# Then one end-to-end check of the resume manifest gate:
+#   C. a checkpointed quick-preset run under a taxonomy objective, then
+#      a --resume with a tree that differs only at edge 100 of 119 —
+#      the resume must refuse with exit 3 and
+#      "checkpoint manifest mismatch" instead of reusing the shards.
 #
 # Used by CI (see .github/workflows/ci.yml) and runnable locally:
 #   dune build && scripts/shard_soak.sh
@@ -75,4 +80,26 @@ if ! cmp "$WORK/a.tsv" "$WORK/b.tsv"; then
   exit 1
 fi
 
-echo "shard_soak: OK ($(wc -l <"$WORK/a.tsv") papers, killed+resumed run bit-identical)"
+echo "== run C: resume under a different taxonomy must refuse =="
+for i in $(seq 1 119); do printf '%d\t%d\n' "$i" $(((i - 1) / 4)); done \
+  >"$WORK/t1.tsv"
+sed 's/^100\t24$/100\t3/' "$WORK/t1.tsv" >"$WORK/t2.tsv"
+if cmp -s "$WORK/t1.tsv" "$WORK/t2.tsv"; then
+  echo "shard_soak: FAIL — the two taxonomy trees are identical" >&2
+  exit 1
+fi
+TAXONOMY=(assign --preset quick --shards 2 --seed "$SEED" --candidates 16
+  --no-refine --objective taxonomy --checkpoint-dir "$WORK/ckpt-c")
+"$WGRAP" "${TAXONOMY[@]}" --taxonomy-tsv "$WORK/t1.tsv" \
+  --out "$WORK/c1.tsv" >"$WORK/c1.log"
+code=0
+"$WGRAP" "${TAXONOMY[@]}" --taxonomy-tsv "$WORK/t2.tsv" --resume \
+  --out "$WORK/c2.tsv" >"$WORK/c2.log" 2>&1 || code=$?
+cat "$WORK/c2.log"
+if [ "$code" -ne 3 ] || ! grep -q 'checkpoint manifest mismatch' "$WORK/c2.log"; then
+  echo "shard_soak: FAIL — resume under a changed taxonomy exited $code" \
+    "instead of refusing on the manifest" >&2
+  exit 1
+fi
+
+echo "shard_soak: OK ($(wc -l <"$WORK/a.tsv") papers, killed+resumed run bit-identical, manifest gate refuses a changed objective)"

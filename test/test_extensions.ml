@@ -170,6 +170,9 @@ let test_bids_random_properties () =
     done
   done
 
+let blended ?lambda inst bids a =
+  Objective.value (Objective.bind (Bids.spec ?lambda bids) inst) a
+
 let test_bids_lambda_one_is_coverage () =
   let rng = Rng.create 5 in
   let inst = tiny_instance rng ~n_p:10 ~n_r:6 ~dp:2 ~dr:4 in
@@ -177,7 +180,7 @@ let test_bids_lambda_one_is_coverage () =
   let a = Sdga.solve inst in
   Alcotest.(check (float 1e-9)) "objective at lambda=1 = coverage"
     (Assignment.coverage inst a)
-    (Bids.objective ~lambda:1. inst bids a)
+    (blended ~lambda:1. inst bids a)
 
 let test_bids_sdga_feasible () =
   let rng = Rng.create 6 in
@@ -223,7 +226,7 @@ let test_bids_lambda_zero_near_transportation_optimum () =
     let inst = tiny_instance rng ~n_p:10 ~n_r:6 ~dp:2 ~dr:4 in
     let bids = Bids.random ~rng inst in
     let a = Sdga.solve ~ctx:(Ctx.make ~objective:(Bids.spec ~lambda:0. bids) ()) inst in
-    let mine = Bids.objective ~lambda:0. inst bids a in
+    let mine = blended ~lambda:0. inst bids a in
     let matrix =
       Array.init 10 (fun p -> Array.init 6 (fun r -> Bids.bid bids ~paper:p ~reviewer:r))
     in
@@ -251,7 +254,7 @@ let test_bids_refine_never_worse () =
   let refined = Sra.refine ~ctx:(Ctx.make ~rng ~objective ()) inst start in
   Alcotest.(check bool) "feasible" true (Assignment.is_feasible inst refined);
   Alcotest.(check bool) "no regression" true
-    (Bids.objective inst bids refined >= Bids.objective inst bids start -. 1e-9)
+    (blended inst bids refined >= blended inst bids start -. 1e-9)
 
 (* {1 Amend: late changes} *)
 

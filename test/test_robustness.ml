@@ -603,6 +603,11 @@ let test_cli_bad_numeric_flags () =
        ("--queue-limit", [ "serve"; "--dim"; "4"; "--queue-limit=0" ]);
        ("--delta-p", assign @ [ "--delta-p"; "0" ]);
        ("--delta-p", [ "jra"; "--paper"; "3"; "--delta-p"; "0" ]);
+       ("--scale", [ "generate"; "--scale"; "0" ]);
+       ("--scale", [ "generate"; "--scale=-1" ]);
+       ("--shards", [ "assign"; "--preset"; "quick"; "--shards=-2" ]);
+       ("--top-k", [ "jra"; "--paper"; "3"; "--top-k=0" ]);
+       ("--objective", assign @ [ "--objective"; "owa" ]);
      ])
 
 (* --delta-p reaches the preset instance: every output line names

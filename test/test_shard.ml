@@ -255,23 +255,38 @@ let test_resume_uses_cached_shards () =
             (pp_prov p))
     prov2
 
+(* A resume whose flags or objective differ from the stored manifest
+   must refuse rather than reuse shard results computed for something
+   else. The objective case changes a taxonomy tree only at edge 100 of
+   119, past what a structural hash of the edge list reads. *)
 let test_manifest_mismatch_refuses () =
-  with_dir @@ fun dir ->
-  let rng = Rng.create 41 in
-  let inst = random_instance rng ~n_p:12 ~n_r:30 ~dp:2 in
-  let config = { Sup.default_config with Sup.store_dir = Some dir } in
-  let _ = Sup.solve ~config ~ctx:(ctx ~seed:4 ()) ~shards:3 inst in
-  let o, _ =
-    Sup.solve
-      ~config:{ config with Sup.resume = true; refine = false }
-      ~ctx:(ctx ~seed:4 ()) ~shards:3 inst
+  let refuses ~what ?(tweak = Fun.id) inst ~first ~second =
+    with_dir @@ fun dir ->
+    let config = { Sup.default_config with Sup.store_dir = Some dir } in
+    ignore (Sup.solve ~config ~ctx:first ~shards:3 inst);
+    let config = tweak { config with Sup.resume = true } in
+    match fst (Sup.solve ~config ~ctx:second ~shards:3 inst) with
+    | Solver.Infeasible m ->
+        Alcotest.(check bool) (what ^ ": names the manifest") true
+          (contains ~sub:"manifest" m)
+    | o ->
+        Alcotest.failf "%s mismatch must refuse to resume, got %s" what
+          (Solver.status o)
   in
-  match o with
-  | Solver.Infeasible m ->
-      Alcotest.(check bool) "names the manifest" true (contains ~sub:"manifest" m)
-  | _ ->
-      Alcotest.failf "flag mismatch must refuse to resume, got %s"
-        (Solver.status o)
+  let inst = random_instance (Rng.create 41) ~n_p:12 ~n_r:30 ~dp:2 in
+  refuses ~what:"flag" inst
+    ~tweak:(fun c -> { c with Sup.refine = false })
+    ~first:(ctx ~seed:4 ()) ~second:(ctx ~seed:4 ());
+  let tree moved =
+    Objective.taxonomy
+      (Taxonomy.create_exn
+         (Array.init 120 (fun v ->
+              if v = 0 then -1 else if v = 100 then moved else (v - 1) / 4)))
+  in
+  let with_tree moved = Solver.Ctx.make ~seed:4 ~objective:(tree moved) () in
+  refuses ~what:"taxonomy"
+    (random_instance ~dim:120 (Rng.create 42) ~n_p:12 ~n_r:30 ~dp:2)
+    ~first:(with_tree 24) ~second:(with_tree 3)
 
 let test_kill_resume_bit_identity () =
   with_dir @@ fun dir ->

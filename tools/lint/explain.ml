@@ -122,10 +122,10 @@ let entries =
       prose =
         "The solver chain (SDGA, SRA, greedy, the CRA/JRA drivers, bid \
          blending) is parameterized by a pluggable Objective backend — \
-         weighted coverage, OWA fairness, taxonomy-smoothed expertise. A \
+         weighted coverage, min fairness, taxonomy-smoothed expertise. A \
          raw Scoring.* kernel call or Instance.pair_score inside those \
          modules hard-wires weighted-coverage semantics, so an --objective \
-         owa run would silently optimize the wrong function. Score through \
+         min run would silently optimize the wrong function. Score through \
          Objective.pair_score / marginal_gain / group_score, or the \
          Gain_matrix the bound objective primed. Structural helpers \
          (Scoring.empty_group) stay legal; input synthesis or reporting \
