@@ -17,7 +17,7 @@
 type row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  mutable inst : Instance.t;  (* rebindable: serve swaps in new COI *)
+  inst : Instance.t;
   n_p : int;
   n_r : int;
   dim : int;
@@ -243,33 +243,6 @@ let spawn t =
     (* Immutable once computed: shared, not copied. *)
     denom = t.denom;
   }
-
-let rebind t inst =
-  if
-    Instance.n_papers inst <> t.n_p
-    || Instance.n_reviewers inst <> t.n_r
-    || Instance.n_topics inst <> t.dim
-  then invalid_arg "Gain_matrix.rebind: shape mismatch";
-  let scoring_changed =
-    not
-      (String.equal
-         (Scoring.name inst.Instance.scoring)
-         (Scoring.name t.inst.Instance.scoring))
-  in
-  t.inst <- inst;
-  (* Raw gain rows read only papers, reviewers and the scoring kind —
-     never the COI mask (consumers mask conflicts) — so a constraint
-     change keeps every row. A scoring change invalidates them (and the
-     candidate rankings); reviewer-vector changes are the caller's
-     contract to avoid ({!Instance.with_reviewers} needs a fresh
-     matrix). *)
-  if scoring_changed then
-    for p = 0 to t.n_p - 1 do
-      t.version.(p) <- t.version.(p) + 1;
-      t.cands.(p) <- None;
-      t.rows.(p) <- None
-    done;
-  t.denom <- None
 
 (* Row-parallel iteration shared by {!prime} and {!rebuild}: rows are
    independent by construction (one candidate list and one gain row per

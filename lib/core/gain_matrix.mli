@@ -80,9 +80,7 @@ val add : t -> paper:int -> reviewer:int -> unit
 val set_group : t -> paper:int -> int list -> unit
 (** Replace [paper]'s group wholesale; invalidates the row only if the
     resulting vector differs visibly from the current one (an SRA
-    removal whose victim never defined the max keeps the row — the same
-    visibility rule lets the resident serve state keep a matrix across
-    events whose decided ops touched few groups). *)
+    removal whose victim never defined the max keeps the row). *)
 
 val version : t -> paper:int -> int
 (** Monotone per-paper group version — pairs with heap-entry versioning
@@ -118,15 +116,6 @@ val spawn : t -> t
     memory). This is how parallel SRA gives each chain a private matrix:
     chain state is O(n_p) at spawn, rows materialize lazily per domain,
     and the static state is shared read-only. *)
-
-val rebind : t -> Instance.t -> unit
-(** Point the matrix at a same-shaped instance — the resident serve
-    state swaps in an instance with extended COI this way. Raw gain
-    rows never read the COI mask, so all rows (and group state)
-    survive; the cached column sums are dropped (they do mask COI). A scoring-kind change invalidates rows and candidate
-    lists instead. The caller's contract: paper and reviewer vectors
-    are unchanged (build a fresh matrix otherwise). Raises
-    [Invalid_argument] on shape mismatch. *)
 
 val prime : ?pool:Wgrap_par.Pool.t -> ?deadline:Wgrap_util.Timer.deadline -> t -> unit
 (** Force the static state now: every candidate list (slots are

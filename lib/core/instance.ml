@@ -144,23 +144,3 @@ let coi_pairs t =
           Array.iteri (fun r bad -> if bad then acc := (p, r) :: !acc) row)
         m;
       List.rev !acc
-
-let add_coi t pairs =
-  let p = n_papers t and r = n_reviewers t in
-  let rec check = function
-    | [] -> Ok ()
-    | (pi, ri) :: rest ->
-        if pi < 0 || pi >= p || ri < 0 || ri >= r then
-          Error "COI pair out of range"
-        else check rest
-  in
-  Result.map
-    (fun () ->
-      let m =
-        match t.coi with
-        | Some m -> Array.map Array.copy m
-        | None -> Array.make_matrix p r false
-      in
-      List.iter (fun (pi, ri) -> m.(pi).(ri) <- true) pairs;
-      { t with coi = Some m })
-    (check pairs)

@@ -73,7 +73,7 @@ val stage_capacity : t -> int
     by Stage-WGRAP (Definition 9). *)
 
 val with_scoring : t -> Scoring.kind -> t
-(** Same instance under a different scoring function (cache dropped). *)
+(** Same instance under a different scoring function. *)
 
 val with_reviewers : t -> Topic_vector.t array -> t
 (** Same instance with rescaled reviewer vectors (e.g. the h-index
@@ -90,5 +90,3 @@ val candidates : t -> k:int -> paper:int -> int array
 val coi_pairs : t -> (int * int) list
 (** The instance's conflicts as [(paper, reviewer)] pairs. *)
 
-val add_coi : t -> (int * int) list -> (t, string) result
-(** Same instance with additional conflicts (validated for range). *)

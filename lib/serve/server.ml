@@ -176,7 +176,8 @@ let answer_read t id (r : Event.read) =
           Printf.sprintf "ok %d stats %s" id
             (Wgrap.Summary.to_json ~compact:true ~extra s)
       | None ->
-          (* roster not dense yet (no papers or reviewers): counters only *)
+          (* no papers or no reviewers yet, or an objective shaped to
+             another roster: counters only *)
           Printf.sprintf "ok %d stats {%s, \"papers\": %d, \"reviewers\": %d}"
             id
             (String.concat ", "

@@ -3,10 +3,8 @@ module Scoring = Wgrap.Scoring
 module Jra = Wgrap.Jra
 module Solver = Wgrap.Solver
 module Ctx = Wgrap.Ctx
-module Amend = Wgrap.Amend
 module Instance = Wgrap.Instance
 module Assignment = Wgrap.Assignment
-module Gain_matrix = Wgrap.Gain_matrix
 module Objective = Wgrap.Objective
 module Taxonomy = Wgrap.Taxonomy
 module Summary = Wgrap.Summary
@@ -18,26 +16,6 @@ module Crc32 = Wgrap_persist.Crc32
    or rank-dependent objective terms do not reshape per-event planning
    (each event re-solves one paper), they surface in [summary]. *)
 let scoring = Scoring.Weighted_coverage
-
-(* The resident dense view: the [Instance.t] (with its compiled supports
-   and candidate index) and the shared [Gain_matrix.t] survive across
-   events, so consecutive Amend repairs reuse warm gain rows instead of
-   rebuilding the whole mapping per event. The view is keyed by the
-   roster: any membership change drops it; a late conflict rebinds it in
-   place (same shape, rows survive). Planner-only — nothing here is in
-   {!encode}, so cache state can never leak into replay determinism. *)
-type dense_view = {
-  d_inst : Instance.t;  (** raw vectors — what {!summary} reports over *)
-  d_view : Instance.t;
-      (** the objective's scoring view ({!Objective.view}); physically
-          [d_inst] for non-transforming specs. Amend repairs and the
-          gain matrix work over this one. *)
-  d_pids : int array;
-  d_rids : int array;
-  d_pidx : (int, int) Hashtbl.t;
-  d_ridx : (int, int) Hashtbl.t;
-  d_gm : Gain_matrix.t;
-}
 
 type t = {
   dim : int;
@@ -58,7 +36,6 @@ type t = {
           but committed ops are journaled as data, so replay is
           objective-independent and the snapshot codec never records
           it *)
-  mutable dense : dense_view option;
 }
 
 let validate_objective ~dim = function
@@ -92,7 +69,6 @@ let create ?(objective = Objective.coverage) ~dim ~delta_p ~delta_r () =
         pending = Hashtbl.create 16;
         last_client = -1;
         applied = 0;
-        dense = None;
       }
 
 let dim t = t.dim
@@ -105,8 +81,6 @@ let set_objective t spec =
   | Error m -> Error m
   | Ok () ->
       t.objective <- spec;
-      (* the dense view's gain matrix was built over the old view *)
-      t.dense <- None;
       Ok ()
 
 (* How the resident objective sees a reviewer's expertise: identity for
@@ -147,6 +121,54 @@ let query t p =
           is_pending = Hashtbl.mem t.pending p;
         }
   | _ -> None
+
+(* The chair-facing report over the committed groups, under the
+   resident objective — the payload of the service's stats read, built
+   from the roster on each call. An over-subscribed committee (more
+   slots than capacity, or delta_p > R) still gets a report: the report
+   instance caps delta_p at R and raises delta_r to the balanced
+   minimum workload. Neither bound changes a reported value: Summary
+   and the coverage/min/taxonomy objectives never read them, and
+   delta_p is kept whenever it fits. *)
+let summary t =
+  let pids = Array.of_list (sorted_keys t.papers) in
+  let rids = Array.of_list (sorted_keys t.reviewers) in
+  let n_p = Array.length pids and n_r = Array.length rids in
+  if n_p = 0 || n_r = 0 then None
+  else begin
+    let pidx = Hashtbl.create n_p and ridx = Hashtbl.create n_r in
+    Array.iteri (fun i p -> Hashtbl.replace pidx p i) pids;
+    Array.iteri (fun i r -> Hashtbl.replace ridx r i) rids;
+    let coi =
+      Hashtbl.fold
+        (fun (p, r) () acc -> (Hashtbl.find pidx p, Hashtbl.find ridx r) :: acc)
+        t.coi []
+    in
+    let delta_p = min t.delta_p n_r in
+    let delta_r =
+      max t.delta_r (Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p)
+    in
+    match
+      Instance.create ~scoring ~coi
+        ~papers:(Array.map (Hashtbl.find t.papers) pids)
+        ~reviewers:(Array.map (Hashtbl.find t.reviewers) rids)
+        ~delta_p ~delta_r ()
+    with
+    | Error _ -> None
+    | Ok inst -> (
+        let a = Assignment.empty ~n_papers:n_p in
+        Array.iteri
+          (fun i p ->
+            a.Assignment.groups.(i) <-
+              List.map (Hashtbl.find ridx) (Hashtbl.find t.groups p))
+          pids;
+        match Summary.compute ~objective:t.objective inst a with
+        | s -> Some s
+        | exception Invalid_argument _ ->
+            (* spec parameters shaped to some other instance (a Blend
+               matrix) *)
+            None)
+  end
 
 (* {1 Admission-time validation} *)
 
@@ -318,120 +340,12 @@ let solve_group ?deadline ?override t ~paper ~pvec cands =
 
 type planned = { ops : Event.op list; reasons : Solver.reason list }
 
-(* {2 The Amend fast path}
-
-   When every group is full and the dense instance is constructible, the
-   state maps onto an [Instance.t]/[Assignment.t] pair and late changes
-   become {!Amend} minimal repairs. Bid weights are not represented
-   there (Amend maximizes unweighted coverage); that is acceptable for
-   repair ops — bids are soft preferences, feasibility is not. *)
-
-let build_dense_view t =
-  let pids = Array.of_list (sorted_keys t.papers) in
-  let rids = Array.of_list (sorted_keys t.reviewers) in
-  if Array.length pids = 0 || Array.length rids = 0 then None
-  else begin
-    let pidx = Hashtbl.create (Array.length pids) in
-    let ridx = Hashtbl.create (Array.length rids) in
-    Array.iteri (fun i p -> Hashtbl.replace pidx p i) pids;
-    Array.iteri (fun i r -> Hashtbl.replace ridx r i) rids;
-    let papers = Array.map (Hashtbl.find t.papers) pids in
-    let reviewers = Array.map (Hashtbl.find t.reviewers) rids in
-    let coi =
-      Hashtbl.fold
-        (fun (p, r) () acc -> (Hashtbl.find pidx p, Hashtbl.find ridx r) :: acc)
-        t.coi []
-    in
-    match
-      Instance.create ~scoring ~coi ~papers ~reviewers ~delta_p:t.delta_p
-        ~delta_r:t.delta_r ()
-    with
-    | Error _ -> None
-    | Ok inst -> (
-        match Objective.bind t.objective inst with
-        | exception Invalid_argument _ ->
-            (* spec parameters shaped to some other instance (a Blend
-               matrix); planning falls back to the manual paths *)
-            None
-        | obj ->
-            let view = Objective.view obj in
-            Some
-              {
-                d_inst = inst;
-                d_view = view;
-                d_pids = pids;
-                d_rids = rids;
-                d_pidx = pidx;
-                d_ridx = ridx;
-                d_gm = Gain_matrix.create view;
-              })
-  end
-
-(* The assignment itself is rebuilt from [t.groups] on every call (it is
-   O(n_p) and must reflect committed state exactly); the instance and
-   the gain matrix come from the resident view. The per-paper
-   [set_group] sync below bumps a row version only where the group
-   vector actually moved, so rows of papers untouched since the last
-   event stay warm — this is the incremental maintenance PR 6 deferred. *)
-let to_dense t =
-  let view =
-    match t.dense with
-    | Some d -> Some d
-    | None ->
-        let d = build_dense_view t in
-        t.dense <- d;
-        d
-  in
-  match view with
-  | None -> None
-  | Some d ->
-      let a = Assignment.empty ~n_papers:(Array.length d.d_pids) in
-      Array.iteri
-        (fun i p ->
-          let g =
-            List.map (Hashtbl.find d.d_ridx) (Hashtbl.find t.groups p)
-          in
-          a.Assignment.groups.(i) <- g;
-          Gain_matrix.set_group d.d_gm ~paper:i g)
-        d.d_pids;
-      Some (d.d_view, d.d_pids, d.d_rids, a, d.d_gm)
-
-(* The chair-facing report over the committed groups, under the
-   resident objective — the payload of the service's stats read. [None]
-   until the roster maps onto a dense instance. *)
-let summary t =
-  match to_dense t with
-  | None -> None
-  | Some (_view, _pids, _rids, a, _gm) -> (
-      match t.dense with
-      | None -> None
-      | Some d -> (
-          match Summary.compute ~objective:t.objective d.d_inst a with
-          | s -> Some s
-          | exception Invalid_argument _ -> None))
-
-let amendable t = Hashtbl.length t.pending = 0
-
-let ops_of_change rids pids (change : Amend.change) =
-  List.map
-    (fun pi ->
-      let group =
-        List.sort compare
-          (List.map (fun ri -> rids.(ri)) (Assignment.group change.assignment pi))
-      in
-      Event.Set_group { paper = pids.(pi); group })
-    change.touched_papers
-
-let ridx_of rids r =
-  let n = Array.length rids in
-  let rec go i = if i >= n then None else if rids.(i) = r then Some i else go (i + 1) in
-  go 0
-
 (* {2 Per-event planners} *)
 
-(* Manual repair for a reviewer leaving (or being conflicted off a
-   paper): keep the rest of each affected group and greedy-fill the
-   hole, threading capacity deltas across papers via [adj]. *)
+(* The late-change planner, for a reviewer leaving (or being
+   conflicted off a paper): keep the rest of each affected group and
+   greedy-fill the hole under the bid weights, threading capacity
+   deltas across papers via [adj]. *)
 let refill_holes ?deadline t ~banned ~affected =
   let adj = Hashtbl.create 8 in
   let adj_of r = Option.value ~default:0 (Hashtbl.find_opt adj r) in
@@ -462,61 +376,6 @@ let affected_papers t r =
        (fun p g acc -> if List.mem r g then p :: acc else acc)
        t.groups [])
 
-let plan_reviewer_leave ?deadline t ~reviewer =
-  let affected = affected_papers t reviewer in
-  if affected = [] then { ops = []; reasons = [] }
-  else
-    let manual extra_reasons =
-      let planned = refill_holes ?deadline t ~banned:[ reviewer ] ~affected in
-      { planned with reasons = extra_reasons @ planned.reasons }
-    in
-    if not (amendable t) then manual []
-    else
-      match to_dense t with
-      | None -> manual []
-      | Some (inst, pids, rids, a, gm) -> (
-          match ridx_of rids reviewer with
-          | None -> manual []
-          | Some ri -> (
-              match Amend.withdraw_reviewer ~gains:gm inst a ~reviewer:ri with
-              | Ok change -> { ops = ops_of_change rids pids change; reasons = [] }
-              | Error e ->
-                  manual [ Solver.Fault { link = "amend-withdraw"; error = e } ]))
-
-let plan_coi_add ?deadline t ~paper ~reviewer =
-  let g = Hashtbl.find t.groups paper in
-  if not (List.mem reviewer g) then { ops = []; reasons = [] }
-  else
-    let manual extra_reasons =
-      (* the conflicted pair is not in [t.coi] yet; ban the reviewer
-         explicitly for this paper's refill *)
-      let have = List.filter (fun r -> r <> reviewer) g in
-      let pvec = Hashtbl.find t.papers paper in
-      let adj r = if r = reviewer then 1 else 0 in
-      let cands = candidates ~adj ~banned:[ reviewer ] ~members:have t ~paper in
-      let group, rs = greedy_fill ?deadline t ~paper ~pvec ~have cands in
-      let ops = [ Event.Set_group { paper; group } ] in
-      let ops =
-        if List.length group < t.delta_p then ops @ [ Event.Pend paper ] else ops
-      in
-      { ops; reasons = extra_reasons @ rs }
-    in
-    if not (amendable t) then manual []
-    else
-      match to_dense t with
-      | None -> manual []
-      | Some (inst, pids, rids, a, gm) -> (
-          let pi = ref (-1) in
-          Array.iteri (fun i p -> if p = paper then pi := i) pids;
-          match ridx_of rids reviewer with
-          | None -> manual []
-          | Some ri -> (
-              match Amend.add_coi ~gains:gm inst a [ (!pi, ri) ] with
-              | Ok (_inst', change) ->
-                  { ops = ops_of_change rids pids change; reasons = [] }
-              | Error e ->
-                  manual [ Solver.Fault { link = "amend-coi"; error = e } ]))
-
 let plan ?deadline t (req : Event.req) =
   match req with
   | Event.Paper_add { paper; vec } ->
@@ -534,8 +393,16 @@ let plan ?deadline t (req : Event.req) =
          it; both are picked up by the idle improvement pass, which the
          server re-arms after every mutation *)
       { ops = []; reasons = [] }
-  | Event.Reviewer_leave { reviewer } -> plan_reviewer_leave ?deadline t ~reviewer
-  | Event.Coi_add { paper; reviewer } -> plan_coi_add ?deadline t ~paper ~reviewer
+  | Event.Reviewer_leave { reviewer } ->
+      refill_holes ?deadline t ~banned:[ reviewer ]
+        ~affected:(affected_papers t reviewer)
+  | Event.Coi_add { paper; reviewer } ->
+      (* the conflicted pair is not in [t.coi] yet; ban the reviewer
+         explicitly for this paper's refill *)
+      let affected =
+        if List.mem reviewer (Hashtbl.find t.groups paper) then [ paper ] else []
+      in
+      refill_holes ?deadline t ~banned:[ reviewer ] ~affected
   | Event.Bid_update { paper; reviewer; weight } ->
       let override = (reviewer, weight) in
       let old = Hashtbl.find t.groups paper in
@@ -620,45 +487,7 @@ let purge_pairs tbl which id =
   in
   List.iter (Hashtbl.remove tbl) doomed
 
-(* Keep the resident dense view in step with a membership change: any
-   roster mutation changes the index mapping and drops the view; a late
-   conflict keeps it — the instance is rebuilt with the extra COI and
-   the gain matrix rebound in place, which preserves every warm row
-   (gain rows never read the COI mask). *)
-let sync_dense t (req : Event.req) =
-  match req with
-  | Event.Paper_add _ | Event.Paper_withdraw _ | Event.Reviewer_join _
-  | Event.Reviewer_leave _ ->
-      t.dense <- None
-  | Event.Bid_update _ ->
-      (* bids are not represented in the dense view *)
-      ()
-  | Event.Coi_add { paper; reviewer } -> (
-      match t.dense with
-      | None -> ()
-      | Some d -> (
-          match
-            (Hashtbl.find_opt d.d_pidx paper, Hashtbl.find_opt d.d_ridx reviewer)
-          with
-          | Some pi, Some ri -> (
-              match Instance.add_coi d.d_inst [ (pi, ri) ] with
-              | Ok inst' -> (
-                  (* keep the scoring view in step: same COI extension
-                     over the (possibly transformed) view instance *)
-                  let view' =
-                    if d.d_view == d.d_inst then Ok inst'
-                    else Instance.add_coi d.d_view [ (pi, ri) ]
-                  in
-                  match view' with
-                  | Ok view' ->
-                      Gain_matrix.rebind d.d_gm view';
-                      t.dense <- Some { d with d_inst = inst'; d_view = view' }
-                  | Error _ -> t.dense <- None)
-              | Error _ -> t.dense <- None)
-          | _ -> t.dense <- None))
-
 let apply_membership t (req : Event.req) =
-  sync_dense t req;
   match req with
   | Event.Paper_add { paper; vec } ->
       if Hashtbl.mem t.papers paper then failc "duplicate paper %d" paper;
@@ -783,9 +612,6 @@ let commit t entry =
       Ok ()
     with Commit_error m ->
       restore t saved;
-      (* The rolled-back fold may have already rebound or relied on the
-         dense view; dropping it is always safe, keeping it is not. *)
-      t.dense <- None;
       Error m
   end
 

@@ -10,9 +10,10 @@
 
     - {!plan} is {e pure}: it computes, under an optional wall-clock
       deadline, the ops (group changes, pending marks) the event should
-      cause, running a minimal re-solve — {!Wgrap.Amend} when the dense
-      assignment is amendable, a single-paper {!Wgrap.Solver.jra}
-      otherwise, and a greedy hole-fill as the degraded backstop. The
+      cause, running a minimal re-solve — a single-paper
+      {!Wgrap.Solver.jra} for a new paper or a bid change, and a
+      bid-weighted greedy refill of the broken groups for a reviewer
+      leaving or a late conflict (also the degraded backstop). The
       result may depend on the wall clock; that is fine, because
     - {!commit} applies a journal {e entry} (event + planned ops) and is
       strictly deterministic: the same entry sequence folded over the
@@ -53,9 +54,8 @@ val objective : t -> Wgrap.Objective.spec
 
 val set_objective : t -> Wgrap.Objective.spec -> (unit, string) result
 (** Swap the resident objective (e.g. after {!decode}, which always
-    restores coverage); drops the resident dense view so the next plan
-    rebuilds it over the new scoring view. Fails on a dimension
-    mismatch, leaving the state unchanged. *)
+    restores coverage); the next plan and {!summary} use it. Fails on a
+    dimension mismatch, leaving the state unchanged. *)
 
 val applied : t -> int
 (** Sequence number of the last committed journal entry (0 = none). *)
@@ -86,10 +86,13 @@ val query : t -> int -> answer option
 
 val summary : t -> Wgrap.Summary.t option
 (** Full summary (coverage, fairness, workload, objective value) of the
-    committed groups over the resident dense view, under the resident
-    objective — the payload of the service's [stats] read. [None] while
-    the roster cannot be mapped onto a dense instance (no papers or no
-    reviewers, or an objective whose parameters do not fit it). *)
+    committed groups under the resident objective — the payload of the
+    service's [stats] read. Builds a dense instance from the roster on
+    each call; an over-subscribed committee still gets a report (the
+    report instance caps [delta_p] at the reviewer count and raises
+    [delta_r] to the balanced minimum, neither of which a reported value
+    reads). [None] with no papers or no reviewers, or under an objective
+    whose parameters do not fit the roster. *)
 
 (** {2 Plan} *)
 
@@ -98,16 +101,15 @@ val validate_req : t -> Event.req -> (unit, string) result
     dimension, conflicted bid, ...). {!plan} assumes its input passed. *)
 
 type planned = { ops : Event.op list; reasons : Wgrap.Solver.reason list }
-(** [reasons] non-empty means the answer is degraded (deadline cut a
-    re-solve short, or an [Amend] repair fell back to greedy). *)
+(** [reasons] non-empty means the answer is degraded (the deadline cut
+    a re-solve or a refill short). *)
 
 val plan :
   ?deadline:Wgrap_util.Timer.deadline -> t -> Event.req -> planned
-(** Pure with respect to observable state ({!encode} is unchanged, so
-    replay determinism is unaffected); internally it fills and reuses a
-    resident dense view — one {!Wgrap.Instance.t} plus one shared
-    {!Wgrap.Gain_matrix.t} maintained incrementally across events
-    instead of rebuilt per event. Never raises. *)
+(** Pure: the state is unchanged, so replay determinism is unaffected.
+    The answer depends only on the committed state and the event (and
+    the deadline) — a late change gets the same repair whatever else is
+    pending. Never raises. *)
 
 type improvement =
   | Improved of Event.op list  (** journal these ops as an [Improve] entry *)

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Chaos soak for the kill-safe service mode (`wgrap serve`).
 #
-# Feeds a generated event stream — salted with hostile lines (garbage,
+# Feeds a generated event stream — with ~3% reviewer-leaves (each
+# followed by a fresh reviewer-join) so the late-change refill runs
+# through the kill and the resume, and salted with hostile lines (garbage,
 # duplicate/stale ids, wrong-dimension vectors, unknown verbs) — into a
 # durable serve session at a paced rate, SIGKILLs the server at a
 # random point mid-stream, then:
@@ -41,14 +43,22 @@ awk -v seed="$SEED" -v n="$N_EVENTS" -v dim=8 '
   }
   BEGIN {
     srand(seed)
-    id = 0; np = 0; nr = 6
-    for (r = 0; r < nr; r++) print ++id " reviewer-join " r " " vec()
+    # live[] holds the current committee; a reviewer-leave is followed
+    # by a reviewer-join with a fresh id, so the pool stays at nr
+    id = 0; np = 0; nr = 6; nextr = nr
+    for (r = 0; r < nr; r++) { live[r] = r; print ++id " reviewer-join " r " " vec() }
     for (e = 0; e < n; e++) {
       u = rand()
       if (u < 0.55 || np == 0)      { print ++id " paper-add " np " " vec(); np++ }
-      else if (u < 0.65) print ++id " coi-add " int(rand() * np) " " int(rand() * nr)
-      else if (u < 0.73) print ++id " bid-update " int(rand() * np) " " int(rand() * nr) " " sprintf("%.3f", rand() * 2)
+      else if (u < 0.65) print ++id " coi-add " int(rand() * np) " " live[int(rand() * nr)]
+      else if (u < 0.73) print ++id " bid-update " int(rand() * np) " " live[int(rand() * nr)] " " sprintf("%.3f", rand() * 2)
       else if (u < 0.78) print ++id " paper-withdraw " int(rand() * np)
+      else if (u < 0.81) {
+        k = int(rand() * nr)
+        print ++id " reviewer-leave " live[k]
+        live[k] = nextr++
+        print ++id " reviewer-join " live[k] " " vec()
+      }
       else if (u < 0.88) print ++id " query " int(rand() * np)
       # hostile tail: the loop must reject these and keep going
       else if (u < 0.91) print "garbage from a confused client"

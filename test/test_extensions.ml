@@ -256,89 +256,6 @@ let test_bids_refine_never_worse () =
   Alcotest.(check bool) "no regression" true
     (blended inst bids refined >= blended inst bids start -. 1e-9)
 
-(* {1 Amend: late changes} *)
-
-let test_withdraw_reviewer () =
-  let rng = Rng.create 88 in
-  (* Slack capacity so a withdrawal is absorbable. *)
-  let inst = tiny_instance rng ~n_p:10 ~n_r:6 ~dp:2 ~dr:6 in
-  let original = Sdga.solve inst in
-  let victim =
-    (* A reviewer that actually has papers. *)
-    let w = Assignment.workloads original ~n_reviewers:6 in
-    let best = ref 0 in
-    Array.iteri (fun r load -> if load > w.(!best) then best := r) w;
-    !best
-  in
-  match Amend.withdraw_reviewer inst original ~reviewer:victim with
-  | Error e -> Alcotest.fail e
-  | Ok change ->
-      Alcotest.(check bool) "feasible" true
-        (Assignment.is_feasible inst change.Amend.assignment);
-      (* The withdrawn reviewer holds nothing. *)
-      Alcotest.(check int) "no papers left" 0
-        (Assignment.workloads change.Amend.assignment ~n_reviewers:6).(victim);
-      (* Untouched papers keep their groups verbatim. *)
-      for p = 0 to 9 do
-        if not (List.mem p change.Amend.touched_papers) then
-          Alcotest.(check (list int))
-            (Printf.sprintf "paper %d untouched" p)
-            (List.sort compare (Assignment.group original p))
-            (List.sort compare (Assignment.group change.Amend.assignment p))
-      done;
-      (* Touched = exactly the victim's old papers. *)
-      let expected =
-        List.filteri (fun _ _ -> true)
-          (List.concat
-             (List.map
-                (fun p -> if List.mem victim (Assignment.group original p) then [ p ] else [])
-                (List.init 10 Fun.id)))
-      in
-      Alcotest.(check (list int)) "touched set" expected change.Amend.touched_papers
-
-let test_withdraw_bad_reviewer () =
-  let rng = Rng.create 89 in
-  let inst = tiny_instance rng ~n_p:4 ~n_r:4 ~dp:2 ~dr:3 in
-  let a = Sdga.solve inst in
-  match Amend.withdraw_reviewer inst a ~reviewer:99 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected range error"
-
-let test_withdraw_infeasible_capacity () =
-  (* Exactly tight capacity: removing any reviewer cannot be repaired. *)
-  let inst =
-    Instance.create_exn
-      ~papers:[| [| 1.; 0. |]; [| 0.; 1. |] |]
-      ~reviewers:[| [| 1.; 0. |]; [| 0.; 1. |] |]
-      ~delta_p:1 ~delta_r:1 ()
-  in
-  let a = Assignment.of_pairs ~n_papers:2 [ (0, 0); (1, 1) ] in
-  match Amend.withdraw_reviewer inst a ~reviewer:0 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected capacity error"
-
-let test_add_coi_repairs () =
-  let rng = Rng.create 90 in
-  let inst = tiny_instance rng ~n_p:10 ~n_r:6 ~dp:2 ~dr:6 in
-  let original = Sdga.solve inst in
-  (* Forbid the first two pairs of paper 0's group, plus one unassigned
-     pair (which must not touch anything). *)
-  let group0 = Assignment.group original 0 in
-  let pairs = List.map (fun r -> (0, r)) group0 @ [ (5, 0) ] in
-  match Amend.add_coi inst original pairs with
-  | Error e -> Alcotest.fail e
-  | Ok (inst', change) ->
-      Alcotest.(check bool) "feasible under new instance" true
-        (Assignment.is_feasible inst' change.Amend.assignment);
-      (* Paper 0's whole group was replaced (two rounds of refill). *)
-      List.iter
-        (fun r ->
-          Alcotest.(check bool) "conflicted reviewer gone" false
-            (List.mem r (Assignment.group change.Amend.assignment 0)))
-        group0;
-      Alcotest.(check (list int)) "only paper 0 touched" [ 0 ]
-        change.Amend.touched_papers
-
 let () =
   Alcotest.run "extensions"
     [
@@ -356,13 +273,6 @@ let () =
         [
           Alcotest.test_case "tsv roundtrip" `Quick test_assignment_tsv_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_assignment_tsv_rejects_garbage;
-        ] );
-      ( "amend",
-        [
-          Alcotest.test_case "withdraw reviewer" `Quick test_withdraw_reviewer;
-          Alcotest.test_case "withdraw bad index" `Quick test_withdraw_bad_reviewer;
-          Alcotest.test_case "withdraw infeasible" `Quick test_withdraw_infeasible_capacity;
-          Alcotest.test_case "late coi" `Quick test_add_coi_repairs;
         ] );
       ( "bids",
         [

@@ -239,62 +239,53 @@ let column_sums inst =
     (Instance.score_matrix inst);
   sums
 
-(* A row's cells as (reviewer, gain), in visiting order. *)
-let row_cells gm ~paper =
-  List.rev
-    (Gain_matrix.fold_row gm ~paper ~init:[] (fun acc ~reviewer ~gain ->
-         (reviewer, gain) :: acc))
-
-(* rebind keeps rows across a COI change and re-derives them across a
-   scoring change, at both widths; the Eq. 9 sums follow the new
-   instance either way. *)
-let test_gain_matrix_rebind () =
+(* A fresh matrix over an instance carrying one extra conflict on a
+   pair that scores under every kind, at both widths: rows match the
+   dense oracle, and the Eq. 9 sums exclude the new conflict — it moved
+   them. *)
+let test_gain_matrix_extra_coi () =
   List.iter
     (fun k ->
       let rng = Rng.create 37 in
       let inst = random_instance rng ~n_p:6 ~n_r:10 ~dim:8 in
       let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
-      let gm = Gain_matrix.create ~candidates:k inst in
-      Alcotest.(check bool) "width" (k > 0) (Gain_matrix.pruned gm);
       let groups =
         Array.init n_p (fun p ->
             List.sort_uniq compare [ (p + 1) mod n_r; (p + 3) mod n_r ])
       in
-      Array.iteri (fun p g -> Gain_matrix.set_group gm ~paper:p g) groups;
-      let cells = Array.init n_p (fun p -> row_cells gm ~paper:p) in
-      let versions = Array.init n_p (fun p -> Gain_matrix.version gm ~paper:p) in
-      ignore (Gain_matrix.column_denominators gm);
-      (* A new conflict on a pair that scores, so the sums must move. *)
       let pair =
         List.find
           (fun (p, r) ->
             (not (Instance.forbidden inst ~paper:p ~reviewer:r))
-            && Instance.pair_score inst ~paper:p ~reviewer:r > 0.)
+            && List.for_all
+                 (fun kind ->
+                   Instance.pair_score (Instance.with_scoring inst kind)
+                     ~paper:p ~reviewer:r
+                   > 0.)
+                 Scoring.all)
           (List.concat_map
              (fun p -> List.init n_r (fun r -> (p, r)))
              (List.init n_p Fun.id))
       in
-      let coi_inst = Result.get_ok (Instance.add_coi inst [ pair ]) in
-      Gain_matrix.rebind gm coi_inst;
-      for p = 0 to n_p - 1 do
-        Alcotest.(check int) "version kept" versions.(p)
-          (Gain_matrix.version gm ~paper:p);
-        Alcotest.(check (list (pair int (float 0.))))
-          "row kept" cells.(p) (row_cells gm ~paper:p)
-      done;
-      let expected = column_sums coi_inst in
-      Alcotest.(check bool) "COI moved the sums" false
-        (expected = column_sums inst);
-      Alcotest.(check (array (float 0.)))
-        "sums follow the new COI" expected
-        (Gain_matrix.column_denominators gm);
       List.iter
         (fun kind ->
-          let kind_inst = Instance.with_scoring coi_inst kind in
-          Gain_matrix.rebind gm kind_inst;
-          check_rows kind_inst gm groups;
+          let name = Scoring.name kind in
+          let base = Instance.with_scoring inst kind in
+          let coi_inst =
+            Instance.create_exn ~scoring:kind
+              ~coi:(pair :: Instance.coi_pairs inst)
+              ~papers:inst.Instance.papers ~reviewers:inst.Instance.reviewers
+              ~delta_p:inst.Instance.delta_p ~delta_r:inst.Instance.delta_r ()
+          in
+          let gm = Gain_matrix.create ~candidates:k coi_inst in
+          Alcotest.(check bool) "width" (k > 0) (Gain_matrix.pruned gm);
+          Array.iteri (fun p g -> Gain_matrix.set_group gm ~paper:p g) groups;
+          check_rows coi_inst gm groups;
+          let expected = column_sums coi_inst in
+          Alcotest.(check bool) (name ^ ": COI moved the sums") false
+            (expected = column_sums base);
           Alcotest.(check (array (float 0.)))
-            (Scoring.name kind ^ " sums") (column_sums kind_inst)
+            (name ^ " sums") expected
             (Gain_matrix.column_denominators gm))
         Scoring.all)
     [ 0; 4 ]
@@ -474,7 +465,8 @@ let () =
             test_gain_matrix_incremental;
           Alcotest.test_case "versions monotone" `Quick
             test_gain_matrix_version_monotone;
-          Alcotest.test_case "rebind" `Quick test_gain_matrix_rebind;
+          Alcotest.test_case "extra COI on a fresh matrix" `Quick
+            test_gain_matrix_extra_coi;
         ] );
       ( "denominators",
         [ Alcotest.test_case "one source of truth" `Quick test_denominators_agree ] );

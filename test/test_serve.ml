@@ -1,6 +1,7 @@
 (* The service-mode suite: protocol and journal codecs round-trip bit
    for bit, hostile input never crashes the loop, admission sheds under
-   overload, the Amend repair path survives adversarial late changes,
+   overload, the late-change refill survives adversarial late changes
+   and repairs only the groups they broke,
    and — the headline property — a kill at any point followed by
    [--resume] replays to a state byte-identical to a fresh fold over
    the acknowledged journal prefix, across ≥60 random seeds with chaos
@@ -184,7 +185,7 @@ let populated rng ~dim ~delta_p ~delta_r ~n_r ~n_p =
   done;
   (st, id)
 
-(* {1 Amend adversarial properties} *)
+(* {1 Late-change adversarial properties} *)
 
 (* A conflict surfacing on an already-assigned pair must evict the
    reviewer from that paper's group and leave a certified state. *)
@@ -287,6 +288,92 @@ let amend_withdraw_mid_improvement_test =
       certify st;
       true)
 
+(* The late-change planner repairs only what the change broke: its
+   [Set_group] ops name exactly the papers whose group held the
+   reviewer, every other group stays as announced, the reviewer ends up
+   holding none of those papers, and the state certifies. Bids and a
+   random capacity make some states pending and some committees tight. *)
+let late_change_property ~name ~leave =
+  QCheck.Test.make ~name ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n_r = 3 + Rng.int rng 4 and n_p = 3 + Rng.int rng 4 in
+      let st, id =
+        populated rng ~dim:3 ~delta_p:2 ~delta_r:(1 + Rng.int rng 3) ~n_r ~n_p
+      in
+      for _ = 1 to Rng.int rng 4 do
+        let req =
+          Event.Bid_update
+            {
+              paper = Rng.int rng n_p;
+              reviewer = Rng.int rng n_r;
+              weight = 2. *. Rng.uniform rng;
+            }
+        in
+        incr id;
+        ignore (apply_req st ~id:!id req : (unit, string) result)
+      done;
+      let groups () =
+        List.init n_p (fun p -> Option.value ~default:[] (State.group st p))
+      in
+      let held =
+        List.filter (fun (_, g) -> g <> []) (List.mapi (fun p g -> (p, g)) (groups ()))
+      in
+      match held with
+      | [] -> QCheck.assume_fail ()
+      | _ ->
+          let paper, g = List.nth held (Rng.int rng (List.length held)) in
+          let reviewer = List.nth g (Rng.int rng (List.length g)) in
+          let req =
+            if leave then Event.Reviewer_leave { reviewer }
+            else Event.Coi_add { paper; reviewer }
+          in
+          let before = groups () in
+          let holders =
+            List.filter
+              (fun p ->
+                List.mem reviewer (List.nth before p) && (leave || p = paper))
+              (List.init n_p Fun.id)
+          in
+          let planned = State.plan st req in
+          let touched =
+            List.filter_map
+              (function Event.Set_group { paper; _ } -> Some paper | _ -> None)
+              planned.State.ops
+          in
+          if List.sort compare touched <> holders then
+            QCheck.Test.fail_reportf "ops touch papers [%s], holders are [%s]"
+              (String.concat "," (List.map string_of_int touched))
+              (String.concat "," (List.map string_of_int holders));
+          incr id;
+          get_ok ~msg:"commit late change"
+            (State.commit st
+               (Event.Client
+                  {
+                    seq = State.applied st + 1;
+                    id = !id;
+                    req;
+                    ops = planned.State.ops;
+                  }));
+          List.iteri
+            (fun p g ->
+              if List.mem p holders then begin
+                if List.mem reviewer g then
+                  QCheck.Test.fail_reportf "reviewer %d still holds paper %d"
+                    reviewer p
+              end
+              else if g <> List.nth before p then
+                QCheck.Test.fail_reportf "untouched paper %d changed group" p)
+            (groups ());
+          certify st;
+          true)
+
+let leave_touches_holders_test =
+  late_change_property ~name:"withdraw reviewer" ~leave:true
+
+let coi_touches_holder_test = late_change_property ~name:"late coi" ~leave:false
+
 (* {1 Hostile input at the server boundary} *)
 
 let volatile_server ?(dim = 3) () =
@@ -344,6 +431,67 @@ let test_reads () =
     (not (String.contains s '\n'));
   let miss = Server.handle_line t "7 query 42" in
   Alcotest.(check bool) "unknown paper is err" true (has_prefix ~prefix:"err " miss)
+
+(* An over-subscribed committee (6 slots, 4 of capacity) still gets the
+   full report, not counters only. *)
+let test_stats_oversubscribed () =
+  let t =
+    get_ok ~msg:"server create"
+      (Server.create (Server.default ~dim:2 ~delta_p:2 ~delta_r:2))
+  in
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("accepted: " ^ l) true
+        (has_prefix ~prefix:"ok " (Server.handle_line t l)))
+    [
+      "1 reviewer-join 0 0.6,0.4";
+      "2 reviewer-join 1 0.3,0.7";
+      "3 paper-add 0 0.5,0.5";
+      "4 paper-add 1 0.9,0.1";
+      "5 paper-add 2 0.2,0.8";
+    ];
+  (match State.summary (Server.state t) with
+  | Some s -> Alcotest.(check int) "summary papers" 3 s.Wgrap.Summary.n_papers
+  | None -> Alcotest.fail "no summary for an over-subscribed committee");
+  let stats = Server.handle_line t "6 stats" in
+  Alcotest.(check bool) "stats carries the coverage mean" true
+    (contains ~sub:{|"coverage": {"total": |} stats
+    && contains ~sub:{|, "mean": |} stats)
+
+(* A late conflict gets one answer whatever else is pending: the bid on
+   reviewer 2 steers paper 10's refill, with or without paper 11 (which
+   no reviewer can cover, so it stays pending). *)
+let test_late_change_one_answer () =
+  let group_of ~with_pending =
+    let t =
+      get_ok ~msg:"server create"
+        (Server.create (Server.default ~dim:2 ~delta_p:1 ~delta_r:1))
+    in
+    let lines =
+      (if with_pending then [ "0 paper-add 11 0,1" ] else [])
+      @ [
+          "1 reviewer-join 0 1,0";
+          "2 reviewer-join 1 0.9,0";
+          "3 reviewer-join 2 0.8,0";
+          "4 reviewer-join 3 0.1,0";
+          "5 paper-add 10 1,0";
+          "6 bid-update 10 2 2";
+          "7 coi-add 10 0";
+        ]
+    in
+    List.iter
+      (fun l ->
+        Alcotest.(check bool) ("accepted: " ^ l) true
+          (has_prefix ~prefix:"ok " (Server.handle_line t l)))
+      lines;
+    Alcotest.(check bool) "query answers the refilled group" true
+      (contains ~sub:"group=2" (Server.handle_line t "8 query 10"));
+    State.group (Server.state t) 10
+  in
+  Alcotest.(check (option (list int))) "nothing pending" (Some [ 2 ])
+    (group_of ~with_pending:false);
+  Alcotest.(check (option (list int))) "paper 11 pending" (Some [ 2 ])
+    (group_of ~with_pending:true)
 
 (* Any chaos-corrupted client stream: every line gets exactly one
    response, nothing raises, and the surviving state still certifies. *)
@@ -908,11 +1056,15 @@ let () =
             test_entry_roundtrip;
           Alcotest.test_case "vector codec bit-exact" `Quick test_vec_roundtrip;
         ] );
+      (* the late-change group keeps its historical name so test ids
+         stay stable *)
       ( "amend",
         [
           QCheck_alcotest.to_alcotest amend_coi_on_assigned_test;
           QCheck_alcotest.to_alcotest amend_leave_at_capacity_test;
           QCheck_alcotest.to_alcotest amend_withdraw_mid_improvement_test;
+          QCheck_alcotest.to_alcotest leave_touches_holders_test;
+          QCheck_alcotest.to_alcotest coi_touches_holder_test;
         ] );
       ( "hostile",
         [
@@ -920,6 +1072,10 @@ let () =
           Alcotest.test_case "semantic rejections" `Quick
             test_semantic_rejections;
           Alcotest.test_case "reads" `Quick test_reads;
+          Alcotest.test_case "stats on an over-subscribed committee" `Quick
+            test_stats_oversubscribed;
+          Alcotest.test_case "one answer per late change" `Quick
+            test_late_change_one_answer;
           QCheck_alcotest.to_alcotest hostile_stream_test;
         ] );
       ( "admission",
