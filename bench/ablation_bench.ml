@@ -1,7 +1,7 @@
 (* Ablations for the design choices DESIGN.md calls out:
    - BBA's cursor bound (Eq. 3) vs unpruned search;
    - the lazy-heap Greedy vs a full rescan;
-   - SDGA's min-cost-flow stage solver vs replicated-column Hungarian;
+   - the Hungarian algorithm vs min-cost flow on identical LAP matrices;
    - SRA's Eq. 10 probability model vs uniform removal. *)
 
 module Rng = Wgrap_util.Rng
@@ -70,28 +70,6 @@ let ablation_greedy_heap ctx =
   Report.table
     ~header:[ "dataset"; "lazy"; "rescan"; "c(lazy)"; "c(rescan)" ]
     ~rows ctx.Context.fmt
-
-let ablation_stage_solver ctx =
-  Context.section ctx "Ablation: SDGA stage solver (min-cost flow vs Hungarian)";
-  let rows =
-    List.map
-      (fun name ->
-        let inst = Context.instance ctx name ~delta_p:3 in
-        let a, t_hung = Timer.time (fun () -> Sdga.solve inst) in
-        let b, t_flow = Timer.time (fun () -> Sdga.solve_flow inst) in
-        [
-          name;
-          Report.seconds_cell t_hung;
-          Report.seconds_cell t_flow;
-          Report.float_cell (Assignment.coverage inst a);
-          Report.float_cell (Assignment.coverage inst b);
-        ])
-      [ "DB08"; "DM08" ]
-  in
-  Report.table
-    ~header:[ "dataset"; "hungarian (default)"; "flow"; "c(hungarian)"; "c(flow)" ]
-    ~rows ctx.Context.fmt;
-  Context.note ctx "(stage optima coincide; only constants differ)@."
 
 let ablation_sra_prob ctx =
   Context.section ctx
@@ -201,9 +179,9 @@ let fig1_drawbacks ctx =
     "(the gap is the \"topic equilibrium problem\": set coverage treats all@ \
      paper topics as equally important)@."
 
-(* Three LAP backends on identical stage matrices. *)
+(* The paper's two Stage-WGRAP solvers on identical LAP matrices. *)
 let ablation_lap_solvers ctx =
-  Context.section ctx "Ablation: LAP backends (Hungarian / min-cost flow / auction)";
+  Context.section ctx "Ablation: LAP backends (Hungarian / min-cost flow)";
   let rng = Context.rng_for ctx 555 in
   let rows =
     List.map
@@ -212,7 +190,6 @@ let ablation_lap_solvers ctx =
           Array.init n (fun _ -> Array.init n (fun _ -> Rng.float rng 1.))
         in
         let (_, v_h), t_h = Timer.time (fun () -> Lap.Hungarian.maximize score) in
-        let (_, v_a), t_a = Timer.time (fun () -> Lap.Auction.maximize score) in
         let flows, t_f =
           Timer.time (fun () ->
               Lap.Mcmf.transportation ~row_supply:(Array.make n 1)
@@ -222,16 +199,14 @@ let ablation_lap_solvers ctx =
         Array.iteri
           (fun i cols -> List.iter (fun j -> v_f := !v_f +. score.(i).(j)) cols)
           flows;
-        let agree = Float.abs (v_h -. !v_f) < 1e-6 && Float.abs (v_h -. v_a) < 1e-4 in
         [
           string_of_int n;
           Report.seconds_cell t_h;
           Report.seconds_cell t_f;
-          Report.seconds_cell t_a;
-          (if agree then "yes" else "NO");
+          (if Float.abs (v_h -. !v_f) < 1e-6 then "yes" else "NO");
         ])
       [ 50; 100; 200 ]
   in
   Report.table
-    ~header:[ "n"; "hungarian"; "mcmf"; "auction"; "optima agree" ]
+    ~header:[ "n"; "hungarian"; "mcmf"; "optima agree" ]
     ~rows ctx.Context.fmt

@@ -57,7 +57,9 @@ let tests () =
     (* Figures 12/16: one SRA round's two kernels. *)
     Test.make ~name:"fig12/stage_refill"
       (Staged.stage (fun () ->
-           Stage.solve inst ~current:(Assignment.empty ~n_papers:60)
+           (* A fresh matrix per run: times row computation plus the LAP. *)
+           Stage.solve ~gains:(Gain_matrix.create inst) inst
+             ~current:(Assignment.empty ~n_papers:60)
              ~capacity:(Array.make 20 9)));
     Test.make ~name:"fig12/coverage_eval"
       (Staged.stage (fun () -> Assignment.coverage inst sdga));

@@ -29,7 +29,6 @@ let experiments : (string * string * (Context.t -> unit)) list =
     ("fig21", "alternative scoring functions + h-index", Misc_bench.fig21);
     ("ablation_bba_bound", "BBA bounding ablation", Ablation_bench.ablation_bba_bound);
     ("ablation_greedy_heap", "greedy heap ablation", Ablation_bench.ablation_greedy_heap);
-    ("ablation_stage_solver", "SDGA stage-solver ablation", Ablation_bench.ablation_stage_solver);
     ("ablation_sra_prob", "SRA probability-model ablation", Ablation_bench.ablation_sra_prob);
     ("extension_bids", "bid-aware assignment extension", Ablation_bench.extension_bids);
     ("fig1_drawbacks", "drawbacks of earlier RAP formulations", Ablation_bench.fig1_drawbacks);

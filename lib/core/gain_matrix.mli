@@ -1,9 +1,9 @@
 (** Shared incremental gain-matrix layer.
 
     Per-paper rows of marginal coverage gains (Definition 8) w.r.t. a
-    maintained group vector per paper, shared by {!Stage.solve},
-    {!Stage.solve_flow}, {!Sdga}, {!Greedy} and {!Sra} through their
-    [?gains] parameters. Rows live in Bigarray (Float64, C-layout)
+    maintained group vector per paper, shared by {!Stage.solve} (its
+    [~gains] argument), and by {!Sdga}, {!Greedy} and {!Sra} through
+    [ctx.gains]. Rows live in Bigarray (Float64, C-layout)
     buffers allocated lazily on first touch — outside the OCaml heap,
     so pool domains read them without GC traffic — and are versioned
     per paper, like the lazy greedy heap entries: a group update bumps

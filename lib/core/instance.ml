@@ -4,7 +4,7 @@ type t = {
   delta_p : int;
   delta_r : int;
   scoring : Scoring.kind;
-  coi : bool array array option;
+  coi : int array array;
   psupp : Topic_vector.support array;
   rsupp : Topic_vector.support array;
   cindex : Candidate_index.t;
@@ -46,22 +46,21 @@ let create ?(scoring = Scoring.Weighted_coverage) ?(coi = []) ~papers ~reviewers
       Error "not enough reviewer capacity: R * delta_r < P * delta_p"
     else Ok ()
   in
-  let* coi_matrix =
-    match coi with
-    | [] -> Ok None
-    | pairs ->
-        let m = Array.make_matrix p r false in
-        let rec fill = function
-          | [] -> Ok (Some m)
-          | (pi, ri) :: rest ->
-              if pi < 0 || pi >= p || ri < 0 || ri >= r then
-                Error "COI pair out of range"
-              else begin
-                m.(pi).(ri) <- true;
-                fill rest
-              end
-        in
-        fill pairs
+  let* () =
+    if List.exists (fun (pi, ri) -> pi < 0 || pi >= p || ri < 0 || ri >= r) coi
+    then Error "COI pair out of range"
+    else Ok ()
+  in
+  (* Per-paper sorted, deduplicated reviewer ids; papers without a
+     conflict share the one empty array, so memory follows the number
+     of conflicts, never P x R. *)
+  let by_paper = Array.make p [] in
+  List.iter (fun (pi, ri) -> by_paper.(pi) <- ri :: by_paper.(pi)) coi;
+  let coi =
+    Array.map
+      (function
+        | [] -> [||] | rs -> Array.of_list (List.sort_uniq Int.compare rs))
+      by_paper
   in
   let rsupp = Array.map Topic_vector.support reviewers in
   Ok
@@ -71,7 +70,7 @@ let create ?(scoring = Scoring.Weighted_coverage) ?(coi = []) ~papers ~reviewers
       delta_p;
       delta_r;
       scoring;
-      coi = coi_matrix;
+      coi;
       psupp = Array.map Topic_vector.support papers;
       rsupp;
       cindex = Candidate_index.create ~n_topics:dim ~reviewers:rsupp;
@@ -82,8 +81,20 @@ let create_exn ?scoring ?coi ~papers ~reviewers ~delta_p ~delta_r () =
   | Ok t -> t
   | Error msg -> invalid_arg ("Instance.create: " ^ msg)
 
+let conflicts t ~paper = t.coi.(paper)
+
+(* Binary search of the ascending [rs.(lo .. hi - 1)]; top-level so a
+   lookup allocates no closure. *)
+let rec mem_sorted rs x lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let c = Int.compare x rs.(mid) in
+  c = 0 || if c < 0 then mem_sorted rs x lo mid else mem_sorted rs x (mid + 1) hi
+
 let forbidden t ~paper ~reviewer =
-  match t.coi with None -> false | Some m -> m.(paper).(reviewer)
+  let rs = t.coi.(paper) in
+  mem_sorted rs reviewer 0 (Array.length rs)
 
 let paper_support t p = t.psupp.(p)
 let reviewer_support t r = t.rsupp.(r)
@@ -96,12 +107,7 @@ let pair_score t ~paper ~reviewer =
 let score_row t ~paper =
   let row = Array.make (n_reviewers t) 0. in
   Scoring.score_into t.scoring ~dst:row ~reviewers:t.rsupp t.psupp.(paper);
-  (match t.coi with
-  | None -> ()
-  | Some m ->
-      Array.iteri
-        (fun r bad -> if bad then row.(r) <- Lap.Hungarian.forbidden)
-        m.(paper));
+  Array.iter (fun r -> row.(r) <- Lap.Hungarian.forbidden) t.coi.(paper);
   row
 
 let score_matrix t = Array.init (n_papers t) (fun p -> score_row t ~paper:p)
@@ -135,12 +141,8 @@ let candidates t ~k ~paper =
     t.psupp.(paper)
 
 let coi_pairs t =
-  match t.coi with
-  | None -> []
-  | Some m ->
-      let acc = ref [] in
-      Array.iteri
-        (fun p row ->
-          Array.iteri (fun r bad -> if bad then acc := (p, r) :: !acc) row)
-        m;
-      List.rev !acc
+  let pairs = ref [] in
+  for p = n_papers t - 1 downto 0 do
+    pairs := Array.fold_right (fun r acc -> (p, r) :: acc) t.coi.(p) !pairs
+  done;
+  !pairs

@@ -8,7 +8,9 @@ type t = private {
   delta_p : int;  (** reviewers per paper (exactly) *)
   delta_r : int;  (** papers per reviewer (at most) *)
   scoring : Scoring.kind;
-  coi : bool array array option;  (** [coi.(p).(r)] forbids pair (r, p) *)
+  coi : int array array;
+      (** [coi.(p)]: paper [p]'s conflicted reviewers, ascending — read
+          through {!forbidden}, {!conflicts} and {!coi_pairs} *)
   psupp : Topic_vector.support array;  (** compiled paper supports *)
   rsupp : Topic_vector.support array;  (** compiled reviewer supports *)
   cindex : Candidate_index.t;  (** inverted topic → reviewer index *)
@@ -26,7 +28,9 @@ val create :
 (** Validates: non-empty sides, uniform dimensions, non-negative vectors,
     [1 <= delta_p <= R], [delta_r >= 1], capacity
     [R * delta_r >= P * delta_p], and COI pairs in range (given as
-    [(paper, reviewer)] index pairs). *)
+    [(paper, reviewer)] index pairs; duplicates are harmless). The
+    conflicts are stored per paper, in memory proportional to their
+    number. *)
 
 val create_exn :
   ?scoring:Scoring.kind ->
@@ -44,7 +48,13 @@ val n_reviewers : t -> int
 val n_topics : t -> int
 
 val forbidden : t -> paper:int -> reviewer:int -> bool
-(** Whether (reviewer, paper) is a conflict of interest. *)
+(** Whether (reviewer, paper) is a conflict of interest: a binary search
+    of the paper's {!conflicts}. *)
+
+val conflicts : t -> paper:int -> int array
+(** The reviewers in conflict with [paper], ascending and without
+    duplicates ([[||]] for most papers). The array is shared with the
+    instance: do not mutate it. *)
 
 val paper_support : t -> int -> Topic_vector.support
 val reviewer_support : t -> int -> Topic_vector.support
@@ -88,5 +98,6 @@ val candidates : t -> k:int -> paper:int -> int array
     whose support touches few reviewers. *)
 
 val coi_pairs : t -> (int * int) list
-(** The instance's conflicts as [(paper, reviewer)] pairs. *)
+(** The instance's conflicts as [(paper, reviewer)] pairs, ordered by
+    paper, then reviewer, without duplicates. *)
 

@@ -37,9 +37,12 @@ let make ?(scoring = Scoring.Weighted_coverage) ?excluded ~paper ~pool
 let of_instance ?(candidates = 0) inst ~paper =
   let n_r = Instance.n_reviewers inst in
   let coi_mask =
-    if inst.Instance.coi = None then None
-    else
-      Some (Array.init n_r (fun r -> Instance.forbidden inst ~paper ~reviewer:r))
+    match Instance.conflicts inst ~paper with
+    | [||] -> None
+    | rs ->
+        let mask = Array.make n_r false in
+        Array.iter (fun r -> mask.(r) <- true) rs;
+        Some mask
   in
   let excluded =
     if candidates <= 0 || candidates >= n_r then coi_mask

@@ -5,21 +5,21 @@ let approximation_ratio ~delta_p ~integral =
   let exponent = if integral then dp else dp -. 1. in
   1. -. ((1. -. (1. /. dp)) ** exponent)
 
-let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
-    ?pool ?(objective = Objective.coverage) stage inst =
+let solve ?(ctx = Ctx.default) inst =
+  let deadline = ctx.Ctx.deadline in
   (* Bind the objective once; every score below — stage gains, matrix
      rows, checkpoint values — is taken against its view, so a
      transforming backend (Taxonomy) is just coverage from here on. A
-     supplied [gains] matrix must already be over that view (the Ctx
-     entry points uphold this). *)
-  let obj = Objective.bind objective inst in
+     supplied [ctx.gains] matrix must already be over that view (the
+     Ctx entry points uphold this). *)
+  let obj = Objective.bind ctx.Ctx.objective inst in
   let inst = Objective.view obj in
   let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
   (* Resume only from a state captured in this phase; anything else
      (e.g. a mid-SRA state handed down by mistake) starts fresh. *)
   let resume =
-    match resume_from with
-    | Some { Checkpoint.phase = Checkpoint.Sdga_stage k; current; _ } ->
+    match ctx.Ctx.resume_from with
+    | Some (Ok { Checkpoint.phase = Checkpoint.Sdga_stage k; current; _ }) ->
         Some (k, current)
     | _ -> None
   in
@@ -31,13 +31,13 @@ let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
   (* One gain matrix for all delta_p stages: a stage invalidates only
      the rows of papers whose group vector visibly changed when its
      pairs are committed; the rest carry over. A supplied matrix keeps
-     its own backing; [candidates] only shapes the private one. *)
+     its own backing; [ctx.candidates] only shapes the private one. *)
   let gm =
-    match gains with
+    match ctx.Ctx.gains with
     | Some g ->
         Gain_matrix.reset g;
         g
-    | None -> Gain_matrix.create ~candidates inst
+    | None -> Gain_matrix.create ~candidates:ctx.Ctx.candidates inst
   in
   if resume <> None then
     for p = 0 to n_p - 1 do
@@ -56,7 +56,7 @@ let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
         sequential stage loop then reads warm rows instead of computing
         them one by one. Values are identical either way (same kernels,
         same versions), so this cannot change the result. *)
-     (match pool with
+     (match ctx.Ctx.pool with
      | Some p when Wgrap_par.Pool.jobs p > 1 ->
          Gain_matrix.rebuild ~pool:p ?deadline gm
      | _ -> ());
@@ -71,7 +71,7 @@ let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
        let pair_gain = Objective.stage_gain obj ~current:assignment in
        let pairs =
          try
-           stage ?deadline ?gains:(Some gm) ?pair_gain inst
+           Stage.solve ?pair_gain ~gains:gm ?deadline inst
              ~current:assignment ~capacity:confined
          with Failure _ ->
            (* When delta_p does not divide delta_r, the per-stage confinement
@@ -82,7 +82,7 @@ let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
            let relaxed =
              Array.init n_r (fun r -> inst.Instance.delta_r - used.(r))
            in
-           stage ?deadline ?gains:(Some gm) ?pair_gain inst
+           Stage.solve ?pair_gain ~gains:gm ?deadline inst
              ~current:assignment ~capacity:relaxed
        in
        List.iter
@@ -91,7 +91,7 @@ let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
            Gain_matrix.add gm ~paper:p ~reviewer:r;
            used.(r) <- used.(r) + 1)
          pairs;
-       match checkpoint with
+       match ctx.Ctx.checkpoint with
        | None -> ()
        | Some sink ->
            let score = Objective.value obj assignment in
@@ -118,21 +118,3 @@ let solve_with ?deadline ?gains ?(candidates = 0) ?checkpoint ?resume_from
     try Repair.complete inst assignment with Failure _ -> ()
   end;
   assignment
-
-let hungarian_stage ?deadline ?gains ?pair_gain inst ~current ~capacity =
-  Stage.solve ?papers:None ?pair_gain ?gains ?deadline inst ~current ~capacity
-
-let flow_stage ?deadline ?gains ?pair_gain inst ~current ~capacity =
-  Stage.solve_flow ?papers:None ?pair_gain ?gains ?deadline inst ~current
-    ~capacity
-
-let run_with ctx stage inst =
-  let resume_from =
-    match ctx.Ctx.resume_from with Some (Ok s) -> Some s | _ -> None
-  in
-  solve_with ?deadline:ctx.Ctx.deadline ?gains:ctx.Ctx.gains
-    ~candidates:ctx.Ctx.candidates ?checkpoint:ctx.Ctx.checkpoint ?resume_from
-    ?pool:ctx.Ctx.pool ~objective:ctx.Ctx.objective stage inst
-
-let solve ?(ctx = Ctx.default) inst = run_with ctx hungarian_stage inst
-let solve_flow ?(ctx = Ctx.default) inst = run_with ctx flow_stage inst

@@ -47,15 +47,10 @@ val solve : ?ctx:Ctx.t -> Instance.t -> Assignment.t
       greedy-led chain instead.
 
     Raises [Failure] only if the instance is infeasible under its COIs
-    (capacity alone is validated at instance construction). Stages are
-    solved by {!Stage.solve} (Hungarian backend). *)
+    (capacity alone is validated at instance construction). Every stage
+    is one {!Stage.solve} call on the shared gain matrix. *)
 
 val approximation_ratio : delta_p:int -> integral:bool -> float
 (** The analytic bound plotted in Figure 7:
     [1 - (1 - 1/delta_p)^delta_p] for integral cases ([delta_p] divides
     [delta_r]), [1 - (1 - 1/delta_p)^(delta_p - 1)] otherwise. *)
-
-val solve_flow : ?ctx:Ctx.t -> Instance.t -> Assignment.t
-(** Ablation variant: stages solved by min-cost flow
-    ({!Stage.solve_flow}). Same stage optima, different constants
-    (compared in the ablation bench). *)

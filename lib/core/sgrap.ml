@@ -60,16 +60,6 @@ let binarize ?threshold inst =
         v.(top) <- 1.
       end)
     papers;
-  let coi =
-    match inst.Instance.coi with
-    | None -> []
-    | Some m ->
-        let acc = ref [] in
-        Array.iteri
-          (fun p row ->
-            Array.iteri (fun r bad -> if bad then acc := (p, r) :: !acc) row)
-          m;
-        !acc
-  in
-  Instance.create_exn ~scoring:inst.Instance.scoring ~coi ~papers ~reviewers
+  Instance.create_exn ~scoring:inst.Instance.scoring
+    ~coi:(Instance.coi_pairs inst) ~papers ~reviewers
     ~delta_p:inst.Instance.delta_p ~delta_r:inst.Instance.delta_r ()

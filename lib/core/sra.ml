@@ -133,7 +133,7 @@ let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
        in
        let pair_gain = Objective.stage_gain obj ~current:trimmed in
        let pairs =
-         Stage.solve ?gains:(Some gm) ?pair_gain ?deadline inst
+         Stage.solve ?pair_gain ~gains:gm ?deadline inst
            ~current:trimmed ~capacity
        in
        List.iter

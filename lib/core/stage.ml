@@ -2,38 +2,21 @@ module Timer = Wgrap_util.Timer
 
 let default_gain ~paper:_ ~reviewer:_ ~coverage_gain = coverage_gain
 
-let paper_array ?papers inst =
-  match papers with
-  | Some l -> Array.of_list l
-  | None -> Array.init (Instance.n_papers inst) Fun.id
-
-(* Shared row builder: raw marginal gains for paper [p] against every
-   reviewer (read from the shared gain matrix's row when given, else
-   computed directly with the sparse kernel into [raw]), masked —
-   exhausted capacity, current group members (a [bool array] mask, set
-   and cleared around the row instead of a per-cell list scan) and COI
-   pairs become [forbidden] — and passed through [pair_gain], into
-   [raw]. Masking inside the row callback passes each gain on already
-   boxed, so reading the row costs no extra float allocation. *)
-let fill_row pair_gain inst ~gains ~capacity ~mask ~raw ~current p =
+(* Dense row builder: paper [p]'s marginal gains from the shared gain
+   matrix, masked — exhausted capacity, current group members (a [bool
+   array] mask, set and cleared around the row instead of a per-cell
+   list scan) and COI pairs become [forbidden] — and passed through
+   [pair_gain], into [raw]. Masking inside the row callback passes each
+   gain on already boxed, so reading the row costs no extra float
+   allocation. *)
+let fill_row pair_gain inst ~gm ~capacity ~mask ~raw ~current p =
   let members = Assignment.group current p in
   List.iter (fun r -> mask.(r) <- true) members;
-  let cell ~reviewer:r ~gain =
-    raw.(r) <-
-      (if capacity.(r) = 0 || mask.(r) || Instance.forbidden inst ~paper:p ~reviewer:r
-       then Lap.Hungarian.forbidden
-       else pair_gain ~paper:p ~reviewer:r ~coverage_gain:gain)
-  in
-  (match gains with
-  | Some gm -> Gain_matrix.iter_row gm ~paper:p cell
-  | None ->
-      let group_vec = Assignment.group_vector inst current p in
-      Scoring.gain_into inst.Instance.scoring ~dst:raw ~group:group_vec
-        ~reviewers:inst.Instance.rsupp
-        (Instance.paper_support inst p);
-      for r = 0 to Instance.n_reviewers inst - 1 do
-        cell ~reviewer:r ~gain:raw.(r)
-      done);
+  Gain_matrix.iter_row gm ~paper:p (fun ~reviewer:r ~gain ->
+      raw.(r) <-
+        (if capacity.(r) = 0 || mask.(r) || Instance.forbidden inst ~paper:p ~reviewer:r
+         then Lap.Hungarian.forbidden
+         else pair_gain ~paper:p ~reviewer:r ~coverage_gain:gain));
   List.iter (fun r -> mask.(r) <- false) members
 
 (* {1 Candidate-pruned backend}
@@ -50,14 +33,14 @@ let fill_row pair_gain inst ~gains ~capacity ~mask ~raw ~current p =
    reviewer) only for papers the candidate edges could not place, and
    [Failure] only when no reviewer at all has capacity left. *)
 
-type edge = { value : float; row : int; reviewer : int }
+type edge = { value : float; paper : int; reviewer : int }
 
 (* Deterministic matching preference: higher value first, then the
    earlier paper, then the lower reviewer id. *)
 let edge_compare a b =
   match Float.compare b.value a.value with
   | 0 -> (
-      match Int.compare a.row b.row with
+      match Int.compare a.paper b.paper with
       | 0 -> Int.compare a.reviewer b.reviewer
       | c -> c)
   | c -> c
@@ -66,27 +49,25 @@ let edge_compare a b =
    so a pruned stage is never slower than its own edge collection. *)
 let hungarian_work_gate = 100_000_000
 
-let collect_edges pair_gain gm ?deadline inst ~paper_list ~current ~capacity =
-  let n_r = Instance.n_reviewers inst in
-  let mask = Array.make n_r false in
+let collect_edges pair_gain gm ?deadline inst ~current ~capacity =
+  let mask = Array.make (Instance.n_reviewers inst) false in
   let edges = ref [] in
-  Array.iteri
-    (fun i p ->
-      Timer.check_opt deadline;
-      let members = Assignment.group current p in
-      List.iter (fun r -> mask.(r) <- true) members;
-      Gain_matrix.iter_row gm ~paper:p (fun ~reviewer:r ~gain ->
-          if
-            capacity.(r) > 0 && (not mask.(r))
-            && not (Instance.forbidden inst ~paper:p ~reviewer:r)
-          then
-            edges :=
-              { value = pair_gain ~paper:p ~reviewer:r ~coverage_gain:gain;
-                row = i;
-                reviewer = r }
-              :: !edges);
-      List.iter (fun r -> mask.(r) <- false) members)
-    paper_list;
+  for p = 0 to Instance.n_papers inst - 1 do
+    Timer.check_opt deadline;
+    let members = Assignment.group current p in
+    List.iter (fun r -> mask.(r) <- true) members;
+    Gain_matrix.iter_row gm ~paper:p (fun ~reviewer:r ~gain ->
+        if
+          capacity.(r) > 0 && (not mask.(r))
+          && not (Instance.forbidden inst ~paper:p ~reviewer:r)
+        then
+          edges :=
+            { value = pair_gain ~paper:p ~reviewer:r ~coverage_gain:gain;
+              paper = p;
+              reviewer = r }
+            :: !edges);
+    List.iter (fun r -> mask.(r) <- false) members
+  done;
   Array.of_list !edges
 
 (* Exact assignment over the candidate edges: Hungarian on a matrix
@@ -121,7 +102,7 @@ let compact_hungarian ?deadline ~rows ~capacity edges =
         let c0 = Hashtbl.find col_of e.reviewer in
         let c = ref c0 in
         while !c < cols && owner.(!c) = e.reviewer do
-          score.(e.row).(!c) <- e.value;
+          score.(e.paper).(!c) <- e.value;
           incr c
         done)
       edges;
@@ -132,9 +113,8 @@ let compact_hungarian ?deadline ~rows ~capacity edges =
 
 (* Greedy descending-gain matching over the candidate edges, then a
    full scan for any paper left over. *)
-let greedy_matching ?deadline ~pair_gain ~gm ~paper_list ~capacity inst
-    ~current edges =
-  let rows = Array.length paper_list in
+let greedy_matching ?deadline ~pair_gain ~gm ~capacity inst ~current edges =
+  let rows = Instance.n_papers inst in
   let n_r = Instance.n_reviewers inst in
   Array.sort edge_compare edges;
   let chosen = Array.make rows (-1) in
@@ -142,8 +122,8 @@ let greedy_matching ?deadline ~pair_gain ~gm ~paper_list ~capacity inst
   let unmatched = ref rows in
   Array.iter
     (fun e ->
-      if !unmatched > 0 && chosen.(e.row) < 0 && left.(e.reviewer) > 0 then begin
-        chosen.(e.row) <- e.reviewer;
+      if !unmatched > 0 && chosen.(e.paper) < 0 && left.(e.reviewer) > 0 then begin
+        chosen.(e.paper) <- e.reviewer;
         left.(e.reviewer) <- left.(e.reviewer) - 1;
         decr unmatched
       end)
@@ -153,41 +133,37 @@ let greedy_matching ?deadline ~pair_gain ~gm ~paper_list ~capacity inst
        support, or their candidates' capacity went to earlier papers).
        One full scan per leftover paper, exactly what {!Repair} would
        do later but stage-capacity-aware. *)
-    Array.iteri
-      (fun i p ->
-        if chosen.(i) < 0 then begin
-          Timer.check_opt deadline;
-          let members = Assignment.group current p in
-          let best = ref (-1) and best_value = ref neg_infinity in
-          for r = 0 to n_r - 1 do
-            if
-              left.(r) > 0
-              && (not (List.mem r members))
-              && not (Instance.forbidden inst ~paper:p ~reviewer:r)
-            then begin
-              let value =
-                pair_gain ~paper:p ~reviewer:r
-                  ~coverage_gain:(Gain_matrix.gain gm ~paper:p ~reviewer:r)
-              in
-              if value > !best_value then begin
-                best_value := value;
-                best := r
-              end
+    for p = 0 to rows - 1 do
+      if chosen.(p) < 0 then begin
+        Timer.check_opt deadline;
+        let members = Assignment.group current p in
+        let best = ref (-1) and best_value = ref neg_infinity in
+        for r = 0 to n_r - 1 do
+          if
+            left.(r) > 0
+            && (not (List.mem r members))
+            && not (Instance.forbidden inst ~paper:p ~reviewer:r)
+          then begin
+            let value =
+              pair_gain ~paper:p ~reviewer:r
+                ~coverage_gain:(Gain_matrix.gain gm ~paper:p ~reviewer:r)
+            in
+            if value > !best_value then begin
+              best_value := value;
+              best := r
             end
-          done;
-          if !best < 0 then failwith "Stage.solve: infeasible stage";
-          chosen.(i) <- !best;
-          left.(!best) <- left.(!best) - 1
-        end)
-      paper_list;
+          end
+        done;
+        if !best < 0 then failwith "Stage.solve: infeasible stage";
+        chosen.(p) <- !best;
+        left.(!best) <- left.(!best) - 1
+      end
+    done;
   chosen
 
-let solve_pruned ?(pair_gain = default_gain) ~gm ?deadline inst ~paper_list
-    ~current ~capacity =
-  let rows = Array.length paper_list in
-  let edges =
-    collect_edges pair_gain gm ?deadline inst ~paper_list ~current ~capacity
-  in
+let solve_pruned ~pair_gain ~gm ?deadline inst ~current ~capacity =
+  let rows = Instance.n_papers inst in
+  let edges = collect_edges pair_gain gm ?deadline inst ~current ~capacity in
   let units =
     (* Upper bound on compact columns without building them. *)
     Array.fold_left (fun acc c -> acc + min c rows) 0 capacity
@@ -195,97 +171,44 @@ let solve_pruned ?(pair_gain = default_gain) ~gm ?deadline inst ~paper_list
   let exact =
     rows * rows <= hungarian_work_gate / max 1 (min units (Array.length edges))
   in
-  let chosen =
-    let from_hungarian =
-      if exact then compact_hungarian ?deadline ~rows ~capacity edges else None
-    in
-    match from_hungarian with
-    | Some chosen -> chosen
-    | None ->
-        greedy_matching ?deadline ~pair_gain ~gm ~paper_list ~capacity inst
-          ~current edges
+  let from_hungarian =
+    if exact then compact_hungarian ?deadline ~rows ~capacity edges else None
   in
-  Array.to_list (Array.mapi (fun i r -> (paper_list.(i), r)) chosen)
+  match from_hungarian with
+  | Some chosen -> chosen
+  | None -> greedy_matching ?deadline ~pair_gain ~gm ~capacity inst ~current edges
 
-let solve ?papers ?(pair_gain = default_gain) ?gains ?deadline inst ~current
+(* Dense backend: one column per remaining capacity unit ([owner] maps
+   a column back to its reviewer), Hungarian over every paper. *)
+let solve_dense ~pair_gain ~gm ?deadline inst ~current ~capacity =
+  let n_r = Instance.n_reviewers inst in
+  let owner = ref [] in
+  for r = n_r - 1 downto 0 do
+    if capacity.(r) < 0 then invalid_arg "Stage.solve: negative capacity";
+    for _ = 1 to capacity.(r) do
+      owner := r :: !owner
+    done
+  done;
+  let owner = Array.of_list !owner in
+  if Array.length owner < Instance.n_papers inst then
+    failwith "Stage.solve: infeasible stage";
+  let mask = Array.make n_r false in
+  let raw = Array.make n_r 0. in
+  let score =
+    Array.init (Instance.n_papers inst) (fun p ->
+        Timer.check_opt deadline;
+        fill_row pair_gain inst ~gm ~capacity ~mask ~raw ~current p;
+        (* Replicated columns of a reviewer share one value. *)
+        Array.map (fun r -> raw.(r)) owner)
+  in
+  match Lap.Hungarian.maximize ?deadline score with
+  | cols_of_rows, _ -> Array.map (fun c -> owner.(c)) cols_of_rows
+  | exception Failure _ -> failwith "Stage.solve: infeasible stage"
+
+let solve ?(pair_gain = default_gain) ~gains:gm ?deadline inst ~current
     ~capacity =
-  let n_r = Instance.n_reviewers inst in
-  if Array.length capacity <> n_r then
+  if Array.length capacity <> Instance.n_reviewers inst then
     invalid_arg "Stage.solve: capacity length mismatch";
-  let paper_list = paper_array ?papers inst in
-  let rows = Array.length paper_list in
-  if rows = 0 then []
-  else
-    match gains with
-    | Some gm when Gain_matrix.pruned gm ->
-        solve_pruned ~pair_gain ~gm ?deadline inst ~paper_list ~current
-          ~capacity
-    | _ ->
-        (* One column per remaining capacity unit; [owner] maps back. *)
-        let owner = ref [] in
-        for r = n_r - 1 downto 0 do
-          if capacity.(r) < 0 then invalid_arg "Stage.solve: negative capacity";
-          for _ = 1 to capacity.(r) do
-            owner := r :: !owner
-          done
-        done;
-        let owner = Array.of_list !owner in
-        let cols = Array.length owner in
-        if cols < rows then failwith "Stage.solve: infeasible stage";
-        let mask = Array.make n_r false in
-        let raw = Array.make n_r 0. in
-        let score =
-          Array.map
-            (fun p ->
-              Timer.check_opt deadline;
-              fill_row pair_gain inst ~gains ~capacity ~mask ~raw ~current p;
-              (* Replicated columns of a reviewer share one value. *)
-              Array.map (fun r -> raw.(r)) owner)
-            paper_list
-        in
-        (match Lap.Hungarian.maximize ?deadline score with
-        | cols_of_rows, _ ->
-            Array.to_list
-              (Array.mapi (fun i c -> (paper_list.(i), owner.(c))) cols_of_rows)
-        | exception Failure _ -> failwith "Stage.solve: infeasible stage")
-
-let solve_flow ?papers ?(pair_gain = default_gain) ?gains ?deadline inst
-    ~current ~capacity =
-  let n_r = Instance.n_reviewers inst in
-  if Array.length capacity <> n_r then
-    invalid_arg "Stage.solve: capacity length mismatch";
-  let paper_list = paper_array ?papers inst in
-  let rows = Array.length paper_list in
-  if rows = 0 then []
-  else
-    match gains with
-    | Some gm when Gain_matrix.pruned gm ->
-        (* Both backends share the candidate-pruned solver: the flow
-           formulation's whole cost model assumes the dense matrix. *)
-        solve_pruned ~pair_gain ~gm ?deadline inst ~paper_list ~current
-          ~capacity
-    | _ ->
-        let mask = Array.make n_r false in
-        let raw = Array.make n_r 0. in
-        let score =
-          Array.map
-            (fun p ->
-              Timer.check_opt deadline;
-              fill_row pair_gain inst ~gains ~capacity ~mask ~raw ~current p;
-              Array.copy raw)
-            paper_list
-        in
-        let chosen =
-          try
-            Lap.Mcmf.transportation ?deadline ~row_supply:(Array.make rows 1)
-              ~col_capacity:capacity score
-          with Failure _ -> failwith "Stage.solve: infeasible stage"
-        in
-        let pairs = ref [] in
-        Array.iteri
-          (fun i rs ->
-            match rs with
-            | [ r ] -> pairs := (paper_list.(i), r) :: !pairs
-            | _ -> failwith "Stage.solve: infeasible stage")
-          chosen;
-        List.rev !pairs
+  let backend = if Gain_matrix.pruned gm then solve_pruned else solve_dense in
+  let chosen = backend ~pair_gain ~gm ?deadline inst ~current ~capacity in
+  Array.to_list (Array.mapi (fun p r -> (p, r)) chosen)

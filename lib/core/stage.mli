@@ -1,32 +1,30 @@
-(** Stage-WGRAP (Definition 9): add exactly one reviewer to every listed
-    paper, maximizing the total marginal gain, subject to a per-reviewer
+(** Stage-WGRAP (Definition 9): add exactly one reviewer to every paper,
+    maximizing the total marginal gain, subject to a per-reviewer
     capacity for this stage. A PTIME linear-assignment problem — the
-    paper names both classic solvers ("Hungarian algorithm, minimum-cost
-    flow assignment"); both are provided. Shared by SDGA (Algorithm 2),
-    the stochastic refinement (Algorithm 3, line 8), and the bid-aware
-    extension. *)
+    paper names two classic solvers ("Hungarian algorithm, minimum-cost
+    flow assignment"); this module uses the Hungarian algorithm, which
+    reached the same stage optima 3–15x faster in the ablation recorded
+    in EXPERIMENTS.md. Shared by SDGA (Algorithm 2), the stochastic
+    refinement (Algorithm 3, line 8), and the bid-aware extension. *)
 
 val solve :
-  ?papers:int list ->
   ?pair_gain:(paper:int -> reviewer:int -> coverage_gain:float -> float) ->
-  ?gains:Gain_matrix.t ->
+  gains:Gain_matrix.t ->
   ?deadline:Wgrap_util.Timer.deadline ->
   Instance.t ->
   current:Assignment.t ->
   capacity:int array ->
   (int * int) list
-(** [solve inst ~current ~capacity] returns [(paper, reviewer)] pairs —
-    one per paper in [papers] (default: all papers). The gain of a pair
+(** [solve ~gains inst ~current ~capacity] returns [(paper, reviewer)]
+    pairs — one per paper, in paper order. The gain of a pair
     is the marginal gain of the reviewer w.r.t. the paper's current
     group; pairs are excluded when the reviewer is already in the group,
     the pair is a COI, or [capacity.(r) = 0].
 
-    [gains] supplies the marginal gains from a shared {!Gain_matrix}
-    whose group state the caller keeps consistent with [current]
-    (SDGA and SRA reuse one matrix across stages/rounds this way, so
-    only rows whose group vector moved are recomputed). Without it,
-    gains are computed per call with the O(nnz) sparse kernel — same
-    values either way.
+    [gains] supplies the marginal gains: a shared {!Gain_matrix} whose
+    group state the caller keeps consistent with [current] (SDGA and SRA
+    reuse one matrix across stages/rounds this way, so only rows whose
+    group vector moved are recomputed).
 
     A {e candidate-pruned} matrix ({!Gain_matrix.pruned}) switches the
     whole stage to the pruned backend: the edge set is each paper's
@@ -42,27 +40,11 @@ val solve :
     bid-aware extension ({!Bids}) uses to blend in reviewer preferences.
     The default is the identity on [coverage_gain].
 
-    Backend: the Hungarian algorithm on a matrix with one replicated
-    column per remaining capacity unit (the faster of the two at the
-    shapes reviewer assignment produces — see the
-    [ablation_stage_solver] bench).
+    A dense [gains] matrix solves the stage with the Hungarian algorithm
+    on a matrix with one replicated column per remaining capacity unit.
+    The two backends break gain ties differently.
 
     Raises [Failure] if no feasible completion exists, and
     [Wgrap_util.Timer.Expired] if [deadline] fires inside the backend (a
     half-solved stage cannot be returned; callers catch and keep their
     incumbent). *)
-
-val solve_flow :
-  ?papers:int list ->
-  ?pair_gain:(paper:int -> reviewer:int -> coverage_gain:float -> float) ->
-  ?gains:Gain_matrix.t ->
-  ?deadline:Wgrap_util.Timer.deadline ->
-  Instance.t ->
-  current:Assignment.t ->
-  capacity:int array ->
-  (int * int) list
-(** Same contract, min-cost-flow backend (unit paper supplies into
-    capacitated reviewer sinks). Identical stage optima; different
-    constants. A candidate-pruned [gains] routes to the same pruned
-    backend as {!solve} — the flow formulation's cost model assumes the
-    dense matrix. *)

@@ -10,22 +10,9 @@ type tsv_fault =
 let tsv_faults =
   [ Truncate_line; Duplicate_id; Garbage_field; Blank_line; Crlf_endings ]
 
-let tsv_fault_name = function
-  | Truncate_line -> "truncate-line"
-  | Duplicate_id -> "duplicate-id"
-  | Garbage_field -> "garbage-field"
-  | Blank_line -> "blank-line"
-  | Crlf_endings -> "crlf-endings"
-
 type vector_fault = Nan_entry | Inf_entry | Negative_entry | Zero_row
 
 let vector_faults = [ Nan_entry; Inf_entry; Negative_entry; Zero_row ]
-
-let vector_fault_name = function
-  | Nan_entry -> "nan-entry"
-  | Inf_entry -> "inf-entry"
-  | Negative_entry -> "negative-entry"
-  | Zero_row -> "zero-row"
 
 let set_field line idx value =
   String.split_on_char '\t' line
@@ -104,13 +91,6 @@ let event_faults =
     Mid_event_kill;
   ]
 
-let event_fault_name = function
-  | Truncated_event -> "truncated-event"
-  | Duplicated_event -> "duplicated-event"
-  | Out_of_order_id -> "out-of-order-id"
-  | Corrupt_payload -> "corrupt-payload"
-  | Mid_event_kill -> "mid-event-kill"
-
 let corrupt_events ~rng fault lines =
   match lines with
   | [] -> lines
@@ -178,12 +158,6 @@ let corrupt_event_stream ~rng ~faults lines =
 type file_fault = Torn_write | Truncate_tail | Bit_flip | Disk_full
 
 let file_faults = [ Torn_write; Truncate_tail; Bit_flip; Disk_full ]
-
-let file_fault_name = function
-  | Torn_write -> "torn-write"
-  | Truncate_tail -> "truncate-tail"
-  | Bit_flip -> "bit-flip"
-  | Disk_full -> "disk-full"
 
 let corrupt_bytes ~rng fault data =
   let len = String.length data in

@@ -15,7 +15,6 @@ type tsv_fault =
   | Crlf_endings  (** terminate every line with CRLF *)
 
 val tsv_faults : tsv_fault list
-val tsv_fault_name : tsv_fault -> string
 
 type vector_fault =
   | Nan_entry  (** one weight becomes NaN *)
@@ -24,7 +23,6 @@ type vector_fault =
   | Zero_row  (** one whole vector loses all mass *)
 
 val vector_faults : vector_fault list
-val vector_fault_name : vector_fault -> string
 
 val corrupt_lines : rng:Wgrap_util.Rng.t -> tsv_fault -> string list -> string list
 (** Apply one fault to a file's lines (no trailing newlines). The
@@ -52,7 +50,6 @@ type event_fault =
       (** kill -9 mid-append: one line torn partway, nothing after it *)
 
 val event_faults : event_fault list
-val event_fault_name : event_fault -> string
 
 val corrupt_events :
   rng:Wgrap_util.Rng.t -> event_fault -> string list -> string list
@@ -79,7 +76,6 @@ type file_fault =
           committed prefix and refuse only the torn tail *)
 
 val file_faults : file_fault list
-val file_fault_name : file_fault -> string
 
 val corrupt_bytes : rng:Wgrap_util.Rng.t -> file_fault -> string -> string
 (** Apply one byte-level fault to a file image. Empty input is returned

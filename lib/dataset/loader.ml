@@ -68,8 +68,6 @@ let fold_lines path ~init ~f =
   if Buffer.length partial > 0 then flush_line ();
   !acc
 
-let iter_lines path ~f = fold_lines path ~init:() ~f:(fun () line -> f line)
-
 let read_lines path =
   List.rev (fold_lines path ~init:[] ~f:(fun acc line -> line :: acc))
 

@@ -24,9 +24,6 @@ val fold_lines : string -> init:'a -> f:('a -> string -> 'a) -> 'a
     holding ~10^6 rows at once. Raises [Sys_error] if the file is
     unreadable, and re-raises whatever [f] raises. *)
 
-val iter_lines : string -> f:(string -> unit) -> unit
-(** {!fold_lines} for effects. *)
-
 val load :
   authors_path:string -> papers_path:string -> (Corpus.t, string) result
 (** Strict load. Any parse error, out-of-order id, or reference to an

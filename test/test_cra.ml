@@ -18,7 +18,6 @@ let solvers =
     ("Greedy", fun inst -> Greedy.solve inst);
     ("Greedy-rescan", fun inst -> Greedy.solve_rescan inst);
     ("SDGA", fun inst -> Sdga.solve inst);
-    ("SDGA-flow", fun inst -> Sdga.solve_flow inst);
   ]
 
 (* Every solver must return a feasible assignment on random instances,
@@ -97,14 +96,75 @@ let test_approximation_ratio_formula () =
     (Sdga.approximation_ratio ~delta_p:10 ~integral:false
     > Sdga.approximation_ratio ~delta_p:3 ~integral:false)
 
-let test_sdga_flow_equals_hungarian_quality () =
-  (* Same stage optima => same total quality (tie-breaking may differ). *)
+(* Stage-WGRAP optimality, checked against the paper's other classic
+   solver: min-cost flow over a gain matrix built here with the dense
+   [Scoring.gain] kernel, on instances with conflicts, partly filled
+   groups and uneven capacities. Both sides must agree on feasibility
+   too. *)
+let test_stage_matches_flow_optimum () =
   let rng = Rng.create 23 in
-  for _ = 1 to 10 do
-    let inst = random_instance rng ~n_p:15 ~n_r:8 ~dp:2 in
-    let a = Assignment.coverage inst (Sdga.solve inst) in
-    let b = Assignment.coverage inst (Sdga.solve_flow inst) in
-    Alcotest.(check (float 1e-6)) "same stage quality" a b
+  for _ = 1 to 30 do
+    let n_r = 6 + Rng.int rng 6 in
+    let n_p = 8 + Rng.int rng 12 in
+    let coi =
+      List.init (n_p / 2) (fun _ -> (Rng.int rng n_p, Rng.int rng n_r))
+    in
+    let inst = random_instance ~coi rng ~n_p ~n_r ~dp:3 in
+    let current = Assignment.empty ~n_papers:n_p in
+    for p = 0 to n_p - 1 do
+      for _ = 1 to Rng.int rng 3 do
+        let r = Rng.int rng n_r in
+        if
+          (not (List.mem r (Assignment.group current p)))
+          && not (Instance.forbidden inst ~paper:p ~reviewer:r)
+        then Assignment.add current ~paper:p ~reviewer:r
+      done
+    done;
+    let capacity = Array.init n_r (fun _ -> Rng.int rng 4) in
+    let score =
+      Array.init n_p (fun p ->
+          let group = Assignment.group_vector inst current p in
+          let members = Assignment.group current p in
+          Array.init n_r (fun r ->
+              if
+                capacity.(r) = 0 || List.mem r members
+                || Instance.forbidden inst ~paper:p ~reviewer:r
+              then Lap.Hungarian.forbidden
+              else
+                Scoring.gain inst.Instance.scoring ~group
+                  inst.Instance.reviewers.(r) inst.Instance.papers.(p)))
+    in
+    let gm = Gain_matrix.create inst in
+    for p = 0 to n_p - 1 do
+      Gain_matrix.set_group gm ~paper:p (Assignment.group current p)
+    done;
+    let optimum =
+      match
+        Lap.Mcmf.transportation ~row_supply:(Array.make n_p 1)
+          ~col_capacity:capacity score
+      with
+      | flows ->
+          let total = ref 0. in
+          Array.iteri
+            (fun p rs -> List.iter (fun r -> total := !total +. score.(p).(r)) rs)
+            flows;
+          Some !total
+      | exception Failure _ -> None
+    in
+    let stage =
+      match Stage.solve ~gains:gm inst ~current ~capacity with
+      | pairs ->
+          Alcotest.(check int) "one pair per paper" n_p (List.length pairs);
+          List.iter
+            (fun (p, r) ->
+              Alcotest.(check bool) "pair allowed" true
+                (score.(p).(r) <> Lap.Hungarian.forbidden))
+            pairs;
+          Some (List.fold_left (fun acc (p, r) -> acc +. score.(p).(r)) 0. pairs)
+      | exception Failure _ -> None
+    in
+    Alcotest.(check (option (float 1e-9))) "stage total = flow optimum" optimum
+      stage
   done
 
 let test_greedy_lazy_equals_rescan_quality () =
@@ -128,7 +188,7 @@ let test_stage_assigns_every_paper_once () =
   let inst = random_instance rng ~n_p:12 ~n_r:6 ~dp:2 in
   let current = Assignment.empty ~n_papers:12 in
   let capacity = Array.make 6 4 in
-  let pairs = Stage.solve inst ~current ~capacity in
+  let pairs = Stage.solve ~gains:(Gain_matrix.create inst) inst ~current ~capacity in
   Alcotest.(check int) "one pair per paper" 12 (List.length pairs);
   let papers = List.map fst pairs in
   Alcotest.(check (list int)) "each paper once"
@@ -146,23 +206,15 @@ let test_stage_avoids_current_group () =
       ~delta_p:2 ~delta_r:1 ()
   in
   let current = Assignment.of_pairs ~n_papers:1 [ (0, 0) ] in
+  let gains = Gain_matrix.create inst in
+  Gain_matrix.set_group gains ~paper:0 [ 0 ];
   let capacity = [| 1; 1 |] in
-  let pairs = Stage.solve inst ~current ~capacity in
+  let pairs = Stage.solve ~gains inst ~current ~capacity in
   Alcotest.(check (list (pair int int))) "must pick the other reviewer"
     [ (0, 1) ] pairs
 
-let test_stage_subset_of_papers () =
-  let rng = Rng.create 26 in
-  let inst = random_instance rng ~n_p:10 ~n_r:6 ~dp:2 in
-  let current = Assignment.empty ~n_papers:10 in
-  let pairs =
-    Stage.solve ~papers:[ 3; 7 ] inst ~current ~capacity:(Array.make 6 2)
-  in
-  Alcotest.(check (list int)) "only listed papers" [ 3; 7 ]
-    (List.sort compare (List.map fst pairs))
-
 let test_stage_maximizes_gain () =
-  (* Two papers, two reviewers, capacity 1 each: the flow must pick the
+  (* Two papers, two reviewers, capacity 1 each: the stage must pick the
      matching that maximizes total gain, not a greedy per-paper pick. *)
   let inst =
     Instance.create_exn
@@ -171,7 +223,10 @@ let test_stage_maximizes_gain () =
       ~delta_p:1 ~delta_r:1 ()
   in
   let current = Assignment.empty ~n_papers:2 in
-  let pairs = Stage.solve inst ~current ~capacity:[| 1; 1 |] in
+  let pairs =
+    Stage.solve ~gains:(Gain_matrix.create inst) inst ~current
+      ~capacity:[| 1; 1 |]
+  in
   let sorted = List.sort compare pairs in
   Alcotest.(check (list (pair int int))) "identity matching"
     [ (0, 0); (1, 1) ] sorted
@@ -186,13 +241,14 @@ let test_stage_custom_pair_gain () =
   in
   let current = Assignment.empty ~n_papers:1 in
   let capacity = [| 1; 1 |] in
-  let plain = Stage.solve inst ~current ~capacity in
+  let gains = Gain_matrix.create inst in
+  let plain = Stage.solve ~gains inst ~current ~capacity in
   Alcotest.(check (list (pair int int))) "plain picks the matching reviewer"
     [ (0, 0) ] plain;
   let inverted =
     Stage.solve
       ~pair_gain:(fun ~paper:_ ~reviewer:_ ~coverage_gain -> -.coverage_gain)
-      inst ~current ~capacity
+      ~gains inst ~current ~capacity
   in
   Alcotest.(check (list (pair int int))) "inverted gain flips the choice"
     [ (0, 1) ] inverted
@@ -524,7 +580,7 @@ let () =
           Alcotest.test_case "arap ilp dominates pair objective" `Quick test_arap_ilp_dominates_pair_objective;
           Alcotest.test_case "sdga beats 1/2 guarantee" `Quick test_sdga_beats_its_guarantee;
           Alcotest.test_case "approximation ratio formula" `Quick test_approximation_ratio_formula;
-          Alcotest.test_case "sdga flow = hungarian quality" `Quick test_sdga_flow_equals_hungarian_quality;
+          Alcotest.test_case "stage = min-cost-flow optimum" `Quick test_stage_matches_flow_optimum;
           Alcotest.test_case "greedy lazy = rescan quality" `Quick test_greedy_lazy_equals_rescan_quality;
         ] );
       ( "stage",
@@ -532,7 +588,6 @@ let () =
           Alcotest.test_case "custom pair gain" `Quick test_stage_custom_pair_gain;
           Alcotest.test_case "assigns every paper once" `Quick test_stage_assigns_every_paper_once;
           Alcotest.test_case "avoids current group" `Quick test_stage_avoids_current_group;
-          Alcotest.test_case "subset of papers" `Quick test_stage_subset_of_papers;
           Alcotest.test_case "maximizes total gain" `Quick test_stage_maximizes_gain;
         ] );
       ( "sra",

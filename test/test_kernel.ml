@@ -328,19 +328,44 @@ let test_denominators_agree () =
 
 let sorted_pairs a = List.sort compare (Assignment.pairs a)
 
-let test_stage_with_gains_matches_without () =
+(* Under every scoring kind, a stage solved on the shared matrix (sparse
+   kernels) reaches the optimum that min-cost flow finds over the dense
+   kernels' gains. *)
+let test_stage_reaches_dense_optimum () =
   let rng = Rng.create 37 in
-  let inst = random_instance rng ~n_p:6 ~n_r:10 ~dim:8 in
-  let n_r = Instance.n_reviewers inst in
-  let current = Assignment.empty ~n_papers:(Instance.n_papers inst) in
-  let capacity = Array.make n_r 1 in
-  let plain = Stage.solve inst ~current ~capacity in
-  let gm = Gain_matrix.create inst in
-  let shared = Stage.solve ~gains:gm inst ~current ~capacity in
-  Alcotest.(check (list (pair int int)))
-    "stage pairs" (List.sort compare plain) (List.sort compare shared);
-  let flow = Stage.solve_flow ~gains:gm inst ~current ~capacity in
-  Alcotest.(check int) "flow pair count" (List.length plain) (List.length flow)
+  List.iter
+    (fun scoring ->
+      let inst = random_instance ~scoring rng ~n_p:6 ~n_r:10 ~dim:8 in
+      let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
+      let current = Assignment.empty ~n_papers:n_p in
+      let capacity = Array.make n_r 1 in
+      let empty = Scoring.empty_group ~dim:(Instance.n_topics inst) in
+      let score =
+        Array.init n_p (fun p ->
+            Array.init n_r (fun r ->
+                if Instance.forbidden inst ~paper:p ~reviewer:r then
+                  Lap.Hungarian.forbidden
+                else
+                  Scoring.gain scoring ~group:empty inst.Instance.reviewers.(r)
+                    inst.Instance.papers.(p)))
+      in
+      let flows =
+        Lap.Mcmf.transportation ~row_supply:(Array.make n_p 1)
+          ~col_capacity:capacity score
+      in
+      let optimum = ref 0. in
+      Array.iteri
+        (fun p rs -> List.iter (fun r -> optimum := !optimum +. score.(p).(r)) rs)
+        flows;
+      let pairs =
+        Stage.solve ~gains:(Gain_matrix.create inst) inst ~current ~capacity
+      in
+      Alcotest.(check int) (Scoring.name scoring ^ " pair count") n_p
+        (List.length pairs);
+      Alcotest.(check (float 1e-9)) (Scoring.name scoring ^ " stage optimum")
+        !optimum
+        (List.fold_left (fun acc (p, r) -> acc +. score.(p).(r)) 0. pairs))
+    Scoring.all
 
 let test_sdga_with_gains_matches_without () =
   let rng = Rng.create 41 in
@@ -472,7 +497,7 @@ let () =
         [ Alcotest.test_case "one source of truth" `Quick test_denominators_agree ] );
       ( "solvers",
         [
-          Alcotest.test_case "stage" `Quick test_stage_with_gains_matches_without;
+          Alcotest.test_case "stage" `Quick test_stage_reaches_dense_optimum;
           Alcotest.test_case "sdga" `Quick test_sdga_with_gains_matches_without;
           Alcotest.test_case "greedy" `Quick
             test_greedy_with_gains_matches_without;

@@ -181,39 +181,6 @@ let transportation_matches_hungarian =
         groups;
       Float.abs (!flow_total -. hungarian_total) < 1e-9)
 
-(* {1 Auction} *)
-
-let test_auction_known () =
-  let score = [| [| 1.; 9.; 2. |]; [| 8.; 1.; 1. |] |] in
-  let assignment, total = Lap.Auction.maximize score in
-  Alcotest.(check (float 1e-6)) "max score" 17. total;
-  Alcotest.(check (array int)) "picks" [| 1; 0 |] assignment
-
-let test_auction_forbidden () =
-  let f = Hungarian.forbidden in
-  let score = [| [| f; 5. |]; [| 4.; f |] |] in
-  let assignment, total = Lap.Auction.maximize score in
-  Alcotest.(check (float 1e-6)) "total" 9. total;
-  Alcotest.(check (array int)) "assignment" [| 1; 0 |] assignment
-
-let test_auction_infeasible () =
-  let f = Hungarian.forbidden in
-  (* Two rows fighting over a single allowed column. *)
-  let score = [| [| 1.; f |]; [| 1.; f |] |] in
-  Alcotest.check_raises "infeasible" (Failure "Auction: infeasible") (fun () ->
-      ignore (Lap.Auction.maximize score))
-
-let auction_matches_hungarian =
-  QCheck.Test.make ~name:"auction = hungarian on random instances" ~count:100
-    QCheck.(pair (int_range 1 6) (int_range 0 3))
-    (fun (n, extra) ->
-      let rng = Rng.create ((n * 389) + extra) in
-      let m = n + extra in
-      let score = random_matrix rng n m in
-      let _, h = Hungarian.maximize score in
-      let _, a = Lap.Auction.maximize score in
-      Float.abs (a -. h) < 1e-5 *. (1. +. Float.abs h))
-
 let () =
   Alcotest.run "lap"
     [
@@ -235,13 +202,6 @@ let () =
           Alcotest.test_case "negative costs" `Quick test_mcmf_negative_costs;
           Alcotest.test_case "edge flows" `Quick test_mcmf_edge_flows;
           Alcotest.test_case "disconnected" `Quick test_mcmf_disconnected;
-        ] );
-      ( "auction",
-        [
-          Alcotest.test_case "known" `Quick test_auction_known;
-          Alcotest.test_case "forbidden" `Quick test_auction_forbidden;
-          Alcotest.test_case "infeasible" `Quick test_auction_infeasible;
-          QCheck_alcotest.to_alcotest auction_matches_hungarian;
         ] );
       ( "transportation",
         [

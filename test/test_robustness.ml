@@ -139,8 +139,6 @@ let cra_deadline_tests =
         Greedy.solve_rescan ~deadline i);
     cra_deadline_case "SDGA anytime" (fun ~deadline i ->
         Sdga.solve ~ctx:(Ctx.make ~deadline ()) i);
-    cra_deadline_case "SDGA-flow anytime" (fun ~deadline i ->
-        Sdga.solve_flow ~ctx:(Ctx.make ~deadline ()) i);
     cra_deadline_case "BRGG anytime" (fun ~deadline i ->
         Brgg.solve ~ctx:(Ctx.make ~deadline ()) i);
     Alcotest.test_case "Exact anytime" `Quick (fun () ->

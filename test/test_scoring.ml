@@ -208,6 +208,60 @@ let test_score_matrix_coi () =
   Alcotest.(check bool) "coi cell" true (m.(0).(1) = Lap.Hungarian.forbidden);
   Alcotest.(check bool) "other cells finite" true (m.(0).(0) > 0.)
 
+(* Conflicts are stored per paper: one conflict on a 5000 x 1000
+   instance must not cost a P x R table (about 40 MB as a dense bool
+   matrix). *)
+let test_one_conflict_allocation () =
+  let n_p = 5000 and n_r = 1000 in
+  let papers = Array.init n_p (fun p -> [| 1.; float_of_int (p mod 7) |]) in
+  let reviewers = Array.init n_r (fun r -> [| float_of_int (r mod 5); 1. |]) in
+  let build coi =
+    let before = Gc.allocated_bytes () in
+    ignore
+      (Instance.create_exn ~coi ~papers ~reviewers ~delta_p:1 ~delta_r:5 ());
+    Gc.allocated_bytes () -. before
+  in
+  let plain = build [] in
+  let one = build [ (4321, 999) ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "one conflict adds %.0f bytes" (one -. plain))
+    true
+    (one -. plain < 1e6)
+
+(* [forbidden], [conflicts] and [coi_pairs] against the input pair list
+   itself, on lists with duplicates. *)
+let conflicts_match_pair_list =
+  QCheck.Test.make ~name:"conflicts = pair-list oracle" ~count:200
+    QCheck.(
+      triple (int_range 1 8) (int_range 1 8)
+        (list_of_size Gen.(0 -- 20) (pair (int_range 0 63) (int_range 0 63))))
+    (fun (n_p, n_r, raw) ->
+      let pairs = List.map (fun (p, r) -> (p mod n_p, r mod n_r)) raw in
+      let coi = pairs @ List.filteri (fun i _ -> i mod 2 = 0) pairs in
+      let inst =
+        Instance.create_exn ~coi
+          ~papers:(Array.make n_p [| 1. |])
+          ~reviewers:(Array.make n_r [| 1. |])
+          ~delta_p:1 ~delta_r:n_p ()
+      in
+      let conflicted p r = List.mem (p, r) coi in
+      let papers = List.init n_p Fun.id and reviewers = List.init n_r Fun.id in
+      Instance.coi_pairs inst
+      = List.concat_map
+          (fun p ->
+            List.filter_map
+              (fun r -> if conflicted p r then Some (p, r) else None)
+              reviewers)
+          papers
+      && List.for_all
+           (fun p ->
+             Instance.conflicts inst ~paper:p
+             = Array.of_list (List.filter (conflicted p) reviewers)
+             && List.for_all
+                  (fun r -> Instance.forbidden inst ~paper:p ~reviewer:r = conflicted p r)
+                  reviewers)
+           papers)
+
 let test_assignment_roundtrip () =
   let a = Assignment.of_pairs ~n_papers:2 [ (0, 0); (1, 0); (2, 1) ] in
   Alcotest.(check int) "size" 3 (Assignment.size a);
@@ -275,6 +329,9 @@ let () =
           Alcotest.test_case "min workload" `Quick test_min_workload;
           Alcotest.test_case "stage capacity" `Quick test_stage_capacity;
           Alcotest.test_case "coi in score matrix" `Quick test_score_matrix_coi;
+          Alcotest.test_case "one conflict allocates no P x R table" `Quick
+            test_one_conflict_allocation;
+          QCheck_alcotest.to_alcotest conflicts_match_pair_list;
         ] );
       ( "assignment",
         [

@@ -108,7 +108,7 @@ let extra_solver_modules : string list ref = ref []
 
 let solver_entry_names =
   [
-    "solve"; "solve_flow"; "solve_rescan"; "solve_counting";
+    "solve"; "solve_rescan"; "solve_counting";
     "top_k"; "refine"; "refine_parallel"; "maximize"; "minimize";
     "min_cost_flow"; "transportation";
   ]
