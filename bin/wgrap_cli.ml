@@ -2,8 +2,9 @@
 
    Subcommands:
      generate    - write a synthetic DBLP-like corpus as TSV
-     assign      - conference assignment over a TSV corpus (anytime harness,
-                   optionally crash-safe via --checkpoint-dir/--resume)
+     assign      - conference assignment over a TSV corpus or a synthetic
+                   --preset (anytime harness, optionally crash-safe via
+                   --checkpoint-dir/--resume)
      jra         - reviewer search for a single paper
      checkpoint  - inspect a checkpoint directory's snapshot and journal
      serve       - kill-safe online assignment service (WAL-backed events,
@@ -138,149 +139,51 @@ let objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay =
       die exit_usage
         "--objective must be one of coverage, min, taxonomy (got %S)" other
 
-let report_summary ~json ?shards summary =
-  if json then print_string (Summary.to_json ?shards summary)
-  else begin
-    (match shards with
-    | None | Some [] -> ()
-    | Some ps -> Format.printf "%a@." Summary.pp_shard_provenances ps);
-    Format.printf "%a@." Summary.pp summary
-  end
+(* {2 assign inputs}
 
-(* {2 sharded assign}
+   An instance comes from a TSV corpus (--dataset over --authors and
+   --papers) or from a synthetic raw-instance preset (--preset). Each
+   input also names its papers for the "weakest groups" report and
+   renders the assignment TSV. *)
 
-   --shards N routes the solve through the supervised sharded path
-   (Shard.Supervisor): topic-clustered paper shards, per-shard deadline
-   slicing / bounded retry / checkpoint-resume, greedy backstop, merge +
-   boundary SRA. --preset builds a synthetic raw instance directly
-   (the soak and bench inputs); --chaos-shards injects the deterministic
-   shard fault plan. *)
+type assign_input = {
+  inst : Instance.t;
+  paper_label : int -> string;
+  tsv_lines : Assignment.t -> string list;
+}
 
-let write_assignment_lines ~out a =
-  let oc = match out with "-" -> stdout | path -> open_out path in
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    (Assignment.to_lines a);
-  if out <> "-" then begin
-    close_out oc;
-    Printf.printf "assignment written to %s\n" out
-  end
-
-let instance_of_preset_name ~seed ~delta_p name =
-  match Dataset.Synthetic.preset_of_name name with
-  | None ->
-      die exit_usage "unknown preset %S (one of %s)" name
-        (String.concat ", "
-           (List.map
-              (fun p -> p.Dataset.Synthetic.preset_name)
-              Dataset.Synthetic.instance_presets))
-  | Some p ->
-      if p.Dataset.Synthetic.n_reviewers > 200_000 then
-        die exit_usage
-          "preset %s is disk-streamed only (Dataset.Synthetic.write_preset_tsv \
-           / fold_preset_tsv); it is too large to materialize for assign"
-          name
-      else
-        match
-          Dataset.Synthetic.instance_of_preset ~seed
-            { p with Dataset.Synthetic.delta_p }
-        with
-        | inst -> inst
-        | exception Invalid_argument e ->
-            die exit_data "cannot build instance: %s" e
-
-let shard_fault_injector ~seed ~shards spec =
-  let faults =
-    if String.equal spec "all" then Dataset.Chaos.shard_faults
-    else
-      String.split_on_char ',' spec
-      |> List.filter (fun s -> not (String.equal s ""))
-      |> List.map (fun s ->
-             match Dataset.Chaos.shard_fault_of_name s with
-             | Some f -> f
-             | None ->
-                 die exit_usage
-                   "unknown shard fault %S (one of %s, or \"all\")" s
-                   (String.concat ", "
-                      (List.map Dataset.Chaos.shard_fault_name
-                         Dataset.Chaos.shard_faults)))
-  in
-  (* the plan rides its own seed-derived stream, so a resumed process
-     rebuilds the identical chaos schedule *)
-  let plan =
-    Dataset.Chaos.shard_plan ~rng:(Rng.create (seed lxor 0x5eed)) ~shards
-      ~faults
-  in
-  fun ~shard ~attempt ->
-    match plan ~shard ~attempt with
-    | None -> None
-    | Some Dataset.Chaos.Shard_crash -> Some Shard.Supervisor.Crash
-    | Some Dataset.Chaos.Shard_hang -> Some Shard.Supervisor.Hang
-    | Some Dataset.Chaos.Shard_invalid -> Some Shard.Supervisor.Invalid_result
-
-let assign_sharded ~seed ~shards ~chaos_shards ~objective ~json ~refine ~budget
-    ~jobs ~candidates ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume
-    inst =
-  if resume && Option.is_none checkpoint_dir then
-    die exit_usage "--resume requires --checkpoint-dir";
-  let inject = Option.map (shard_fault_injector ~seed ~shards) chaos_shards in
-  let config =
-    {
-      Shard.Supervisor.default_config with
-      Shard.Supervisor.cadence = Some checkpoint_every;
-      store_dir = checkpoint_dir;
-      resume;
-      refine;
-      inject;
-    }
-  in
-  let ctx =
-    Solver.Ctx.make ?budget ~seed ~objective ~candidates
-      ~pool:(pool_of_jobs jobs) ()
-  in
-  let (outcome, prov), dt =
-    Timer.time (fun () -> Shard.Supervisor.solve ~config ~ctx ~shards inst)
-  in
-  enforce_tolerance ~strict outcome;
-  let a =
-    match Solver.value outcome with Some a -> a | None -> assert false
+let preset_input ~seed ~delta_p ~json name =
+  let inst =
+    match Dataset.Synthetic.preset_of_name name with
+    | None ->
+        die exit_usage "unknown preset %S (one of %s)" name
+          (String.concat ", "
+             (List.map
+                (fun p -> p.Dataset.Synthetic.preset_name)
+                Dataset.Synthetic.instance_presets))
+    | Some p ->
+        if p.Dataset.Synthetic.n_reviewers > 200_000 then
+          die exit_usage
+            "preset %s is disk-streamed only (Dataset.Synthetic.write_preset_tsv \
+             / fold_preset_tsv); it is too large to materialize for assign"
+            name
+        else (
+          try
+            Dataset.Synthetic.instance_of_preset ~seed
+              { p with Dataset.Synthetic.delta_p }
+          with Invalid_argument e -> die exit_data "cannot build instance: %s" e)
   in
   if not json then
-    Printf.printf "solved in %s (%s, %d shard(s))\n" (Report.seconds_cell dt)
-      (Solver.status outcome) shards;
-  (match Assignment.validate inst a with
-  | Ok () -> ()
-  | Error e -> die exit_degraded "internal error: infeasible assignment (%s)" e);
-  report_summary ~json ~shards:prov (Summary.compute ~objective inst a);
-  (* with --json on stdout, the JSON document is the stdout payload;
-     the assignment TSV then needs an explicit --out file *)
-  if not (json && String.equal out "-") then write_assignment_lines ~out a
+    Printf.printf "preset %s: %d papers, %d reviewers\n" name
+      (Instance.n_papers inst) (Instance.n_reviewers inst);
+  {
+    inst;
+    paper_label = Printf.sprintf "paper %d";
+    tsv_lines = Assignment.to_lines;
+  }
 
-let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
-    ~taxonomy_tsv ~taxonomy_decay ~json ~refine ~budget ~jobs ~candidates
-    ~lenient ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume ~shards
-    ~preset ~chaos_shards =
-  check_flag ~flag:"delta-p" ~min:1 delta_p;
-  check_flag ~flag:"candidates" ~min:0 candidates;
-  check_flag ~flag:"jobs" ~min:0 jobs;
-  check_flag ~flag:"shards" ~min:0 shards;
-  if Option.is_some chaos_shards && shards <= 0 then
-    die exit_usage "--chaos-shards requires --shards N";
-  let spec_for = objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay in
-  let spec_of inst = spec_for ~dim:(Instance.n_topics inst) in
-  match preset with
-  | Some name ->
-      if shards <= 0 then die exit_usage "--preset requires --shards N";
-      let inst = instance_of_preset_name ~seed ~delta_p name in
-      if not json then
-        Printf.printf "preset %s: %d papers, %d reviewers\n" name
-          (Instance.n_papers inst) (Instance.n_reviewers inst);
-      assign_sharded ~seed ~shards ~chaos_shards ~objective:(spec_of inst) ~json
-        ~refine ~budget ~jobs ~candidates ~strict ~out ~checkpoint_dir
-        ~checkpoint_every ~resume inst
-  | None ->
+let corpus_input ~seed ~lenient ~authors_path ~papers_path ~dataset ~delta_p
+    ~json =
   let corpus = load_corpus ~lenient authors_path papers_path in
   let spec =
     match Dataset.Datasets.find dataset with
@@ -318,33 +221,61 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
           quarantined;
         inst
   in
-  if shards > 0 then
-    assign_sharded ~seed ~shards ~chaos_shards ~objective:(spec_of inst) ~json
-      ~refine ~budget ~jobs ~candidates ~strict ~out ~checkpoint_dir
-      ~checkpoint_every ~resume inst
-  else begin
-  let objective = spec_of inst in
+  let pid p = extracted.Dataset.Pipeline.paper_ids.(p) in
+  let title p = corpus.Dataset.Corpus.papers.(pid p).Dataset.Corpus.title in
+  let name r =
+    corpus.Dataset.Corpus.authors.(extracted.Dataset.Pipeline.reviewer_ids.(r))
+      .Dataset.Corpus.name
+  in
+  {
+    inst;
+    paper_label = title;
+    tsv_lines =
+      (fun a ->
+        Array.to_list
+          (Array.mapi
+             (fun p group ->
+               Printf.sprintf "%d\t%s\t%s" (pid p) (title p)
+                 (String.concat "; " (List.map name group)))
+             a.Assignment.groups));
+  }
+
+let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
+    ~taxonomy_tsv ~taxonomy_decay ~json ~refine ~budget ~jobs ~candidates
+    ~lenient ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume ~preset =
+  check_flag ~flag:"delta-p" ~min:1 delta_p;
+  check_flag ~flag:"candidates" ~min:0 candidates;
+  check_flag ~flag:"jobs" ~min:0 jobs;
+  if resume && Option.is_none checkpoint_dir then
+    die exit_usage "--resume requires --checkpoint-dir";
+  let spec_for = objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay in
+  let { inst; paper_label; tsv_lines } =
+    match preset with
+    | Some name -> preset_input ~seed ~delta_p ~json name
+    | None ->
+        corpus_input ~seed ~lenient ~authors_path ~papers_path ~dataset
+          ~delta_p ~json
+  in
+  let objective = spec_for ~dim:(Instance.n_topics inst) in
   (* Crash-safe mode: recover (and certify) any stored state before the
      store is opened, because opening fresh wipes the previous run's
      files. A rejected checkpoint degrades to a fresh run whose outcome
      carries the loader's verdict as a Stale_checkpoint reason. *)
   let resume_from =
-    if not resume then None
-    else
-      match checkpoint_dir with
-      | None -> die exit_usage "--resume requires --checkpoint-dir"
-      | Some dir -> (
-          match Wgrap_persist.Store.load ~dir inst with
-          | Ok st ->
-              warn "resuming from checkpoint (%s, %s, objective %.6f)"
-                st.Checkpoint.link
-                (Format.asprintf "%a" Checkpoint.pp_phase st.Checkpoint.phase)
-                st.Checkpoint.score;
-              Some (Ok st)
-          | Error Wgrap_persist.Store.No_checkpoint ->
-              warn "no checkpoint in %s; starting fresh" dir;
-              None
-          | Error (Wgrap_persist.Store.Invalid msg) -> Some (Error msg))
+    match checkpoint_dir with
+    | Some dir when resume -> (
+        match Wgrap_persist.Store.load ~dir inst with
+        | Ok st ->
+            warn "resuming from checkpoint (%s, %s, objective %.6f)"
+              st.Checkpoint.link
+              (Format.asprintf "%a" Checkpoint.pp_phase st.Checkpoint.phase)
+              st.Checkpoint.score;
+            Some (Ok st)
+        | Error Wgrap_persist.Store.No_checkpoint ->
+            warn "no checkpoint in %s; starting fresh" dir;
+            None
+        | Error (Wgrap_persist.Store.Invalid msg) -> Some (Error msg))
+    | _ -> None
   in
   let store =
     Option.map
@@ -375,40 +306,31 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
   (match Assignment.validate inst a with
   | Ok () -> ()
   | Error e -> die exit_degraded "internal error: infeasible assignment (%s)" e);
-  report_summary ~json (Summary.compute ~objective inst a);
-  (match if json then [] else Summary.worst_papers inst a ~k:3 with
-  | [] -> ()
-  | worst ->
-      Printf.printf "weakest groups:\n";
-      List.iter
-        (fun (p, s) ->
-          let pid = extracted.Dataset.Pipeline.paper_ids.(p) in
-          Printf.printf "  %.4f  %s\n" s
-            corpus.Dataset.Corpus.papers.(pid).Dataset.Corpus.title)
-        worst);
-  if json && String.equal out "-" then ()
+  let summary = Summary.compute ~objective inst a in
+  if json then print_string (Summary.to_json summary)
   else begin
-  let oc = match out with "-" -> stdout | path -> open_out path in
-  Array.iteri
-    (fun p group ->
-      let pid = extracted.Dataset.Pipeline.paper_ids.(p) in
-      let names =
-        List.map
-          (fun r ->
-            corpus.Dataset.Corpus.authors.(extracted
-                                             .Dataset.Pipeline.reviewer_ids.(r))
-              .Dataset.Corpus.name)
-          group
-      in
-      Printf.fprintf oc "%d\t%s\t%s\n" pid
-        corpus.Dataset.Corpus.papers.(pid).Dataset.Corpus.title
-        (String.concat "; " names))
-    a.Assignment.groups;
-  if out <> "-" then begin
-    close_out oc;
-    Printf.printf "assignment written to %s\n" out
-  end
-  end
+    Format.printf "%a@." Summary.pp summary;
+    match Summary.worst_papers inst a ~k:3 with
+    | [] -> ()
+    | worst ->
+        Printf.printf "weakest groups:\n";
+        List.iter
+          (fun (p, s) -> Printf.printf "  %.4f  %s\n" s (paper_label p))
+          worst
+  end;
+  (* with --json on stdout, the JSON document is the stdout payload;
+     the assignment TSV then needs an explicit --out file *)
+  if not (json && String.equal out "-") then begin
+    let oc = match out with "-" -> stdout | path -> open_out path in
+    List.iter
+      (fun line ->
+        output_string oc line;
+        output_char oc '\n')
+      (tsv_lines a);
+    if out <> "-" then begin
+      close_out oc;
+      Printf.printf "assignment written to %s\n" out
+    end
   end
 
 (* {1 checkpoint} *)
@@ -751,7 +673,7 @@ let assign_cmd =
       & info [ "json" ]
           ~doc:
             "Print the run summary as one JSON document (coverage, fairness \
-             and workload stats, shard provenance) instead of the textual \
+             and workload stats) instead of the textual \
              report; the assignment TSV is then only written with \
              $(b,--out FILE).")
   in
@@ -782,18 +704,6 @@ let assign_cmd =
       value & opt string "-"
       & info [ "out" ] ~docv:"FILE" ~doc:"Assignment TSV output ('-' = stdout).")
   in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Supervised sharded solve: partition the papers into $(docv) \
-             topic-clustered shards, solve each as an independent supervised \
-             task (deadline slicing, bounded retry with backoff, per-shard \
-             checkpoint/resume under $(b,--checkpoint-dir), greedy backstop \
-             on exhaustion), then merge and repair the shard boundaries. \
-             $(b,0) (the default) keeps the unsharded CRA chain.")
-  in
   let preset =
     Arg.(
       value
@@ -801,20 +711,8 @@ let assign_cmd =
       & info [ "preset" ] ~docv:"NAME"
           ~doc:
             "Solve a synthetic raw-instance preset (quick, xl) instead of a \
-             TSV corpus. Requires $(b,--shards). The huge preset is \
-             disk-streamed only and refused here.")
-  in
-  let chaos_shards =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos-shards" ] ~docv:"FAULTS"
-          ~doc:
-            "Inject the deterministic shard fault plan: a comma-separated \
-             subset of crash, hang, invalid — or $(b,all). Faults strike at \
-             attempt entry per the seed-derived plan; the supervisor must \
-             still deliver a valid (possibly degraded) assignment. Requires \
-             $(b,--shards).")
+             TSV corpus. The huge preset is disk-streamed only and refused \
+             here.")
   in
   Cmd.v
     (Cmd.info "assign" ~doc:"Conference assignment (SDGA + SRA anytime harness)")
@@ -822,17 +720,15 @@ let assign_cmd =
       const
         (fun seed authors_path papers_path dataset delta_p objective
              taxonomy_tsv taxonomy_decay json no_refine budget jobs candidates
-             lenient strict out checkpoint_dir checkpoint_every resume shards
-             preset chaos_shards ->
+             lenient strict out checkpoint_dir checkpoint_every resume preset ->
           assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
             ~taxonomy_tsv ~taxonomy_decay ~json ~refine:(not no_refine) ~budget
             ~jobs ~candidates ~lenient ~strict ~out ~checkpoint_dir
-            ~checkpoint_every ~resume ~shards ~preset ~chaos_shards)
+            ~checkpoint_every ~resume ~preset)
       $ seed_arg $ authors_arg $ papers_arg $ dataset $ delta_p $ objective_arg
       $ taxonomy_tsv_arg $ taxonomy_decay_arg $ json
       $ no_refine $ budget_arg $ jobs $ candidates $ lenient_arg $ strict_arg
-      $ out $ checkpoint_dir_arg $ checkpoint_every_arg $ resume_arg $ shards
-      $ preset $ chaos_shards)
+      $ out $ checkpoint_dir_arg $ checkpoint_every_arg $ resume_arg $ preset)
 
 let checkpoint_cmd =
   let dir =

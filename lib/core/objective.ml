@@ -33,30 +33,6 @@ let name = function
   | Min -> "min"
   | Taxonomy _ -> "taxonomy"
 
-(* One line, deterministic for a fixed spec — what shard manifests pin
-   so a resumed run fail-stops on an objective mismatch instead of
-   merging assignments optimized for different things. The payloads
-   are fingerprinted by an MD5 digest over their full content
-   (Hashtbl.hash reads only the first few values, so two trees that
-   differ past the ~10th edge would describe identically). Every float
-   is printed exactly: %.17g round-trips the scalars, %h the matrix. *)
-let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
-
-let describe = function
-  | Coverage -> "coverage"
-  | Min -> "min"
-  | Blend { preferences; lambda } ->
-      let rows =
-        Array.to_list preferences
-        |> List.map (fun row ->
-               String.concat " "
-                 (List.map (Printf.sprintf "%h") (Array.to_list row)))
-      in
-      Printf.sprintf "blend(lambda=%.17g,prefs=%s)" lambda (digest rows)
-  | Taxonomy { tree; decay } ->
-      Printf.sprintf "taxonomy(decay=%.17g,tree=%s)" decay
-        (digest (Taxonomy.to_lines tree))
-
 (* Submodularity: coverage satisfies Lemma 4; a blend adds a modular
    (group-independent) bid term to it, and the taxonomy objective IS
    coverage on a transformed instance. The min aggregates per-paper

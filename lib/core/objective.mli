@@ -64,12 +64,6 @@ val name : spec -> string
 (** ["coverage"], ["blend"], ["min"] or ["taxonomy"] — the
     [--objective] vocabulary. *)
 
-val describe : spec -> string
-(** One deterministic line pinning the spec and its parameters — what
-    shard manifests record so a resume fail-stops on a mismatch.
-    [Blend] preferences and [Taxonomy] trees are fingerprinted by a
-    digest over their full content. *)
-
 val submodular : spec -> bool
 (** Whether the induced set function satisfies Lemma 4's conditions, so
     the SDGA stage-confinement guarantee applies. False for [Min]. *)

@@ -182,16 +182,15 @@ let link_ctx ctx ~gm ?deadline ?sink ?resume ?rng () =
 let primary_link spec =
   if Objective.submodular spec then "sdga+sra" else "greedy+sra"
 
-(* The bare primary CRA link, exposed so supervisors (lib/shard) can run
-   it under their own retry/fallback policy. Unlike [cra] this *raises*
-   on failure — Timer.Expired on expiry, the solver's exception on a
-   fault — and performs no validation or repair; the caller owns the
-   degradation ladder. The seed is SDGA ("sdga+sra") for submodular
-   objectives, else the lazy greedy ("greedy+sra": valid for any
-   monotone objective, it runs on raw coverage gains), and all
+(* The bare primary CRA link, the one [cra] runs first. Unlike [cra]
+   this *raises* on failure — Timer.Expired on expiry, the solver's
+   exception on a fault — and performs no validation or repair; [cra]
+   owns the degradation ladder. The seed is SDGA ("sdga+sra") for
+   submodular objectives, else the lazy greedy ("greedy+sra": valid for
+   any monotone objective, it runs on raw coverage gains), and all
    objective-aware work happens in the SRA refinement, which makes no
    structural assumption. *)
-let primary ?(refine = true) ?(ctx = Ctx.default) inst =
+let primary ~refine ~ctx inst =
   let sdga = Objective.submodular ctx.Ctx.objective in
   let link = primary_link ctx.Ctx.objective in
   let deadline = ctx.Ctx.deadline in
@@ -200,8 +199,8 @@ let primary ?(refine = true) ?(ctx = Ctx.default) inst =
     (fun s -> s.Checkpoint.on_event (Checkpoint.Link_entered { link }))
     checkpoint;
   let sink = Option.map (Checkpoint.with_link link) checkpoint in
-  (* One gain matrix serves the seed and the refinement; callers running
-     the link repeatedly (retries) pass [ctx.gains] to reuse theirs. *)
+  (* One gain matrix serves the seed and the refinement: [cra]'s, handed
+     down in [ctx.gains]. *)
   let gm = chain_gains ctx inst in
   let fresh_rng () = Ctx.rng_or ~seed:0 ctx in
   (* Only a certified state stamped with this link resumes it; anything

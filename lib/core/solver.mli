@@ -93,38 +93,6 @@ val jra_batch : ?ctx:Ctx.t -> Jra.problem array -> Jra.solution outcome array
     {!jra} would behave. Each outcome carries its own reasons. This is
     the one batch-JRA entry. *)
 
-val primary : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t
-(** The bare primary CRA link, the one {!cra} runs first; it is exposed
-    so a supervisor (e.g. [Shard.Supervisor]) can drive it under its
-    own retry, checkpoint and fallback policy instead of {!cra}'s
-    built-in chain. It routes on [ctx.objective]:
-
-    {ul
-    {- submodular (Lemma 4 holds): link ["sdga+sra"], SDGA
-       on half the remaining budget, then stochastic refinement on the
-       rest;}
-    {- otherwise (min): link ["greedy+sra"], a lazy greedy seed on ~30%
-       of the remaining budget, then the refinement — which makes no
-       submodularity assumption and carries all the objective-aware
-       reweighing — on the rest.}}
-
-    [refine:false] drops the refinement and gives the seed the whole
-    budget.
-
-    Contract differences from {!cra}: the result is {e not} validated or
-    repaired, and failures {e raise} — {!Wgrap_util.Timer.Expired} when
-    the deadline cuts the run short, the solver's own exception on a
-    fault — rather than degrade. [ctx.checkpoint] receives a
-    [Link_entered] event and snapshots stamped with the link name
-    exactly as under {!cra}; [ctx.resume_from] resumes when it carries
-    [Ok state] stamped with this link (mid-SDGA replays remaining
-    stages, mid-SRA restores the snapshot RNG and replays remaining
-    rounds sequentially; the greedy seed has no checkpoint phases) and
-    is ignored otherwise. [ctx.gains] supplies the gain matrix (a
-    private one is built when absent), [ctx.rng] seeds the refinement
-    (fresh seed-0 generator by default), and a parallel [ctx.pool] fans
-    fresh refinement out via {!Sra.refine_parallel}. *)
-
 val cra : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t outcome
 (** Full conference assignment. The primary link runs SDGA on half the
     remaining budget and spends the rest on stochastic refinement

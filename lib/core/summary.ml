@@ -144,45 +144,6 @@ let coverage_histogram ?(buckets = 10) inst assignment =
     (fun i c -> (float_of_int i *. width, float_of_int (i + 1) *. width, c))
     counts
 
-type shard_status =
-  | Shard_complete
-  | Shard_degraded of string list
-  | Shard_fallback of string
-  | Shard_cached
-
-type shard_provenance = {
-  shard : int;
-  shard_papers : int;
-  attempts : int;
-  shard_status : shard_status;
-  shard_elapsed : float;
-}
-
-(* Reason texts can carry backtraces; keep the table one line per shard. *)
-let first_line s =
-  match String.index_opt s '\n' with
-  | None -> s
-  | Some i -> String.sub s 0 i
-
-let pp_shard_status fmt = function
-  | Shard_complete -> Format.pp_print_string fmt "complete"
-  | Shard_degraded reasons ->
-      Format.fprintf fmt "degraded (%s)"
-        (String.concat "; " (List.map first_line reasons))
-  | Shard_fallback why -> Format.fprintf fmt "fallback (%s)" (first_line why)
-  | Shard_cached -> Format.pp_print_string fmt "cached"
-
-let pp_shard_provenance fmt p =
-  Format.fprintf fmt "shard %d: %d papers, %d attempt%s, %.2fs, %a" p.shard
-    p.shard_papers p.attempts
-    (if p.attempts = 1 then "" else "s")
-    p.shard_elapsed pp_shard_status p.shard_status
-
-let pp_shard_provenances fmt ps =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_shard_provenance)
-    ps
-
 (* --- the one JSON rendering ------------------------------------- *)
 
 let json_string s =
@@ -203,29 +164,7 @@ let json_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-let shard_status_json = function
-  | Shard_complete -> ({|"complete"|}, [])
-  | Shard_degraded reasons -> ({|"degraded"|}, List.map first_line reasons)
-  | Shard_fallback why -> ({|"fallback"|}, [ first_line why ])
-  | Shard_cached -> ({|"cached"|}, [])
-
-let shard_provenance_json p =
-  let status, reasons = shard_status_json p.shard_status in
-  Printf.sprintf
-    "{\"shard\": %d, \"papers\": %d, \"attempts\": %d, \"status\": %s, \
-     \"reasons\": [%s], \"elapsed_s\": %.3f}"
-    p.shard p.shard_papers p.attempts status
-    (String.concat ", " (List.map json_string reasons))
-    p.shard_elapsed
-
-let to_json ?(compact = false) ?(extra = []) ?shards t =
-  let shard_array ps =
-    if compact then
-      "[" ^ String.concat ", " (List.map shard_provenance_json ps) ^ "]"
-    else
-      Printf.sprintf "[\n    %s\n  ]"
-        (String.concat ",\n    " (List.map shard_provenance_json ps))
-  in
+let to_json ?(compact = false) ?(extra = []) t =
   let fields =
     extra
     @ [
@@ -248,7 +187,6 @@ let to_json ?(compact = false) ?(extra = []) ?shards t =
             "{\"min\": %d, \"mean\": %.4f, \"max\": %d, \"idle\": %d}"
             t.workload_min t.workload_mean t.workload_max t.idle_reviewers );
       ]
-    @ (match shards with None -> [] | Some ps -> [ ("shards", shard_array ps) ])
     @ [ ("coi_violations", string_of_int t.coi_violations) ]
   in
   let pair (k, v) = json_string k ^ ": " ^ v in

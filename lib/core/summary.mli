@@ -42,52 +42,16 @@ val coverage_histogram :
   ?buckets:int -> Instance.t -> Assignment.t -> (float * float * int) array
 (** [(lo, hi, count)] buckets over per-paper coverage in [0, 1]. *)
 
-(** {2 Sharded-run provenance}
-
-    A sharded solve ([Shard.Supervisor]) reports one record per shard so
-    a degraded merge is attributable: which shards ran clean, which were
-    retried, which fell back to the greedy backstop and why. The types
-    live here (plain data, no dependency on [lib/shard]) so the CLI and
-    service layers can render them next to {!t}. *)
-
-type shard_status =
-  | Shard_complete  (** primary link finished within its attempts *)
-  | Shard_degraded of string list
-      (** finished, but only after recorded failures (retry reasons,
-          oldest first) *)
-  | Shard_fallback of string
-      (** every attempt failed; the greedy backstop answered. The
-          string is the last failure. *)
-  | Shard_cached
-      (** a resumed run loaded this shard's completed result from its
-          checkpoint directory without re-solving *)
-
-type shard_provenance = {
-  shard : int;
-  shard_papers : int;  (** papers assigned to this shard *)
-  attempts : int;  (** solve attempts consumed, 0 for [Shard_cached] *)
-  shard_status : shard_status;
-  shard_elapsed : float;  (** seconds of wall clock spent on the shard *)
-}
-
-val pp_shard_provenance : Format.formatter -> shard_provenance -> unit
-(** One line: shard id, paper count, attempts, status, elapsed. *)
-
-val pp_shard_provenances : Format.formatter -> shard_provenance list -> unit
-(** The whole table, one shard per line, in shard order. *)
-
 val to_json :
   ?compact:bool ->
   ?extra:(string * string) list ->
-  ?shards:shard_provenance list ->
   t ->
   string
 (** The one JSON rendering of a summary, shared by [wgrap assign
-    --json], [serve stats] and the sharded-run provenance report. Keys:
-    [papers], [reviewers], [objective {name, value}], [coverage {total,
-    mean, min, p10, max}], [fairness {gini, topic_balance}], [workload
-    {min, mean, max, idle}], [coi_violations], plus a [shards] array
-    when provenance is supplied. [extra] prepends caller fields — each
+    --json] and [serve stats]. Keys: [papers], [reviewers], [objective
+    {name, value}], [coverage {total, mean, min, p10, max}], [fairness
+    {gini, topic_balance}], [workload {min, mean, max, idle}],
+    [coi_violations]. [extra] prepends caller fields — each
     pair is a raw key and an already-rendered JSON value (the serve
     stats endpoint adds its event counters this way). [compact] emits
     one newline-free line for line-oriented protocols (default: a

@@ -173,10 +173,3 @@ let of_lines ~dim lines =
       lines;
     match !err with Some e -> Error e | None -> create parent
   end
-
-let to_lines t =
-  List.filter_map
-    (fun v ->
-      if t.parent.(v) < 0 then None
-      else Some (Printf.sprintf "%d\t%d" v t.parent.(v)))
-    (List.init (dim t) Fun.id)

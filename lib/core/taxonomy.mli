@@ -50,6 +50,3 @@ val of_lines : dim:int -> string list -> (t, string) result
 (** Parse the TSV edge list: one [child \t parent] per line, parent
     [-1] or [-] for an explicit root, [#]-comments and blank lines
     skipped. Topics never mentioned default to roots. *)
-
-val to_lines : t -> string list
-(** Inverse of {!of_lines} (root lines omitted). *)

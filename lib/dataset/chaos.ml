@@ -196,46 +196,6 @@ let corrupt_file ~rng fault path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (corrupt_bytes ~rng fault data))
 
-type shard_fault = Shard_crash | Shard_hang | Shard_invalid
-
-let shard_faults = [ Shard_crash; Shard_hang; Shard_invalid ]
-
-let shard_fault_name = function
-  | Shard_crash -> "shard-crash"
-  | Shard_hang -> "shard-hang"
-  | Shard_invalid -> "shard-invalid"
-
-let shard_fault_of_name = function
-  | "shard-crash" | "crash" -> Some Shard_crash
-  | "shard-hang" | "hang" -> Some Shard_hang
-  | "shard-invalid" | "invalid" -> Some Shard_invalid
-  | _ -> None
-
-let shard_plan ~rng ~shards ~faults =
-  (* One split stream per shard, drawn eagerly: the plan is a pure
-     lookup table, so the supervisor can re-query it from any domain —
-     and a resumed process rebuilds the identical plan from the seed. *)
-  let streams = Rng.split rng shards in
-  let plan =
-    Array.init shards (fun s ->
-        let rng = streams.(s) in
-        let pick () =
-          match faults with
-          | [] -> None
-          | fs -> Some (List.nth fs (Rng.int rng (List.length fs)))
-        in
-        let first = if Rng.uniform rng < 0.6 then pick () else None in
-        let second =
-          if Option.is_some first && Rng.uniform rng < 0.4 then pick () else None
-        in
-        (first, second))
-  in
-  fun ~shard ~attempt ->
-    if shard < 0 || shard >= shards then None
-    else
-      let first, second = plan.(shard) in
-      match attempt with 0 -> first | 1 -> second | _ -> None
-
 let dense_coi ~rng ~n_papers ~n_reviewers ~density =
   let pairs = ref [] in
   for p = 0 to n_papers - 1 do

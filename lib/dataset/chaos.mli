@@ -87,39 +87,6 @@ val corrupt_bytes : rng:Wgrap_util.Rng.t -> file_fault -> string -> string
 val corrupt_file : rng:Wgrap_util.Rng.t -> file_fault -> string -> unit
 (** {!corrupt_bytes} applied in place to a file on disk. *)
 
-(** {2 Shard-granular faults}
-
-    The trust boundary added by the shard supervisor
-    ([Shard.Supervisor]): a whole solver task misbehaving. Each shape
-    matches one rung of the supervision ladder — a crash the retry
-    policy must absorb, a hang the per-attempt deadline must cut, and a
-    constraint-violating result the per-shard validation and merge
-    checks must reject. *)
-
-type shard_fault =
-  | Shard_crash  (** the shard task raises at attempt entry *)
-  | Shard_hang  (** the shard task sleeps until its attempt deadline *)
-  | Shard_invalid  (** the shard returns a constraint-violating result *)
-
-val shard_faults : shard_fault list
-val shard_fault_name : shard_fault -> string
-val shard_fault_of_name : string -> shard_fault option
-
-val shard_plan :
-  rng:Wgrap_util.Rng.t ->
-  shards:int ->
-  faults:shard_fault list ->
-  shard:int ->
-  attempt:int ->
-  shard_fault option
-(** A deterministic chaos plan on its own split stream: per shard,
-    roughly 60% fault the first attempt and 40% of those also fault the
-    second; attempts from the third on are always clean, so a
-    supervisor with [retries >= 2] still reaches a real solve on every
-    shard. The plan is an eager pure lookup — safe to query from any
-    domain, and a resumed process derives the identical plan from the
-    same seed. *)
-
 val dense_coi :
   rng:Wgrap_util.Rng.t ->
   n_papers:int ->

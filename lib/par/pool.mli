@@ -19,10 +19,9 @@
     from another task. Read-only sharing (the instance, a score matrix,
     a {!Wgrap_util.Timer.deadline} every task polls) is safe; anything
     mutable must be task-local or partitioned by task index.
-    [Shard.Supervisor] is the largest client: one task per shard, each
-    owning its sub-instance, RNG streams and checkpoint directory
-    outright, with all cross-shard state (provenance, reasons, merge
-    input) returned by value and combined on the calling domain. *)
+    {!Wgrap.Sra.refine_parallel} is the largest client: one task per
+    refinement chain, each owning its RNG stream and working assignment
+    outright, with the best chain picked on the calling domain. *)
 
 type t
 

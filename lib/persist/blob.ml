@@ -97,7 +97,3 @@ let read path =
               if String.lowercase_ascii given <> Crc32.hex payload then
                 Error (Corrupt "blob checksum mismatch")
               else Ok payload)
-
-let error_message = function
-  | Missing -> "no blob file"
-  | Corrupt m -> m

@@ -27,5 +27,3 @@ val write : path:string -> string -> unit
 val read : string -> (string, error) result
 (** Read and checksum-verify; returns the payload (with its trailing
     newline). Never raises. *)
-
-val error_message : error -> string

@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Kill-and-resume smoke test for the crash-safe checkpointing layer.
 #
-# Starts a checkpointed `wgrap assign` run, SIGKILLs it as soon as the
-# journal has recorded an incumbent (i.e. mid-refinement whenever the
-# instance is big enough to still be running), then resumes from the
-# same checkpoint directory and asserts:
+# Runs `wgrap assign` once uninterrupted, then starts a checkpointed
+# run with the same flags, SIGKILLs it as soon as the journal has
+# recorded an incumbent (i.e. mid-refinement whenever the instance is
+# big enough to still be running), resumes from the same checkpoint
+# directory and asserts:
 #   1. the resumed run exits 0,
 #   2. the final journaled incumbent is >= the incumbent at kill time,
-#   3. the resumed run wrote a non-empty assignment.
+#   3. the resumed run wrote a non-empty assignment,
+#   4. that assignment is byte-identical (cmp) to the uninterrupted
+#      run's: a resume replays the remaining SDGA stages and SRA rounds
+#      exactly.
 #
 # Used by CI (see .github/workflows/ci.yml) and runnable locally:
 #   dune build && scripts/kill_resume_smoke.sh
@@ -26,6 +30,11 @@ CKPT="$WORK/ckpt"
 echo "== generate corpus =="
 "$WGRAP" generate --seed 7 --scale 1.0 \
   --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv"
+
+echo "== uninterrupted run =="
+"$WGRAP" assign --seed 7 \
+  --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv" \
+  --out "$WORK/uninterrupted.tsv" >"$WORK/uninterrupted.log" 2>&1
 
 echo "== start checkpointed run =="
 "$WGRAP" assign --seed 7 \
@@ -80,4 +89,9 @@ if [ ! -s "$WORK/assignment.tsv" ]; then
   exit 1
 fi
 
-echo "kill_resume_smoke: OK (incumbent $BEFORE at kill -> $AFTER after resume)"
+if ! cmp "$WORK/uninterrupted.tsv" "$WORK/assignment.tsv"; then
+  echo "kill_resume_smoke: FAIL — resumed assignment differs from the uninterrupted run" >&2
+  exit 1
+fi
+
+echo "kill_resume_smoke: OK (incumbent $BEFORE at kill -> $AFTER after resume, TSV bit-identical)"

@@ -160,36 +160,6 @@ let test_taxonomy_objective_scores_through_view () =
     "taxonomy value = coverage value over smoothed view"
     (Objective.value cov a) (Objective.value obj a)
 
-(* Shard manifests pin [describe]: two payloads that differ anywhere
-   must describe differently, including past the handful of values a
-   structural hash reads. The trees are the 4-ary forest over 120
-   topics, with edge 100 re-parented in the second; the decays differ
-   in the 7th digit; the matrices differ only in their last cell. *)
-let test_describe_reads_full_payload () =
-  let parents moved =
-    Array.init 120 (fun v ->
-        if v = 0 then -1 else if v = 100 then moved else (v - 1) / 4)
-  in
-  let tree moved = Objective.taxonomy (Taxonomy.create_exn (parents moved)) in
-  Alcotest.(check bool) "same tree, same line" true
-    (String.equal (Objective.describe (tree 24)) (Objective.describe (tree 24)));
-  Alcotest.(check bool) "edge 100 moved" false
-    (String.equal (Objective.describe (tree 24)) (Objective.describe (tree 3)));
-  let with_decay decay =
-    Objective.describe
-      (Objective.taxonomy ~decay (Taxonomy.balanced ~dim:6 ~arity:2))
-  in
-  Alcotest.(check bool) "decay moved past 6 digits" false
-    (String.equal (with_decay 0.5) (with_decay 0.5000001));
-  let prefs last =
-    Array.init 40 (fun p ->
-        Array.init 30 (fun r -> if p = 39 && r = 29 then last else 0.5))
-  in
-  Alcotest.(check bool) "last bid changed" false
-    (String.equal
-       (Objective.describe (Objective.blend (prefs 0.5)))
-       (Objective.describe (Objective.blend (prefs 0.25))))
-
 (* {1 Fairness metrics} *)
 
 let gini_oracle scores =
@@ -325,8 +295,6 @@ let () =
       ( "taxonomy",
         Alcotest.test_case "objective = coverage over smoothed view" `Quick
           test_taxonomy_objective_scores_through_view
-        :: Alcotest.test_case "describe reads the full payload" `Quick
-             test_describe_reads_full_payload
         :: qsuite [ taxonomy_smooth_matches_walk ] );
       ( "fairness",
         Alcotest.test_case "summary JSON shape" `Quick test_summary_json_shape

@@ -594,7 +594,7 @@ let test_cli_bad_numeric_flags () =
         (contains ~sub:"internal error" out);
       Alcotest.(check bool) (flag ^ ": names the flag") true
         (contains ~sub:flag out))
-    (let assign = [ "assign"; "--preset"; "quick"; "--shards"; "1" ] in
+    (let assign = [ "assign"; "--preset"; "quick" ] in
      [
        ("--candidates", assign @ [ "--candidates=-3" ]);
        ("--jobs", assign @ [ "--jobs=-2" ]);
@@ -603,7 +603,6 @@ let test_cli_bad_numeric_flags () =
        ("--delta-p", [ "jra"; "--paper"; "3"; "--delta-p"; "0" ]);
        ("--scale", [ "generate"; "--scale"; "0" ]);
        ("--scale", [ "generate"; "--scale=-1" ]);
-       ("--shards", [ "assign"; "--preset"; "quick"; "--shards=-2" ]);
        ("--top-k", [ "jra"; "--paper"; "3"; "--top-k=0" ]);
        ("--objective", assign @ [ "--objective"; "owa" ]);
      ])
@@ -618,8 +617,8 @@ let test_cli_preset_delta_p () =
     (fun () ->
       let code, log =
         run_cli
-          [ "assign"; "--preset"; "quick"; "--shards"; "1"; "--candidates";
-            "16"; "--no-refine"; "--delta-p"; "2"; "--out"; out ]
+          [ "assign"; "--preset"; "quick"; "--candidates"; "16";
+            "--no-refine"; "--delta-p"; "2"; "--out"; out ]
       in
       Alcotest.(check int) ("exit code\n" ^ log) 0 code;
       let lines =
@@ -637,11 +636,44 @@ let test_cli_preset_delta_p () =
           | _ -> Alcotest.failf "malformed line %S" line)
         lines);
   let code, log =
-    run_cli [ "assign"; "--preset"; "quick"; "--shards"; "1"; "--delta-p"; "31" ]
+    run_cli [ "assign"; "--preset"; "quick"; "--delta-p"; "31" ]
   in
   Alcotest.(check int) "over capacity: exit code" 2 code;
   Alcotest.(check bool) "over capacity: no internal error" false
     (contains ~sub:"internal error" log)
+
+(* A preset solve is one [Solver.cra] call: two same-seed runs write
+   byte-identical TSVs, and both equal the in-process chain on the same
+   instance under the context the CLI builds (coverage objective, one
+   job, no deadline). *)
+let test_cli_preset_matches_solver () =
+  let args out =
+    [ "assign"; "--preset"; "quick"; "--candidates"; "16"; "--seed"; "2015";
+      "--out"; out ]
+  in
+  let run () =
+    let out = Filename.temp_file "wgrap_preset" ".tsv" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        let code, log = run_cli (args out) in
+        Alcotest.(check int) ("exit code\n" ^ log) 0 code;
+        In_channel.with_open_bin out In_channel.input_all)
+  in
+  let first = run () in
+  Alcotest.(check string) "same seed, same bytes" first (run ());
+  let preset = Option.get (Dataset.Synthetic.preset_of_name "quick") in
+  let inst = Dataset.Synthetic.instance_of_preset ~seed:2015 preset in
+  let ctx =
+    Ctx.make ~seed:2015 ~objective:Objective.coverage ~candidates:16
+      ~pool:(Wgrap_par.Pool.create ~jobs:1) ()
+  in
+  match Solver.cra ~ctx inst with
+  | Solver.Complete a ->
+      Alcotest.(check string) "CLI = in-process Solver.cra"
+        (String.concat "" (List.map (fun l -> l ^ "\n") (Assignment.to_lines a)))
+        first
+  | o -> Alcotest.failf "in-process solve not complete (%s)" (Solver.status o)
 
 let () =
   Alcotest.run "robustness"
@@ -669,5 +701,7 @@ let () =
             test_cli_bad_numeric_flags;
           Alcotest.test_case "--delta-p reaches the preset" `Quick
             test_cli_preset_delta_p;
+          Alcotest.test_case "preset TSV = in-process Solver.cra" `Quick
+            test_cli_preset_matches_solver;
         ] );
     ]

@@ -25,8 +25,8 @@ let dense_alloc_owners = [ "lib/core/gain_matrix.ml" ]
    signal — a handler that absorbs it turns a deadline overrun into a
    silent normal return, and budgets stop binding. The only modules
    allowed to catch it without re-raising are the solver backstop
-   ladder (each converts the overrun into the Degraded protocol), the
-   serve solve task, and the shard supervisor's retry loop. *)
+   ladder (each converts the overrun into the Degraded protocol) and
+   the serve solve task. *)
 let cancel_owners =
   [
     "lib/core/solver.ml";
@@ -35,7 +35,6 @@ let cancel_owners =
     "lib/core/greedy.ml";
     "lib/core/exact.ml";
     "lib/serve/state.ml";
-    "lib/shard/supervisor.ml";
   ]
 
 (* Rule direct-scoring: inside the solver chain every score must flow

@@ -342,9 +342,8 @@ let dense_alloc =
    A handler that catches it without re-raising converts a deadline
    overrun into a normal return — the budget silently stops binding.
    Only the designated backstop modules (Lint_config.cancel_owners: the
-   solver fallback ladder, the serve solve task, the shard supervisor)
-   may absorb it, because each re-enters the degradation protocol
-   instead. Two shapes fire: an explicit [Timer.Expired] pattern (in a
+   solver fallback ladder, the serve solve task) may absorb it, because
+   each re-enters the degradation protocol instead. Two shapes fire: an explicit [Timer.Expired] pattern (in a
    [try] or a [match ... with exception ...]) whose handler never
    re-raises, and a catch-all [try] handler over a body that visibly
    polls [Timer.check]/[Timer.check_opt] or raises [Expired]. Unlike
