@@ -264,7 +264,7 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
   let resume_from =
     match checkpoint_dir with
     | Some dir when resume -> (
-        match Wgrap_persist.Store.load ~dir inst with
+        match Wgrap_persist.Store.load ~dir ~objective inst with
         | Ok st ->
             warn "resuming from checkpoint (%s, %s, objective %.6f)"
               st.Checkpoint.link

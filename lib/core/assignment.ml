@@ -36,9 +36,21 @@ let group_vector inst t p =
     t.groups.(p);
   acc
 
+(* For the three kinds with [f(v, 0) = 0] the score reads the group
+   only on the paper's support, and a coordinatewise max is exact, so
+   the sparse kernel equals the dense one bit for bit in
+   O(|group| * nnz(p)) instead of O(|group| * T). Reviewer_coverage
+   scores off-support group mass, and the sparse kernel rejects an
+   empty group: both keep the dense path. *)
 let paper_score inst t p =
-  Scoring.score inst.Instance.scoring (group_vector inst t p)
-    inst.Instance.papers.(p)
+  match (inst.Instance.scoring, t.groups.(p)) with
+  | Scoring.Reviewer_coverage, _ | _, [] ->
+      Scoring.score inst.Instance.scoring (group_vector inst t p)
+        inst.Instance.papers.(p)
+  | (Scoring.Weighted_coverage | Scoring.Paper_coverage | Scoring.Dot_product), group ->
+      Scoring.group_score_sparse inst.Instance.scoring
+        (List.map (fun r -> inst.Instance.reviewers.(r)) group)
+        (Instance.paper_support inst p)
 
 let coverage inst t =
   let acc = ref 0. in

@@ -26,7 +26,10 @@ val group_vector : Instance.t -> t -> int -> Topic_vector.t
     for an empty group). *)
 
 val paper_score : Instance.t -> t -> int -> float
-(** c(g, p) for paper [p] under the instance scoring. *)
+(** c(g, p) for paper [p] under the instance scoring:
+    O(|g| * nnz(p)) through {!Scoring.group_score_sparse}, bit-equal to
+    the dense [Scoring.score] on {!group_vector}, except for
+    [Reviewer_coverage] and empty groups, which take that dense path. *)
 
 val coverage : Instance.t -> t -> float
 (** The WGRAP objective c(A): sum of per-paper group scores. *)

@@ -10,7 +10,8 @@
    (worst candidate on top; a posting hit that cannot beat it is never
    pushed). Candidates therefore rank by the true c(r, p), not an
    approximation — for the three kinds with [f(v, 0) = 0] the untouched
-   reviewers score exactly 0, so the selection is exact. *)
+   reviewers score exactly 0, so the selection is exact. [iter_scores]
+   hands the same walk's exact scores to the Eq. 9 column sums. *)
 
 module Heap = Wgrap_util.Heap
 
@@ -76,34 +77,61 @@ let beats ~score ~id worst =
   | 0 -> id < worst.id
   | c -> c > 0
 
-let top_k t ~scoring ~k ?(forbidden = fun _ -> false)
-    (paper : Topic_vector.support) =
-  if k < 1 then invalid_arg "Candidate_index.top_k: k must be >= 1";
-  let n_r = t.n_reviewers in
-  let acc = Array.make n_r 0. in
-  let touched = Array.make n_r false in
-  let order = ref [] in
-  let touch r =
-    if not touched.(r) then begin
-      touched.(r) <- true;
-      order := r :: !order
-    end
-  in
+(* Per-task query scratch: [acc.(r)] accumulates reviewer [r]'s score
+   numerator, [inside.(r)] its mass inside the paper's support
+   (Reviewer_coverage only), [seen.(r)] whether the walk touched it, and
+   [touched.(0 .. n_touched - 1)] the touched ids in touch order. The
+   arrays grow to the largest [n_reviewers] queried and are all-zero
+   between walks: each walk first resets exactly the entries the
+   previous one touched, so a query costs O(postings), never O(n_r),
+   and a walk cut short by an exception leaves nothing behind. *)
+type scratch = {
+  mutable acc : float array;
+  mutable inside : float array;
+  mutable seen : bool array;
+  mutable touched : int array;
+  mutable n_touched : int;
+}
+
+let scratch () =
+  { acc = [||]; inside = [||]; seen = [||]; touched = [||]; n_touched = 0 }
+
+let prepare s ~n_reviewers =
+  for i = 0 to s.n_touched - 1 do
+    let r = s.touched.(i) in
+    s.acc.(r) <- 0.;
+    s.inside.(r) <- 0.;
+    s.seen.(r) <- false
+  done;
+  s.n_touched <- 0;
+  if Array.length s.acc < n_reviewers then begin
+    s.acc <- Array.make n_reviewers 0.;
+    s.inside <- Array.make n_reviewers 0.;
+    s.seen <- Array.make n_reviewers false;
+    s.touched <- Array.make n_reviewers 0
+  end
+
+let touch s r =
+  if not s.seen.(r) then begin
+    s.seen.(r) <- true;
+    s.touched.(s.n_touched) <- r;
+    s.n_touched <- s.n_touched + 1
+  end
+
+let is_cr = function Scoring.Reviewer_coverage -> true | _ -> false
+
+(* Walk the postings of the paper's support topics in topic order, so
+   each reviewer's numerator accumulates its posting hits in the order
+   [Scoring.score_sparse] visits them; the topics a reviewer misses add
+   an exact [0.] there for the three kinds with [f(v, 0) = 0]. [seeds]
+   reviewers are touched first, hit or not. *)
+let walk t s ~scoring ~seeds (paper : Topic_vector.support) =
+  prepare s ~n_reviewers:t.n_reviewers;
+  for i = 0 to seeds - 1 do
+    touch s t.by_mass.(i)
+  done;
+  let cr = is_cr scoring in
   let idx = paper.Topic_vector.idx and nz = paper.Topic_vector.nz in
-  let is_cr =
-    match scoring with Scoring.Reviewer_coverage -> true | _ -> false
-  in
-  (* Reviewer_coverage scores off-support reviewer mass in full, so a
-     high-mass reviewer with zero overlap can still rank: seed the
-     candidate set with the globally heaviest reviewers (their exact
-     score needs no posting hits), then let posting hits refine it. *)
-  let inside = if is_cr then Array.make n_r 0. else [||] in
-  if is_cr then begin
-    let seeds = min n_r ((4 * k) + 16) in
-    for i = 0 to seeds - 1 do
-      touch t.by_mass.(i)
-    done
-  end;
   for j = 0 to Array.length idx - 1 do
     let tt = idx.(j) in
     let pv = nz.(j) in
@@ -111,37 +139,56 @@ let top_k t ~scoring ~k ?(forbidden = fun _ -> false)
     for i = 0 to Array.length ids - 1 do
       let r = ids.(i) in
       let v = ws.(i) in
-      acc.(r) <- acc.(r) +. Scoring.contribution scoring v pv;
-      if is_cr then inside.(r) <- inside.(r) +. v;
-      touch r
+      s.acc.(r) <- s.acc.(r) +. Scoring.contribution scoring v pv;
+      if cr then s.inside.(r) <- s.inside.(r) +. v;
+      touch s r
     done
-  done;
+  done
+
+let score_of t s ~scoring (paper : Topic_vector.support) r =
   let pmass = paper.Topic_vector.mass in
-  let score_of r =
-    if pmass <= 0. then 0.
-    else if is_cr then
-      (* Associate exactly as [Scoring.score_sparse] does —
-         [acc + (mass - inside)] — so the ranking score is bit-identical
-         to [Instance.pair_score] and near-ties cannot flip. *)
-      (acc.(r) +. (t.masses.(r) -. inside.(r))) /. pmass
-    else acc.(r) /. pmass
-  in
+  if pmass <= 0. then 0.
+  else if is_cr scoring then
+    (* Associate exactly as [Scoring.score_sparse] does —
+       [acc + (mass - inside)] — so the score is bit-identical to
+       [Instance.pair_score] and near-ties cannot flip. *)
+    (s.acc.(r) +. (t.masses.(r) -. s.inside.(r))) /. pmass
+  else s.acc.(r) /. pmass
+
+let iter_scores t s ~scoring paper f =
+  if is_cr scoring then
+    invalid_arg "Candidate_index.iter_scores: Reviewer_coverage scores every reviewer";
+  walk t s ~scoring ~seeds:0 paper;
+  for i = 0 to s.n_touched - 1 do
+    let r = s.touched.(i) in
+    f r (score_of t s ~scoring paper r)
+  done
+
+let top_k t s ~scoring ~k ?(forbidden = fun _ -> false)
+    (paper : Topic_vector.support) =
+  if k < 1 then invalid_arg "Candidate_index.top_k: k must be >= 1";
+  (* Reviewer_coverage scores off-support reviewer mass in full, so a
+     high-mass reviewer with zero overlap can still rank: seed the
+     candidate set with the globally heaviest reviewers (their exact
+     score needs no posting hits), then let posting hits refine it. *)
+  let seeds = if is_cr scoring then min t.n_reviewers ((4 * k) + 16) else 0 in
+  walk t s ~scoring ~seeds paper;
   let heap = Heap.create ~capacity:(k + 1) ~cmp:worst_first () in
-  (* Candidates are offered in ascending id ([order] is reversed below),
-     purely cosmetic: the kept set is order-independent. *)
-  List.iter
-    (fun r ->
-      if not (forbidden r) then begin
-        let score = score_of r in
-        if Heap.length heap < k then Heap.push heap { score; id = r }
-        else
-          match Heap.peek heap with
-          | Some worst when beats ~score ~id:r worst ->
-              ignore (Heap.pop heap);
-              Heap.push heap { score; id = r }
-          | _ -> ()
-      end)
-    (List.rev !order);
+  (* Candidates are offered in touch order; the kept set is
+     order-independent. *)
+  for i = 0 to s.n_touched - 1 do
+    let r = s.touched.(i) in
+    if not (forbidden r) then begin
+      let score = score_of t s ~scoring paper r in
+      if Heap.length heap < k then Heap.push heap { score; id = r }
+      else
+        match Heap.peek heap with
+        | Some worst when beats ~score ~id:r worst ->
+            ignore (Heap.pop heap);
+            Heap.push heap { score; id = r }
+        | _ -> ()
+    end
+  done;
   let kept = Array.make (Heap.length heap) 0 in
   let i = ref 0 in
   let rec drain () =

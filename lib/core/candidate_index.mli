@@ -9,8 +9,9 @@
     use instead of all-pairs scoring, and the pruning step the
     candidate-pruned {!Gain_matrix} rows are built from.
 
-    The index is immutable after {!create}; {!top_k} allocates its own
-    scratch, so concurrent retrievals from pool domains are safe. *)
+    The index is immutable after {!create}. A query works in a caller-
+    owned {!scratch}, so concurrent retrievals from pool domains are
+    safe as long as each task brings its own. *)
 
 type t
 
@@ -20,14 +21,41 @@ val create : n_topics:int -> reviewers:Topic_vector.support array -> t
 
 val n_reviewers : t -> int
 
+type scratch
+(** Per-task query workspace: per-reviewer score accumulators and the
+    list of reviewers the last walk touched. It grows to the largest
+    reviewer count queried and is reset from that list at the start of
+    the next walk, so a query costs O(postings visited), not O(n_r).
+    One scratch serves any number of sequential queries, over any
+    number of indexes; never share one between concurrent tasks. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; it allocates on first use. *)
+
+val iter_scores :
+  t ->
+  scratch ->
+  scoring:Scoring.kind ->
+  Topic_vector.support ->
+  (int -> float -> unit) ->
+  unit
+(** [iter_scores t s ~scoring paper f] calls [f r c] once for every
+    reviewer [r] with a posting on the paper's support, in traversal
+    order, where [c] is c(r, p) bit-identical to
+    {!Scoring.score_sparse}. Every other reviewer scores exactly [0.]
+    under the three kinds with [f(v, 0) = 0]. O(postings of the
+    support). Raises [Invalid_argument] for [Reviewer_coverage], under
+    which every reviewer with mass off the support scores. *)
+
 val top_k :
   t ->
+  scratch ->
   scoring:Scoring.kind ->
   k:int ->
   ?forbidden:(int -> bool) ->
   Topic_vector.support ->
   int array
-(** [top_k t ~scoring ~k paper] returns at most [k] reviewer ids in
+(** [top_k t s ~scoring ~k paper] returns at most [k] reviewer ids in
     ascending order, ranked by exact pair score (ties keep the lower
     id), skipping reviewers for which [forbidden] holds (COI filtering —
     a conflicted reviewer must not burn a candidate slot). Reviewers the

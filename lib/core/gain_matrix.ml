@@ -12,7 +12,8 @@
    reviewers from the instance's inverted topic index, so the whole
    matrix is O(n_p * k); dense (k = 0), it is one identity list
    [|0..n_r-1|] shared by every row. No allocation is n_p * n_r-sized:
-   the Eq. 9 column sums stream through one transient row. *)
+   the Eq. 9 column sums sweep the inverted index's postings, one paper
+   at a time. *)
 
 type row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -29,6 +30,7 @@ type t = {
   version : int array;  (* current group version per paper *)
   row_version : int array;  (* version the row reflects; -1 = never *)
   mutable scratch_vec : float array;  (* dim, staging for set_group *)
+  scratch : Candidate_index.scratch;  (* this matrix's sequential queries *)
   mutable denom : float array option;  (* cached Eq. 9 column sums *)
 }
 
@@ -53,6 +55,7 @@ let create ?(candidates = 0) inst =
     version = Array.make n_p 0;
     row_version = Array.make n_p (-1);
     scratch_vec = [||];
+    scratch = Candidate_index.scratch ();
     denom = None;
   }
 
@@ -80,22 +83,28 @@ let group_vec t paper =
       t.gvec.(paper) <- Some g;
       g
 
-let candidates t ~paper =
+(* [scratch] is the caller's: the matrix's own on the sequential paths,
+   one per task in {!iter_rows}. *)
+let candidates_in t scratch ~paper =
   if t.k = 0 then t.all
   else
     match t.cands.(paper) with
     | Some c -> c
     | None ->
-        let c = Instance.candidates t.inst ~k:t.k ~paper in
+        let c = Instance.candidates_with t.inst scratch ~k:t.k ~paper in
         t.cands.(paper) <- Some c;
         c
 
-let row_buffer t paper =
+let candidates t ~paper = candidates_in t t.scratch ~paper
+
+let row_buffer t paper cands =
   match t.rows.(paper) with
   | Some row -> row
   | None ->
-      let len = Array.length (candidates t ~paper) in
-      let row = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
+      let row =
+        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+          (Array.length cands)
+      in
       t.rows.(paper) <- Some row;
       row
 
@@ -170,10 +179,10 @@ let gain t ~paper ~reviewer =
    straight into the Bigarray row. The arithmetic is the per-reviewer
    body of [Scoring.gain_into], so every cell is bit-identical to the
    dense kernel's. *)
-let ensure_row t paper =
+let ensure_row t scratch paper =
   if t.row_version.(paper) <> t.version.(paper) then begin
-    let cands = candidates t ~paper in
-    let row = row_buffer t paper in
+    let cands = candidates_in t scratch ~paper in
+    let row = row_buffer t paper cands in
     let group = group_vec t paper in
     let ps = Instance.paper_support t.inst paper in
     for i = 0 to Array.length cands - 1 do
@@ -186,9 +195,9 @@ let ensure_row t paper =
   end
 
 let iter_row t ~paper f =
-  ensure_row t paper;
-  let row = row_buffer t paper in
+  ensure_row t t.scratch paper;
   let cands = candidates t ~paper in
+  let row = row_buffer t paper cands in
   for i = 0 to Array.length cands - 1 do
     f ~reviewer:cands.(i) ~gain:(Bigarray.Array1.get row i)
   done
@@ -199,19 +208,33 @@ let fold_row t ~paper ~init f =
   !acc
 
 (* Eq. 9 denominators: per-reviewer sums of the single-reviewer score
-   matrix, COI cells (the [forbidden] sentinel) excluded. The matrix is
-   never materialized: score rows stream through one transient buffer
-   in paper order, O(n_r) live memory. *)
-let streamed_column_sums ?deadline t =
+   matrix, COI cells excluded, accumulated in paper order. The matrix is
+   never materialized. Under the three kinds with [f(v, 0) = 0] one
+   posting sweep per paper yields every nonzero score of its row,
+   bit-identical to the sparse kernel, and the reviewers it misses
+   score exactly [0.], whose addition changes no sum: O(postings of the
+   support) per paper, bit-identical to summing whole rows.
+   Reviewer_coverage scores every reviewer with off-support mass, so
+   its rows stream through one transient [Instance.score_row] each. *)
+let column_sums ?deadline t scratch =
   let module Timer = Wgrap_util.Timer in
+  let inst = t.inst in
   let denom = Array.make t.n_r 0. in
   for p = 0 to t.n_p - 1 do
     Timer.check_opt deadline;
-    let row = Instance.score_row t.inst ~paper:p in
-    for r = 0 to t.n_r - 1 do
-      if row.(r) <> Lap.Hungarian.forbidden then
-        denom.(r) <- denom.(r) +. row.(r)
-    done
+    match inst.Instance.scoring with
+    | Scoring.Reviewer_coverage ->
+        let row = Instance.score_row inst ~paper:p in
+        for r = 0 to t.n_r - 1 do
+          if row.(r) <> Lap.Hungarian.forbidden then
+            denom.(r) <- denom.(r) +. row.(r)
+        done
+    | Scoring.Weighted_coverage | Scoring.Paper_coverage | Scoring.Dot_product ->
+        Candidate_index.iter_scores inst.Instance.cindex scratch
+          ~scoring:inst.Instance.scoring (Instance.paper_support inst p)
+          (fun r c ->
+            if not (Instance.forbidden inst ~paper:p ~reviewer:r) then
+              denom.(r) <- denom.(r) +. c)
   done;
   denom
 
@@ -219,7 +242,7 @@ let column_denominators t =
   match t.denom with
   | Some d -> d
   | None ->
-      let d = streamed_column_sums t in
+      let d = column_sums t t.scratch in
       t.denom <- Some d;
       d
 
@@ -240,6 +263,7 @@ let spawn t =
     version = Array.make t.n_p 0;
     row_version = Array.make t.n_p (-1);
     scratch_vec = [||];
+    scratch = Candidate_index.scratch ();
     (* Immutable once computed: shared, not copied. *)
     denom = t.denom;
   }
@@ -247,29 +271,37 @@ let spawn t =
 (* Row-parallel iteration shared by {!prime} and {!rebuild}: rows are
    independent by construction (one candidate list and one gain row per
    paper), and every worker polls the deadline so a budgeted caller can
-   cut the pass off mid-way and fall back to lazy rows. *)
+   cut the pass off mid-way and fall back to lazy rows. Papers split into
+   one contiguous chunk per pool task, and each chunk retrieves through
+   its own scratch. *)
 let iter_rows ?pool t f =
   let module Pool = Wgrap_par.Pool in
   match pool with
-  | Some p when Pool.jobs p > 1 -> Pool.iter p ~n:t.n_p f
+  | Some p when Pool.jobs p > 1 ->
+      let chunks = Pool.jobs p in
+      Pool.iter p ~n:chunks (fun c ->
+          let scratch = Candidate_index.scratch () in
+          for paper = c * t.n_p / chunks to ((c + 1) * t.n_p / chunks) - 1 do
+            f scratch paper
+          done)
   | _ ->
       for paper = 0 to t.n_p - 1 do
-        f paper
+        f t.scratch paper
       done
 
 let prime ?pool ?deadline t =
   let module Timer = Wgrap_util.Timer in
   (* Every candidate list (slots are disjoint, so pool workers may fill
-     them concurrently), then the streamed Eq. 9 sums. *)
-  iter_rows ?pool t (fun paper ->
+     them concurrently), then the Eq. 9 sums in paper order. *)
+  iter_rows ?pool t (fun scratch paper ->
       Timer.check_opt deadline;
-      ignore (candidates t ~paper));
+      ignore (candidates_in t scratch ~paper));
   match t.denom with
   | Some _ -> ()
-  | None -> t.denom <- Some (streamed_column_sums ?deadline t)
+  | None -> t.denom <- Some (column_sums ?deadline t t.scratch)
 
 let rebuild ?pool ?deadline t =
   let module Timer = Wgrap_util.Timer in
-  iter_rows ?pool t (fun paper ->
+  iter_rows ?pool t (fun scratch paper ->
       Timer.check_opt deadline;
-      ensure_row t paper)
+      ensure_row t scratch paper)

@@ -30,7 +30,7 @@
     Every cell holds the float the dense sparse kernel computes for the
     pair, whatever the width. No allocation is [n_p * n_r]-sized: rows
     are per paper, there is no score-matrix cache, and the Eq. 9 sums
-    stream through one transient row.
+    are built one paper at a time.
 
     The matrix holds {e raw} coverage gains: conflicts of interest,
     capacities and group membership are masked by the consumers. Cells
@@ -104,9 +104,14 @@ val fold_row :
 
 val column_denominators : t -> float array
 (** The Eq. 9 denominators [sum_p' c(r, p')], COI cells excluded,
-    computed once and cached. Score rows stream through one transient
-    row per paper in paper order: O(n_r) live memory. The single source
-    of truth for the denominator ({!Sra.keep_probability} reads it). *)
+    accumulated in paper order, computed once and cached. Under the
+    three kinds with [f(v, 0) = 0] each paper contributes through one
+    sweep of its support's postings ({!Candidate_index.iter_scores}):
+    O(postings of the support) per paper, bit-identical to summing
+    whole score rows, since the reviewers a sweep misses score exactly
+    [0.]. [Reviewer_coverage] streams one transient {!Instance.score_row}
+    per paper. O(n_r) live memory either way. The single source of
+    truth for the denominator ({!Sra.keep_probability} reads it). *)
 
 val spawn : t -> t
 (** A fresh matrix over the same instance and candidate width: empty
@@ -119,8 +124,9 @@ val spawn : t -> t
 
 val prime : ?pool:Wgrap_par.Pool.t -> ?deadline:Wgrap_util.Timer.deadline -> t -> unit
 (** Force the static state now: every candidate list (slots are
-    per-paper, so [pool] workers fill them concurrently; nothing to
-    retrieve on a dense matrix), then the streamed Eq. 9 column sums,
+    per-paper, so [pool] workers fill them concurrently, one contiguous
+    chunk of papers and one {!Candidate_index.scratch} per task; nothing
+    to retrieve on a dense matrix), then the Eq. 9 column sums,
     sequentially. Parallel SRA primes the coordinator's matrix once,
     then hands chains {!spawn}s of it.
     [deadline] is polled per row; expiry raises

@@ -135,10 +135,13 @@ let with_reviewers t reviewers =
     cindex = Candidate_index.create ~n_topics:(n_topics t) ~reviewers:rsupp;
   }
 
-let candidates t ~k ~paper =
-  Candidate_index.top_k t.cindex ~scoring:t.scoring ~k
+let candidates_with t scratch ~k ~paper =
+  Candidate_index.top_k t.cindex scratch ~scoring:t.scoring ~k
     ~forbidden:(fun r -> forbidden t ~paper ~reviewer:r)
     t.psupp.(paper)
+
+let candidates t ~k ~paper =
+  candidates_with t (Candidate_index.scratch ()) ~k ~paper
 
 let coi_pairs t =
   let pairs = ref [] in

@@ -97,6 +97,12 @@ val candidates : t -> k:int -> paper:int -> int array
     slot). Ascending reviewer ids; may be shorter than [k] for papers
     whose support touches few reviewers. *)
 
+val candidates_with :
+  t -> Candidate_index.scratch -> k:int -> paper:int -> int array
+(** {!candidates} in a caller-owned scratch: what a loop retrieving
+    many papers' candidates uses, one scratch per task. {!candidates}
+    itself builds a fresh scratch per call. *)
+
 val coi_pairs : t -> (int * int) list
 (** The instance's conflicts as [(paper, reviewer)] pairs, ordered by
     paper, then reviewer, without duplicates. *)

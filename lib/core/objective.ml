@@ -90,24 +90,6 @@ let pair_score t ~paper ~reviewer =
          *. preferences.(paper).(reviewer)
          /. float_of_int t.view.Instance.delta_p
 
-let group_score t ~paper group =
-  let c =
-    match group with
-    | [] -> 0.
-    | _ ->
-        let vecs = List.map (fun r -> t.view.Instance.reviewers.(r)) group in
-        Scoring.group_score t.view.Instance.scoring vecs
-          t.view.Instance.papers.(paper)
-  in
-  match t.spec with
-  | Coverage | Min | Taxonomy _ -> c
-  | Blend { preferences; lambda } ->
-      let bids =
-        List.fold_left (fun s r -> s +. preferences.(paper).(r)) 0. group
-      in
-      (lambda *. c)
-      +. ((1. -. lambda) *. bids /. float_of_int t.view.Instance.delta_p)
-
 let marginal_gain t ~group ~paper ~reviewer =
   let g =
     Scoring.gain t.view.Instance.scoring ~group

@@ -1,7 +1,7 @@
 (** The first-class assignment objective.
 
     Solvers consult a bound objective ({!t}) for every score they need
-    — pair scores, group scores, marginal gains, whole-assignment
+    — pair scores, marginal gains, per-paper and whole-assignment
     values — instead of reaching for {!Scoring} or
     {!Instance.pair_score} directly (the wgrap_lint [direct-scoring]
     rule enforces this in solver modules). A {!spec} names the backend
@@ -99,9 +99,6 @@ val coverage_score : t -> paper:int -> reviewer:int -> float
     keep-probabilities are built from (removal models topical misfit;
     modular terms steer the refill via {!stage_gain} instead). Equal to
     {!pair_score} for every backend except [Blend]. *)
-
-val group_score : t -> paper:int -> int list -> float
-(** c(g, p) of a reviewer group for one paper. *)
 
 val marginal_gain :
   t -> group:Topic_vector.t -> paper:int -> reviewer:int -> float

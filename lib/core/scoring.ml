@@ -12,7 +12,9 @@ let name = function
   | Paper_coverage -> "cP"
   | Dot_product -> "cD"
 
-let contribution kind v p =
+(* Inlined into this module's kernels, so their per-topic terms stay
+   unboxed floats instead of one heap allocation per call. *)
+let[@inline] contribution kind v p =
   match kind with
   | Weighted_coverage -> Float.min v p
   | Reviewer_coverage -> if v >= p then v else 0.

@@ -361,7 +361,11 @@ let sample_cumulative rng cum =
 
 (* A sparse mixture over [nnz] distinct Zipf-sampled topics. Rejection
    on collisions terminates fast: even the hottest topic holds well
-   under half the total mass at the preset skews. *)
+   under half the total mass at the preset skews. The draws are
+   normalized in place by the same [Stats.sum] total [Stats.normalize]
+   divides by, so the values equal its output bit for bit without a
+   second T-length copy; a zero-mass draw ([nnz = 0]) takes
+   [Stats.normalize]'s uniform fallback. *)
 let skewed_vector rng ~cum ~dim ~nnz =
   let v = Array.make dim 0. in
   let picked = ref 0 in
@@ -372,7 +376,14 @@ let skewed_vector rng ~cum ~dim ~nnz =
       incr picked
     end
   done;
-  Wgrap_util.Stats.normalize v
+  let total = Wgrap_util.Stats.sum v in
+  if total <= 0. then Wgrap_util.Stats.normalize v
+  else begin
+    for t = 0 to dim - 1 do
+      v.(t) <- v.(t) /. total
+    done;
+    v
+  end
 
 let instance_of_preset ?(scoring = Wgrap.Scoring.Weighted_coverage) ?(seed = 7)
     p =

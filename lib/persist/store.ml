@@ -1,6 +1,7 @@
 module Checkpoint = Wgrap.Checkpoint
 module Assignment = Wgrap.Assignment
 module Instance = Wgrap.Instance
+module Objective = Wgrap.Objective
 module Timer = Wgrap_util.Timer
 
 type cadence = Every_seconds of float | Every_rounds of int
@@ -134,9 +135,11 @@ let ( let* ) = Result.bind
    version checks (done by {!Snapshot.read}), (b) constraint validation
    of both assignments against the live instance — full validation for
    complete phases, partial for mid-SDGA states — and (c) the recorded
-   objective matching a recomputation within 1e-9. Anything less and
-   the caller must run fresh. *)
-let certify inst (st : Checkpoint.state) =
+   objective matching a recomputation within 1e-9 under the run's own
+   objective, which is what the solvers record: a checkpoint written
+   under another objective fails here. Anything less and the caller
+   must run fresh. *)
+let certify ~objective inst (st : Checkpoint.state) =
   let validate =
     match st.phase with
     | Checkpoint.Sdga_stage _ -> Assignment.validate_partial
@@ -156,7 +159,7 @@ let certify inst (st : Checkpoint.state) =
       (fun m -> "current assignment: " ^ m)
       (validate inst st.current)
   in
-  let recomputed = Assignment.coverage inst st.best in
+  let recomputed = Objective.value (Objective.bind objective inst) st.best in
   if Float.abs (recomputed -. st.score) > 1e-9 then
     Error
       (Printf.sprintf
@@ -164,12 +167,12 @@ let certify inst (st : Checkpoint.state) =
          st.score recomputed)
   else Ok ()
 
-let load ~dir inst =
+let load ~dir ~objective inst =
   match Snapshot.read (snapshot_path dir) with
   | Error Snapshot.Missing -> Error No_checkpoint
   | Error (Snapshot.Corrupt m) -> Error (Invalid ("snapshot: " ^ m))
   | Ok st -> (
-      match certify inst st with
+      match certify ~objective inst st with
       | Error m -> Error (Invalid m)
       | Ok () -> (
           let { Journal.events; torn = _ } = Journal.replay (journal_path dir) in

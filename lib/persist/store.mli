@@ -12,7 +12,8 @@
 
     Read path ({!load}): CRC + version verification, constraint
     re-validation of the recovered assignments against the live
-    instance, objective recomputation within 1e-9, and a staleness
+    instance, recomputation of the recorded objective value under the
+    run's objective within 1e-9, and a staleness
     cross-check against the journal. A checkpoint that fails any of
     these is reported, never resumed — the caller (see
     {!Wgrap.Solver.cra}'s [resume_from]) degrades to a fresh run
@@ -52,8 +53,15 @@ type load_error =
           the message as a [Stale_checkpoint] reason *)
 
 val load :
-  dir:string -> Wgrap.Instance.t -> (Wgrap.Checkpoint.state, load_error) result
-(** Recover and certify the stored state (see module docs). *)
+  dir:string ->
+  objective:Wgrap.Objective.spec ->
+  Wgrap.Instance.t ->
+  (Wgrap.Checkpoint.state, load_error) result
+(** Recover and certify the stored state (see module docs) for a run
+    under [objective]: the snapshot's score must equal
+    [Objective.value (Objective.bind objective inst)] of its best
+    assignment, so a checkpoint written under another objective is
+    reported [Invalid] ("objective mismatch"), never resumed. *)
 
 val load_error_message : load_error -> string
 

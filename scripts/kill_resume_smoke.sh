@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # Kill-and-resume smoke test for the crash-safe checkpointing layer.
 #
-# Runs `wgrap assign` once uninterrupted, then starts a checkpointed
-# run with the same flags, SIGKILLs it as soon as the journal has
-# recorded an incumbent (i.e. mid-refinement whenever the instance is
-# big enough to still be running), resumes from the same checkpoint
-# directory and asserts:
+# For each objective leg (the default coverage objective, then
+# `--objective min`), runs `wgrap assign` once uninterrupted, then
+# starts a checkpointed run with the same flags, SIGKILLs it as soon as
+# a snapshot is on disk and the journal has recorded an incumbent (i.e.
+# mid-solve whenever the instance is big enough to still be running),
+# resumes from the
+# same checkpoint directory and asserts:
 #   1. the resumed run exits 0,
-#   2. the final journaled incumbent is >= the incumbent at kill time,
-#   3. the resumed run wrote a non-empty assignment,
-#   4. that assignment is byte-identical (cmp) to the uninterrupted
+#   2. it did not discard the checkpoint for an objective mismatch
+#      (a checkpoint certifies under the objective of its own run),
+#   3. the final journaled incumbent is >= the incumbent at kill time,
+#   4. the resumed run wrote a non-empty assignment,
+#   5. that assignment is byte-identical (cmp) to the uninterrupted
 #      run's: a resume replays the remaining SDGA stages and SRA rounds
 #      exactly.
 #
@@ -25,73 +29,94 @@ fi
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
-CKPT="$WORK/ckpt"
 
 echo "== generate corpus =="
 "$WGRAP" generate --seed 7 --scale 1.0 \
   --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv"
 
-echo "== uninterrupted run =="
-"$WGRAP" assign --seed 7 \
-  --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv" \
-  --out "$WORK/uninterrupted.tsv" >"$WORK/uninterrupted.log" 2>&1
+# leg NAME [extra assign flags...]
+leg() {
+  local name=$1
+  shift
+  local dir="$WORK/$name"
+  local ckpt="$dir/ckpt"
+  mkdir -p "$dir"
+  local assign=("$WGRAP" assign --seed 7 "$@"
+    --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv")
 
-echo "== start checkpointed run =="
-"$WGRAP" assign --seed 7 \
-  --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv" \
-  --checkpoint-dir "$CKPT" --checkpoint-every 1r \
-  --out "$WORK/assignment.tsv" >"$WORK/first.log" 2>&1 &
-PID=$!
+  echo "== [$name] uninterrupted run =="
+  "${assign[@]}" --out "$dir/uninterrupted.tsv" >"$dir/uninterrupted.log" 2>&1
 
-# Wait (max ~10 s) for the journal to record an incumbent, then kill.
-for _ in $(seq 1 200); do
-  if ! kill -0 "$PID" 2>/dev/null; then
-    break # finished before we could kill it — resume still must work
+  echo "== [$name] start checkpointed run =="
+  "${assign[@]}" --checkpoint-dir "$ckpt" --checkpoint-every 1r \
+    --out "$dir/assignment.tsv" >"$dir/first.log" 2>&1 &
+  local pid=$!
+
+  # Wait (max ~10 s) for a snapshot and a journaled incumbent, then
+  # kill: the resume then has a checkpoint to certify.
+  local state
+  for _ in $(seq 1 200); do
+    if ! kill -0 "$pid" 2>/dev/null; then
+      break # finished before we could kill it — resume still must work
+    fi
+    state=$("$WGRAP" checkpoint --checkpoint-dir "$ckpt" 2>/dev/null || true)
+    if grep -q '^snapshot: link=' <<<"$state" \
+        && grep -q 'last incumbent' <<<"$state"; then
+      echo "== [$name] SIGKILL pid $pid mid-refinement =="
+      kill -KILL "$pid" 2>/dev/null || true
+      break
+    fi
+    sleep 0.05
+  done
+  wait "$pid" 2>/dev/null || true
+
+  echo "== [$name] checkpoint state at kill time =="
+  "$WGRAP" checkpoint --checkpoint-dir "$ckpt" || true
+  local before
+  before=$("$WGRAP" checkpoint --checkpoint-dir "$ckpt" 2>/dev/null \
+    | sed -n 's/^journal: last incumbent //p')
+  before=${before:-0}
+
+  echo "== [$name] resume =="
+  rm -f "$dir/assignment.tsv"
+  if ! "${assign[@]}" --checkpoint-dir "$ckpt" --checkpoint-every 1r --resume \
+      --out "$dir/assignment.tsv" 2>"$dir/resume.err"; then
+    cat "$dir/resume.err" >&2
+    echo "kill_resume_smoke: FAIL [$name] — resumed run exited non-zero" >&2
+    exit 1
   fi
-  if "$WGRAP" checkpoint --checkpoint-dir "$CKPT" 2>/dev/null \
-      | grep -q 'last incumbent'; then
-    echo "== SIGKILL pid $PID mid-refinement =="
-    kill -KILL "$PID" 2>/dev/null || true
-    break
+  cat "$dir/resume.err" >&2
+
+  echo "== [$name] checkpoint state after resume =="
+  "$WGRAP" checkpoint --checkpoint-dir "$ckpt"
+  local after
+  after=$("$WGRAP" checkpoint --checkpoint-dir "$ckpt" \
+    | sed -n 's/^journal: last incumbent //p')
+
+  if grep -q 'objective mismatch' "$dir/resume.err"; then
+    echo "kill_resume_smoke: FAIL [$name] — checkpoint discarded for an objective mismatch" >&2
+    exit 1
   fi
-  sleep 0.05
-done
-wait "$PID" 2>/dev/null || true
+  if [ -z "$after" ]; then
+    echo "kill_resume_smoke: FAIL [$name] — resumed run journaled no incumbent" >&2
+    exit 1
+  fi
+  if ! awk -v a="$after" -v b="$before" 'BEGIN { exit !(a >= b - 1e-9) }'; then
+    echo "kill_resume_smoke: FAIL [$name] — objective regressed: $after < $before" >&2
+    exit 1
+  fi
+  if [ ! -s "$dir/assignment.tsv" ]; then
+    echo "kill_resume_smoke: FAIL [$name] — no assignment written after resume" >&2
+    exit 1
+  fi
+  if ! cmp "$dir/uninterrupted.tsv" "$dir/assignment.tsv"; then
+    echo "kill_resume_smoke: FAIL [$name] — resumed assignment differs from the uninterrupted run" >&2
+    exit 1
+  fi
+  echo "kill_resume_smoke: [$name] OK (incumbent $before at kill -> $after after resume, TSV bit-identical)"
+}
 
-echo "== checkpoint state at kill time =="
-"$WGRAP" checkpoint --checkpoint-dir "$CKPT" || true
-BEFORE=$("$WGRAP" checkpoint --checkpoint-dir "$CKPT" 2>/dev/null \
-  | sed -n 's/^journal: last incumbent //p')
-BEFORE=${BEFORE:-0}
+leg coverage
+leg min --objective min
 
-echo "== resume =="
-rm -f "$WORK/assignment.tsv"
-"$WGRAP" assign --seed 7 \
-  --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv" \
-  --checkpoint-dir "$CKPT" --checkpoint-every 1r --resume \
-  --out "$WORK/assignment.tsv"
-
-echo "== checkpoint state after resume =="
-"$WGRAP" checkpoint --checkpoint-dir "$CKPT"
-AFTER=$("$WGRAP" checkpoint --checkpoint-dir "$CKPT" \
-  | sed -n 's/^journal: last incumbent //p')
-
-if [ -z "$AFTER" ]; then
-  echo "kill_resume_smoke: FAIL — resumed run journaled no incumbent" >&2
-  exit 1
-fi
-if ! awk -v a="$AFTER" -v b="$BEFORE" 'BEGIN { exit !(a >= b - 1e-9) }'; then
-  echo "kill_resume_smoke: FAIL — objective regressed: $AFTER < $BEFORE" >&2
-  exit 1
-fi
-if [ ! -s "$WORK/assignment.tsv" ]; then
-  echo "kill_resume_smoke: FAIL — no assignment written after resume" >&2
-  exit 1
-fi
-
-if ! cmp "$WORK/uninterrupted.tsv" "$WORK/assignment.tsv"; then
-  echo "kill_resume_smoke: FAIL — resumed assignment differs from the uninterrupted run" >&2
-  exit 1
-fi
-
-echo "kill_resume_smoke: OK (incumbent $BEFORE at kill -> $AFTER after resume, TSV bit-identical)"
+echo "kill_resume_smoke: OK (coverage and min legs)"

@@ -496,6 +496,57 @@ let test_preset_tsv_roundtrip () =
         (reviewers = inst.Wgrap.Instance.reviewers)
   | Error e, _ | _, Error e -> Alcotest.fail e
 
+(* The preset generator normalizes its draws in place: every vector must
+   equal, bitwise, [Stats.normalize] applied to the same draws, replayed
+   here from the generator's RNG stream (all papers, then all
+   reviewers). A zero-nnz side covers the uniform fallback. *)
+let test_preset_vectors_match_normalize () =
+  let module Stats = Wgrap_util.Stats in
+  let bits v = Array.map Int64.bits_of_float v in
+  List.iter
+    (fun (paper_nnz, reviewer_nnz) ->
+      let p =
+        {
+          Synthetic.quick_preset with
+          n_papers = 40;
+          n_reviewers = 200;
+          n_topics = 30;
+          paper_nnz;
+          reviewer_nnz;
+        }
+      in
+      let seed = 11 in
+      let inst = Synthetic.instance_of_preset ~seed p in
+      let rng = Rng.create seed in
+      let dim = p.Synthetic.n_topics in
+      let cum =
+        Synthetic.cumulative
+          (Array.init dim (fun t -> float_of_int (t + 1) ** -.p.Synthetic.zipf_s))
+      in
+      let draw nnz =
+        let v = Array.make dim 0. in
+        let picked = ref 0 in
+        while !picked < min dim nnz do
+          let t = Synthetic.sample_cumulative rng cum in
+          if Float.equal v.(t) 0. then begin
+            v.(t) <- 0.5 +. Rng.uniform rng;
+            incr picked
+          end
+        done;
+        Stats.normalize v
+      in
+      let check side nnz got =
+        Array.iteri
+          (fun i v ->
+            Alcotest.(check (array int64))
+              (Printf.sprintf "%s %d (nnz %d)" side i nnz)
+              (bits (draw nnz)) (bits v))
+          got
+      in
+      check "paper" paper_nnz inst.Wgrap.Instance.papers;
+      check "reviewer" reviewer_nnz inst.Wgrap.Instance.reviewers)
+    [ (4, 6); (0, 3) ]
+
 let test_fold_preset_tsv_rejects () =
   let check_error name content sub =
     let path = write_raw content in
@@ -575,6 +626,8 @@ let () =
             test_sample_cumulative_matches_categorical;
           Alcotest.test_case "preset tsv roundtrip bit-exact" `Quick
             test_preset_tsv_roundtrip;
+          Alcotest.test_case "preset vectors = Stats.normalize of the draws" `Quick
+            test_preset_vectors_match_normalize;
           Alcotest.test_case "malformed preset tsv rejected" `Quick
             test_fold_preset_tsv_rejects;
           Alcotest.test_case "huge preset registered" `Quick

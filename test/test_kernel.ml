@@ -130,6 +130,60 @@ let test_group_score_sparse () =
       done)
     Scoring.all
 
+(* [Assignment.paper_score] against the dense kernel on the dense group
+   vector: bit-equal for c/cP/cD (the sparse path), and the dense path
+   itself for cR. Random conflicts ride along, groups may be empty, and
+   edge papers (zero mass, one topic, dense) appear among the rows. *)
+let paper_score_matches_dense =
+  QCheck.Test.make ~name:"paper_score = dense score of group_vector, bitwise"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dim = 4 + Rng.int rng 12 in
+      let n_p = 2 + Rng.int rng 6 and n_r = 3 + Rng.int rng 10 in
+      let papers =
+        Array.of_list
+          (List.filteri (fun i _ -> i < n_p)
+             (List.filter (fun _ -> Rng.bool rng) (edge_papers dim)
+             @ List.init n_p (fun _ -> sparse_vec rng ~density:(Rng.uniform rng) dim)))
+      in
+      let n_p = Array.length papers in
+      let reviewers = Array.init n_r (fun _ -> sparse_vec rng dim) in
+      let coi =
+        List.filter_map
+          (fun p -> if Rng.bool rng then Some (p, Rng.int rng n_r) else None)
+          (List.init n_p Fun.id)
+      in
+      let a =
+        Assignment.of_pairs ~n_papers:n_p
+          (List.concat_map
+             (fun p ->
+               List.filter_map
+                 (fun r -> if Rng.uniform rng < 0.3 then Some (r, p) else None)
+                 (List.init n_r Fun.id))
+             (List.init n_p Fun.id))
+      in
+      List.for_all
+        (fun kind ->
+          let inst =
+            Instance.create_exn ~scoring:kind ~coi ~papers ~reviewers ~delta_p:1
+              ~delta_r:n_p ()
+          in
+          List.for_all
+            (fun p ->
+              let dense =
+                Scoring.score kind (Assignment.group_vector inst a p) papers.(p)
+              in
+              let got = Assignment.paper_score inst a p in
+              Int64.equal (Int64.bits_of_float dense) (Int64.bits_of_float got)
+              || QCheck.Test.fail_reportf "%s paper %d (group of %d): dense %h, got %h"
+                   (Scoring.name kind) p
+                   (List.length (Assignment.group a p))
+                   dense got)
+            (List.init n_p Fun.id))
+        Scoring.all)
+
 (* {1 Gain_matrix: incremental invalidation vs from-scratch rebuild} *)
 
 let random_instance ?(scoring = Scoring.Weighted_coverage) rng ~n_p ~n_r ~dim =
@@ -229,14 +283,17 @@ let test_gain_matrix_version_monotone () =
   Alcotest.(check int) "idempotent add keeps version" before
     (Gain_matrix.version gm ~paper:0)
 
-(* Test-local Eq. 9 reference: column sums of the dense score matrix,
-   COI cells excluded, accumulated in paper order. *)
+(* Test-local Eq. 9 reference: one fresh score row per paper, streamed
+   in paper order, COI cells (the [forbidden] sentinel) skipped — the
+   arithmetic the sums were defined by. *)
 let column_sums inst =
   let sums = Array.make (Instance.n_reviewers inst) 0. in
-  Array.iter
-    (Array.iteri (fun r s ->
-         if s <> Lap.Hungarian.forbidden then sums.(r) <- sums.(r) +. s))
-    (Instance.score_matrix inst);
+  for p = 0 to Instance.n_papers inst - 1 do
+    Array.iteri
+      (fun r s ->
+        if s <> Lap.Hungarian.forbidden then sums.(r) <- sums.(r) +. s)
+      (Instance.score_row inst ~paper:p)
+  done;
   sums
 
 (* A fresh matrix over an instance carrying one extra conflict on a
@@ -292,37 +349,62 @@ let test_gain_matrix_extra_coi () =
 
 (* {1 Eq. 9 denominators and Eq. 10: one source of truth} *)
 
+(* The cached denominators equal the streamed reference bit for bit —
+   every kind, with conflicts, dense and pruned — and Eq. 10 reads
+   them. Instances are sparse enough that every paper's posting sweep
+   misses reviewers. *)
 let test_denominators_agree () =
-  let rng = Rng.create 31 in
-  let inst = random_instance rng ~n_p:6 ~n_r:9 ~dim:7 in
-  let n_r = Instance.n_reviewers inst in
-  let score_matrix = Instance.score_matrix inst in
-  let expected = column_sums inst in
   List.iter
-    (fun k ->
-      let denom =
-        Gain_matrix.column_denominators (Gain_matrix.create ~candidates:k inst)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n_p = 12 and n_r = 40 and dim = 30 in
+      let papers = Array.init n_p (fun _ -> sparse_vec rng ~density:0.15 dim) in
+      let reviewers =
+        Array.init n_r (fun _ -> sparse_vec rng ~density:0.15 dim)
       in
-      Alcotest.(check (array (float tol))) "gm denominators" expected denom;
-      (* Eq. 10 against the reference sums. *)
-      for p = 0 to Instance.n_papers inst - 1 do
-        for r = 0 to n_r - 1 do
-          let s = score_matrix.(p).(r) in
-          let ratio =
-            if expected.(r) > 0. && s <> Lap.Hungarian.forbidden then
-              s /. expected.(r)
-            else 0.
+      let coi =
+        List.init 10 (fun _ -> (Rng.int rng n_p, Rng.int rng n_r))
+      in
+      List.iter
+        (fun kind ->
+          let inst =
+            Instance.create_exn ~scoring:kind ~coi ~papers ~reviewers ~delta_p:3
+              ~delta_r:(Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p:3)
+              ()
           in
-          Alcotest.(check (float tol))
-            "eq10"
-            (Float.max
-               (1. /. float_of_int n_r)
-               (exp (-0.05 *. 3.) *. ratio))
-            (Sra.keep_probability ~denom ~score:s ~round:3 ~lambda:0.05
-               ~reviewer:r)
-        done
-      done)
-    [ 0; 3 ]
+          let expected = column_sums inst in
+          List.iter
+            (fun k ->
+              let label = Printf.sprintf "seed %d %s k=%d" seed (Scoring.name kind) k in
+              let denom =
+                Gain_matrix.column_denominators (Gain_matrix.create ~candidates:k inst)
+              in
+              Alcotest.(check (array int64))
+                (label ^ ": denominators bitwise")
+                (Array.map Int64.bits_of_float expected)
+                (Array.map Int64.bits_of_float denom);
+              (* Eq. 10 against the reference sums. *)
+              for p = 0 to n_p - 1 do
+                let row = Instance.score_row inst ~paper:p in
+                for r = 0 to n_r - 1 do
+                  let s = row.(r) in
+                  let ratio =
+                    if expected.(r) > 0. && s <> Lap.Hungarian.forbidden then
+                      s /. expected.(r)
+                    else 0.
+                  in
+                  Alcotest.(check (float tol))
+                    (label ^ ": eq10")
+                    (Float.max
+                       (1. /. float_of_int n_r)
+                       (exp (-0.05 *. 3.) *. ratio))
+                    (Sra.keep_probability ~denom ~score:s ~round:3 ~lambda:0.05
+                       ~reviewer:r)
+                done
+              done)
+            [ 0; 16 ])
+        Scoring.all)
+    [ 31; 32; 33 ]
 
 (* {1 Solvers: shared gain matrix changes nothing observable} *)
 
@@ -483,6 +565,7 @@ let () =
           Alcotest.test_case "row kernels = cells" `Quick
             test_row_kernels_match_cells;
           Alcotest.test_case "group score sparse" `Quick test_group_score_sparse;
+          QCheck_alcotest.to_alcotest paper_score_matches_dense;
         ] );
       ( "gain matrix",
         [

@@ -406,13 +406,13 @@ let test_store_load_ok () =
       let inst = Lazy.force test_instance in
       let st = Lazy.force captured_state in
       Snapshot.write ~path:(Store.snapshot_path dir) st;
-      match Store.load ~dir inst with
+      match Store.load ~dir ~objective:Objective.coverage inst with
       | Ok st' -> check_state_equal "certified load" st st'
       | Error e -> Alcotest.fail (Store.load_error_message e))
 
 let test_store_load_missing () =
   with_dir (fun dir ->
-      match Store.load ~dir (Lazy.force test_instance) with
+      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
       | Error Store.No_checkpoint -> ()
       | Error (Store.Invalid e) -> Alcotest.fail ("expected No_checkpoint: " ^ e)
       | Ok _ -> Alcotest.fail "loaded from empty dir")
@@ -426,7 +426,7 @@ let test_store_load_corrupt () =
       let b = Bytes.of_string data in
       Bytes.set b (Bytes.length b / 2) '#';
       write_file path (Bytes.to_string b);
-      match Store.load ~dir (Lazy.force test_instance) with
+      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
       | Error (Store.Invalid _) -> ()
       | Error Store.No_checkpoint -> Alcotest.fail "file exists"
       | Ok _ -> Alcotest.fail "certified a corrupt snapshot")
@@ -444,7 +444,7 @@ let test_store_load_wrong_instance () =
           [ 0; 1; 2; 3; 4 ]
       in
       let other = random_instance ~coi rng ~n_p:10 ~n_r:8 ~dp:3 in
-      match Store.load ~dir other with
+      match Store.load ~dir ~objective:Objective.coverage other with
       | Error (Store.Invalid _) -> ()
       | Error Store.No_checkpoint -> Alcotest.fail "file exists"
       | Ok _ -> Alcotest.fail "certified against the wrong instance")
@@ -454,7 +454,7 @@ let test_store_load_score_mismatch () =
       let st = Lazy.force captured_state in
       let lied = { st with Checkpoint.score = st.Checkpoint.score +. 0.5 } in
       Snapshot.write ~path:(Store.snapshot_path dir) lied;
-      match Store.load ~dir (Lazy.force test_instance) with
+      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
       | Error (Store.Invalid _) -> ()
       | _ -> Alcotest.fail "certified a snapshot with a lying objective")
 
@@ -469,11 +469,75 @@ let test_store_load_stale () =
         (Checkpoint.Round_improved
            { round = 999; score = st.Checkpoint.score +. 0.1 });
       Journal.close_writer w;
-      match Store.load ~dir (Lazy.force test_instance) with
+      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
       | Error (Store.Invalid msg) ->
           Alcotest.(check bool) "mentions staleness" true
             (String.length msg > 0)
       | _ -> Alcotest.fail "certified a stale snapshot")
+
+(* A checkpoint certifies under the run's own objective. A min run's
+   snapshots record the min value: loaded under min, the mid-SRA state
+   certifies, and resuming from it replays the uninterrupted run's
+   groups exactly. The resumed run is given another seed, which a fresh
+   run would follow, so only the snapshot's RNG words can replay it. *)
+let test_store_min_checkpoint_resumes () =
+  let inst = Lazy.force test_instance in
+  let objective = Objective.min_coverage in
+  let run ~seed ?resume_from ?checkpoint () =
+    match
+      Solver.value
+        (Solver.cra ~ctx:(Ctx.make ~seed ~objective ?checkpoint ?resume_from ()) inst)
+    with
+    | Some a -> Assignment.to_lines a
+    | None -> Alcotest.fail "infeasible"
+  in
+  let sink, _events, states = Checkpoint.memory () in
+  let expected = run ~seed:4 ~checkpoint:sink () in
+  Alcotest.(check bool) "the other seed alone gives other groups" false
+    (expected = run ~seed:9 ());
+  let st =
+    match
+      List.filter
+        (fun st ->
+          match st.Checkpoint.phase with
+          | Checkpoint.Sra_round _ -> true
+          | Checkpoint.Sdga_stage _ -> false)
+        (states ())
+    with
+    | [] -> Alcotest.fail "no SRA states captured"
+    | sts -> List.nth sts (List.length sts / 2)
+  in
+  with_dir (fun dir ->
+      Snapshot.write ~path:(Store.snapshot_path dir) st;
+      match Store.load ~dir ~objective inst with
+      | Error e -> Alcotest.fail (Store.load_error_message e)
+      | Ok st ->
+          Alcotest.(check (list string)) "resumed min run = uninterrupted"
+            expected
+            (run ~seed:9 ~resume_from:(Ok st) ()))
+
+(* A coverage checkpoint is not a checkpoint of a min or a taxonomy
+   run: loading it under either objective reports the mismatch. *)
+let test_store_load_other_objective () =
+  with_dir (fun dir ->
+      let inst = Lazy.force test_instance in
+      Snapshot.write ~path:(Store.snapshot_path dir) (Lazy.force captured_state);
+      List.iter
+        (fun objective ->
+          match Store.load ~dir ~objective inst with
+          | Error (Store.Invalid msg) ->
+              Alcotest.(check bool)
+                (Objective.name objective ^ ": " ^ msg)
+                true
+                (String.starts_with ~prefix:"objective mismatch" msg)
+          | Error Store.No_checkpoint -> Alcotest.fail "file exists"
+          | Ok _ ->
+              Alcotest.failf "certified a coverage checkpoint under %s"
+                (Objective.name objective))
+        [
+          Objective.min_coverage;
+          Objective.taxonomy (Taxonomy.balanced ~dim:(Instance.n_topics inst) ~arity:2);
+        ])
 
 let test_store_sink_writes () =
   with_dir (fun dir ->
@@ -488,7 +552,7 @@ let test_store_sink_writes () =
         | Some a -> a
         | None -> Alcotest.fail "solver infeasible"
       in
-      (match Store.load ~dir inst with
+      (match Store.load ~dir ~objective:Objective.coverage inst with
       | Ok st ->
           Alcotest.(check bool) "stored best is valid" true
             (Assignment.validate inst st.Checkpoint.best = Ok ());
@@ -502,7 +566,7 @@ let test_store_sink_writes () =
       let store = Store.open_ ~fresh:true ~dir () in
       Store.close store;
       Alcotest.(check bool) "fresh wiped snapshot" true
-        (Store.load ~dir inst = Error Store.No_checkpoint))
+        (Store.load ~dir ~objective:Objective.coverage inst = Error Store.No_checkpoint))
 
 (* {1 Determinism and resume} *)
 
@@ -544,7 +608,7 @@ let resume_and_check ?(through_files = false) inst ~seed st =
          replay equality also certifies the codec. *)
       with_dir (fun dir ->
           Snapshot.write ~path:(Store.snapshot_path dir) st;
-          match Store.load ~dir inst with
+          match Store.load ~dir ~objective:Objective.coverage inst with
           | Ok st -> st
           | Error e -> Alcotest.fail (Store.load_error_message e))
   in
@@ -693,6 +757,10 @@ let () =
           Alcotest.test_case "stale vs journal rejected" `Quick
             test_store_load_stale;
           Alcotest.test_case "store sink writes" `Quick test_store_sink_writes;
+          Alcotest.test_case "min checkpoint resumes under min" `Quick
+            test_store_min_checkpoint_resumes;
+          Alcotest.test_case "coverage checkpoint rejected under min/taxonomy"
+            `Quick test_store_load_other_objective;
         ] );
       ( "resume",
         [

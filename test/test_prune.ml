@@ -137,6 +137,68 @@ let index_cr_exact_when_seeded =
       done;
       true)
 
+(* One scratch serves every query in a task: retrievals interleaved
+   across two instances of different pool sizes (the scratch grows
+   mid-sequence, then serves the smaller pool again) and across all
+   four kinds return exactly the lists a fresh scratch returns, and the
+   Eq. 9 sweeps interleaved with them visit each hit reviewer with its
+   exact pair score, bit for bit, and miss only reviewers that score 0.
+   A walk that left one accumulator or seen-flag behind fails here. *)
+let shared_scratch_matches_fresh =
+  QCheck.Test.make ~name:"one scratch across instances = fresh scratch"
+    ~count:40 seeds (fun seed ->
+      let rng = Rng.create seed in
+      let scratch = Candidate_index.scratch () in
+      let make n_r =
+        let n_p = 4 + Rng.int rng 5 in
+        let coi = random_coi rng ~n_p ~n_r in
+        random_instance ~dim:16 ~coi rng ~n_p ~n_r ~dp:2
+      in
+      let small = make (8 + Rng.int rng 8) and large = make (30 + Rng.int rng 20) in
+      let bits = Int64.bits_of_float in
+      let query inst ~k ~paper =
+        let got = Instance.candidates_with inst scratch ~k ~paper in
+        let fresh = Instance.candidates inst ~k ~paper in
+        if got <> fresh then
+          QCheck.Test.fail_reportf "n_r=%d %s k=%d paper %d: shared [%s] fresh [%s]"
+            (Instance.n_reviewers inst)
+            (Scoring.name inst.Instance.scoring)
+            k paper
+            (String.concat ";" (Array.to_list (Array.map string_of_int got)))
+            (String.concat ";" (Array.to_list (Array.map string_of_int fresh)))
+      in
+      let sweep inst ~paper =
+        let visited = Array.make (Instance.n_reviewers inst) false in
+        Candidate_index.iter_scores inst.Instance.cindex scratch
+          ~scoring:inst.Instance.scoring (Instance.paper_support inst paper)
+          (fun r c ->
+            if visited.(r) then QCheck.Test.fail_reportf "reviewer %d visited twice" r;
+            visited.(r) <- true;
+            if bits c <> bits (Instance.pair_score inst ~paper ~reviewer:r) then
+              QCheck.Test.fail_reportf "paper %d reviewer %d: sweep %h, kernel %h"
+                paper r c (Instance.pair_score inst ~paper ~reviewer:r));
+        Array.iteri
+          (fun r v ->
+            if (not v) && bits (Instance.pair_score inst ~paper ~reviewer:r) <> bits 0.
+            then QCheck.Test.fail_reportf "paper %d: sweep missed reviewer %d" paper r)
+          visited
+      in
+      for round = 0 to 5 do
+        List.iter
+          (fun kind ->
+            List.iter
+              (fun base ->
+                let inst = Instance.with_scoring base kind in
+                let paper = (round + Rng.int rng 3) mod Instance.n_papers inst in
+                query inst ~k:(1 + Rng.int rng 6) ~paper;
+                match kind with
+                | Scoring.Reviewer_coverage -> ()
+                | _ -> sweep inst ~paper)
+              (if round mod 2 = 0 then [ small; large ] else [ large; small ]))
+          Scoring.all
+      done;
+      true)
+
 (* -------------------------------------------- pruned matrix invariants *)
 
 let pruned_cells_match_dense =
@@ -357,6 +419,7 @@ let () =
             (index_matches_brute Scoring.Paper_coverage);
           QCheck_alcotest.to_alcotest (index_matches_brute Scoring.Dot_product);
           QCheck_alcotest.to_alcotest index_cr_exact_when_seeded;
+          QCheck_alcotest.to_alcotest shared_scratch_matches_fresh;
         ] );
       ( "matrix",
         [ QCheck_alcotest.to_alcotest pruned_cells_match_dense ] );

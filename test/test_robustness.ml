@@ -535,7 +535,7 @@ let kill_resume_test =
             | Some f -> f
             | None -> Float.neg_infinity
           in
-          let load_result = Store.load ~dir inst in
+          let load_result = Store.load ~dir ~objective:Objective.coverage inst in
           let outcome =
             match load_result with
             | Ok st -> Solver.cra ~ctx:(Ctx.make ~seed:kill_seed ~resume_from:(Ok st) ()) inst

@@ -126,7 +126,7 @@ let entries =
          raw Scoring.* kernel call or Instance.pair_score inside those \
          modules hard-wires weighted-coverage semantics, so an --objective \
          min run would silently optimize the wrong function. Score through \
-         Objective.pair_score / marginal_gain / group_score, or the \
+         Objective.pair_score / marginal_gain / value, or the \
          Gain_matrix the bound objective primed. Structural helpers \
          (Scoring.empty_group) stay legal; input synthesis or reporting \
          code opts out per-expression with [@wgrap.allow \

@@ -449,7 +449,7 @@ let swallowed_cancel =
    call pins the weighted-coverage semantics regardless of which
    Objective backend the caller selected — min and taxonomy runs would
    silently optimize the wrong function. Scores there must come from
-   the bound Objective (pair_score / marginal_gain / group_score) or
+   the bound Objective (pair_score / marginal_gain / value) or
    the Gain_matrix it primed. The structural helpers
    (Scoring.empty_group, Scoring.name, Scoring.all) stay legal: they
    build accumulators, they do not score. Input synthesis and
@@ -477,7 +477,7 @@ let direct_scoring =
                 (Printf.sprintf
                    "raw Scoring.%s in the solver chain bypasses the bound \
                     Objective; score through Objective.pair_score / \
-                    marginal_gain / group_score (or the Gain_matrix it \
+                    marginal_gain / value (or the Gain_matrix it \
                     primed) so --objective backends govern the solve"
                    member)
           | [ "Instance"; "pair_score" ] ->
