@@ -257,14 +257,24 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
           ~delta_p ~json
   in
   let objective = spec_for ~dim:(Instance.n_topics inst) in
+  let pool = pool_of_jobs jobs in
+  let run =
+    {
+      Wgrap_persist.Store.objective;
+      candidates;
+      refine;
+      chains = Wgrap_par.Pool.jobs pool;
+    }
+  in
   (* Crash-safe mode: recover (and certify) any stored state before the
      store is opened, because opening fresh wipes the previous run's
-     files. A rejected checkpoint degrades to a fresh run whose outcome
-     carries the loader's verdict as a Stale_checkpoint reason. *)
+     files. A rejected checkpoint (another run's, or corrupt) degrades
+     to a fresh run whose outcome carries the loader's verdict as a
+     Stale_checkpoint reason. *)
   let resume_from =
     match checkpoint_dir with
     | Some dir when resume -> (
-        match Wgrap_persist.Store.load ~dir ~objective inst with
+        match Wgrap_persist.Store.load ~dir ~run inst with
         | Ok st ->
             warn "resuming from checkpoint (%s, %s, objective %.6f)"
               st.Checkpoint.link
@@ -286,13 +296,13 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
              run's incumbents. *)
           match resume_from with Some (Ok _) -> false | _ -> true
         in
-        Wgrap_persist.Store.open_ ~cadence:checkpoint_every ~fresh ~dir ())
+        Wgrap_persist.Store.open_ ~cadence:checkpoint_every ~fresh ~run ~dir ())
       checkpoint_dir
   in
   let checkpoint = Option.map Wgrap_persist.Store.sink store in
   let ctx =
     Solver.Ctx.make ?budget ~seed ~objective ?checkpoint ?resume_from
-      ~candidates ~pool:(pool_of_jobs jobs) ()
+      ~candidates ~pool ()
   in
   let outcome, dt = Timer.time (fun () -> Solver.cra ~refine ~ctx inst) in
   Option.iter Wgrap_persist.Store.close store;
@@ -340,7 +350,10 @@ let checkpoint_info ~dir =
   let journal = Wgrap_persist.Store.journal_path dir in
   let have_snapshot =
     match Wgrap_persist.Snapshot.read snap with
-    | Ok st ->
+    | Ok (fingerprint, st) ->
+        Printf.printf "snapshot: run %s\n"
+          (String.concat " "
+             (List.map (fun (f, v) -> f ^ "=" ^ v) fingerprint));
         Printf.printf "snapshot: link=%s phase=\"%s\" stall=%d score=%.9f\n"
           st.Checkpoint.link
           (Format.asprintf "%a" Checkpoint.pp_phase st.Checkpoint.phase)
@@ -405,7 +418,7 @@ let jra ~seed ~authors_path ~papers_path ~paper_id ~delta_p ~top_k ~budget
       sol.Jra.group
   in
   if top_k <= 1 then begin
-    (* Single group: the anytime harness (ILP -> BBA -> greedy). *)
+    (* Single group: the anytime harness (BBA -> greedy). *)
     let ctx = Solver.Ctx.make ?budget () in
     let outcome, dt = Timer.time (fun () -> Solver.jra ~ctx problem) in
     enforce_tolerance ~strict outcome;

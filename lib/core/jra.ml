@@ -4,6 +4,7 @@ type problem = {
   group_size : int;
   scoring : Scoring.kind;
   excluded : bool array option;
+  ids : int array option;
 }
 
 type solution = {
@@ -17,7 +18,7 @@ let available_of ~pool ~excluded =
   | Some mask ->
       Array.fold_left (fun acc b -> if b then acc else acc + 1) 0 mask
 
-let make ?(scoring = Scoring.Weighted_coverage) ?excluded ~paper ~pool
+let make ?(scoring = Scoring.Weighted_coverage) ?excluded ?ids ~paper ~pool
     ~group_size () =
   let dim = Array.length paper in
   if dim = 0 then invalid_arg "Jra.make: empty paper vector";
@@ -29,51 +30,79 @@ let make ?(scoring = Scoring.Weighted_coverage) ?excluded ~paper ~pool
   | Some mask when Array.length mask <> Array.length pool ->
       invalid_arg "Jra.make: exclusion mask length mismatch"
   | _ -> ());
+  (match ids with
+  | Some ids when Array.length ids <> Array.length pool ->
+      invalid_arg "Jra.make: id map length mismatch"
+  | _ -> ());
   if group_size < 1 then invalid_arg "Jra.make: group_size must be >= 1";
   if group_size > available_of ~pool ~excluded then
     invalid_arg "Jra.make: not enough selectable reviewers";
-  { paper; pool; group_size; scoring; excluded }
+  { paper; pool; group_size; scoring; excluded; ids }
 
 let of_instance ?(candidates = 0) inst ~paper =
   let n_r = Instance.n_reviewers inst in
-  let coi_mask =
-    match Instance.conflicts inst ~paper with
-    | [||] -> None
-    | rs ->
-        let mask = Array.make n_r false in
-        Array.iter (fun r -> mask.(r) <- true) rs;
-        Some mask
+  let dp = inst.Instance.delta_p in
+  let scoring = inst.Instance.scoring in
+  let coi = Instance.conflicts inst ~paper in
+  let dense excluded =
+    make ?excluded ~scoring ~paper:inst.Instance.papers.(paper)
+      ~pool:inst.Instance.reviewers ~group_size:dp ()
   in
-  let excluded =
-    if candidates <= 0 || candidates >= n_r then coi_mask
-    else begin
-      let cands = Instance.candidates inst ~k:candidates ~paper in
-      if Array.length cands < inst.Instance.delta_p then
-        (* Too few candidates to form a group (tiny k or heavy COIs):
-           fall back to the dense pool rather than make an infeasible
-           problem. *)
-        coi_mask
-      else begin
+  let shortlist =
+    if candidates <= 0 || candidates >= n_r then [||]
+    else
+      (* Candidate retrieval already filters COIs, but keep the
+         conflicts authoritative in case the two ever diverge. *)
+      Instance.candidates inst ~k:candidates ~paper
+      |> Array.to_list
+      |> List.filter (fun r -> not (Instance.forbidden inst ~paper ~reviewer:r))
+      |> Array.of_list
+  in
+  if Array.length shortlist < dp then
+    (* No pruning asked for, or too few candidates to form a group (tiny
+       k or heavy COIs): the dense pool rather than an infeasible
+       problem. *)
+    dense
+      (match coi with
+      | [||] -> None
+      | rs ->
+          let mask = Array.make n_r false in
+          Array.iter (fun r -> mask.(r) <- true) rs;
+          Some mask)
+  else
+    match scoring with
+    | Scoring.Weighted_coverage | Paper_coverage | Dot_product ->
+        (* The compact problem: the shortlist alone, every vector
+           projected onto the paper's support (non-empty, since the
+           shortlist was retrieved through its postings). f(v, 0) = 0
+           under these kinds, so the dropped topics only ever added
+           exact zeros: no score or gain changes by a bit. *)
+        let supp = Instance.paper_support inst paper in
+        let idx = supp.Topic_vector.idx in
+        let project (v : Topic_vector.t) = Array.map (fun t -> v.(t)) idx in
+        make ~scoring ~ids:shortlist ~paper:supp.Topic_vector.nz
+          ~pool:(Array.map (fun r -> project inst.Instance.reviewers.(r)) shortlist)
+          ~group_size:dp ()
+    | Reviewer_coverage ->
+        (* cR credits off-support expertise in full: mask the dense
+           pool instead. *)
         let mask = Array.make n_r true in
-        Array.iter (fun r -> mask.(r) <- false) cands;
-        (* Candidate retrieval already filters COIs, but keep the COI
-           mask authoritative in case the two ever diverge. *)
-        (match coi_mask with
-        | Some coi ->
-            Array.iteri (fun r b -> if b then mask.(r) <- true) coi
-        | None -> ());
-        Some mask
-      end
-    end
-  in
-  make ?excluded ~scoring:inst.Instance.scoring
-    ~paper:inst.Instance.papers.(paper) ~pool:inst.Instance.reviewers
-    ~group_size:inst.Instance.delta_p ()
+        Array.iter (fun r -> mask.(r) <- false) shortlist;
+        Array.iter (fun r -> mask.(r) <- true) coi;
+        dense (Some mask)
 
 let available t = available_of ~pool:t.pool ~excluded:t.excluded
 
-let score_group t group =
-  let vectors = List.map (fun r -> t.pool.(r)) group in
+let solution t members score =
+  let group =
+    match t.ids with
+    | None -> members
+    | Some ids -> List.map (fun i -> ids.(i)) members
+  in
+  { group = List.sort compare group; score }
+
+let score_group t members =
+  let vectors = List.map (fun r -> t.pool.(r)) members in
   Scoring.group_score t.scoring vectors t.paper
 
 let greedy t =
@@ -101,5 +130,5 @@ let greedy t =
     Topic_vector.extend_max_into ~dst:gvec t.pool.(!best);
     members := !best :: !members
   done;
-  let group = List.sort compare !members in
-  { group; score = score_group t group }
+  let members = List.sort compare !members in
+  solution t members (score_group t members)

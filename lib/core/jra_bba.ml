@@ -137,7 +137,7 @@ let top_k_counted ?(use_bound = true) ?deadline (t : Jra.problem) ~k =
     Heap.to_sorted_list best
     |> List.rev
     |> List.map (fun c ->
-           { Jra.group = Array.to_list c.members; score = c.cscore })
+           Jra.solution t (Array.to_list c.members) c.cscore)
   with
   | [] ->
       (* Deadline fired before the first leaf (the DFS reaches one after

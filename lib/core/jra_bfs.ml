@@ -36,7 +36,7 @@ let solve_counting ?deadline (t : Jra.problem) =
     if !best_group = [] then
       (* Deadline expired before the very first combination. *)
       Jra.greedy t
-    else { Jra.group = !best_group; score = !best_score }
+    else Jra.solution t !best_group !best_score
   in
   (solution, !evaluated)
 

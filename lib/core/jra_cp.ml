@@ -50,8 +50,7 @@ let solve ?deadline (t : Jra.problem) =
     end
   in
   let decode assignment value =
-    let group = List.sort compare (List.map (fun i -> pool_ids.(i)) (Array.to_list assignment)) in
-    { Jra.group; score = value }
+    Jra.solution t (List.map (fun i -> pool_ids.(i)) (Array.to_list assignment)) value
   in
   let outcome, stats = Cpsolve.maximize ?deadline ~bound model ~score in
   let outcome =

@@ -73,7 +73,7 @@ let solve ?deadline (t : Jra.problem) =
       if sol.Milp.Lp.x.(x_var r) > 0.5 then group := pool_ids.(r) :: !group
     done;
     (* Score the decoded group directly: immune to LP round-off. *)
-    { Jra.group = !group; score = Jra.score_group t !group }
+    Jra.solution t !group (Jra.score_group t !group)
   in
   match Milp.Ilp.solve ?deadline program with
   | Milp.Ilp.Optimal sol -> Solved (decode sol)

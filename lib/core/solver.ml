@@ -82,61 +82,30 @@ let describe_reason ?event ?deadline r =
       in
       base ^ " [" ^ String.concat " " parts ^ "]"
 
-(* {1 JRA chain: ILP -> BBA -> greedy} *)
+(* {1 JRA chain: BBA -> greedy} *)
 
 let jra_chain ?deadline problem =
-  let rev_reasons = ref [] in
-  let push r = rev_reasons := r :: !rev_reasons in
-  let best = ref None in
-  let consider (sol : Jra.solution) =
-    match !best with
-    | Some (b : Jra.solution) when b.score >= sol.score -> ()
-    | _ -> best := Some sol
-  in
-  let ilp_exact =
-    match Jra_ilp.solve ?deadline:(slice 0.5 deadline) problem with
-    | Jra_ilp.Solved sol ->
-        consider sol;
-        true
-    | Jra_ilp.Timed_out incumbent ->
-        Option.iter consider incumbent;
-        push (Timeout { link = "jra-ilp" });
-        false
-    | exception e ->
-        push (Fault { link = "jra-ilp"; error = describe_exn e });
-        false
-  in
-  let bba_exact =
-    ilp_exact
-    ||
-    match Jra_bba.solve_counting ?deadline problem with
-    | sol, _ ->
-        consider sol;
-        if Timer.expired_opt deadline then begin
-          push (Timeout { link = "jra-bba" });
-          false
-        end
-        else true
-    | exception e ->
-        push (Fault { link = "jra-bba"; error = describe_exn e });
-        false
-  in
-  if !best = None then begin
-    match Jra.greedy problem with
-    | sol -> consider sol
-    | exception e -> push (Fault { link = "jra-greedy"; error = describe_exn e })
-  end;
-  match !best with
-  | None -> Infeasible "every JRA link failed to produce a group"
-  | Some sol ->
-      if bba_exact then Complete sol
-      else Degraded (sol, List.rev !rev_reasons)
+  match Jra_bba.solve ?deadline problem with
+  | sol ->
+      (* On expiry BBA returns its best incumbent (a greedy pick when it
+         reached no leaf), so the answer is exact only if the deadline
+         never fired. *)
+      if Timer.expired_opt deadline then
+        Degraded (sol, [ Timeout { link = "jra-bba" } ])
+      else Complete sol
+  | exception e -> (
+      let bba = Fault { link = "jra-bba"; error = describe_exn e } in
+      match Jra.greedy problem with
+      | sol -> Degraded (sol, [ bba ])
+      | exception e ->
+          Infeasible
+            ("every JRA link failed to produce a group: " ^ describe_exn e))
 
 let jra ?(ctx = Ctx.default) problem =
   jra_chain ?deadline:ctx.Ctx.deadline problem
 
-(* Workers run the whole anytime chain on their own problem; the ILP and
-   BBA backends keep call-local state, the deadline is shared read-only,
+(* Workers run the whole anytime chain on their own problem; BBA and
+   the greedy pick keep call-local state, the deadline is shared read-only,
    and each outcome carries its own reasons. *)
 let jra_batch ?(ctx = Ctx.default) problems =
   let module Pool = Wgrap_par.Pool in

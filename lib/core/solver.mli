@@ -9,8 +9,7 @@
 
     Each runner walks a chain of solvers from strongest to cheapest:
 
-    - JRA: ILP ({!Jra_ilp}) -> branch-and-bound ({!Jra_bba}) -> greedy
-      pick ({!Jra.greedy});
+    - JRA: branch-and-bound ({!Jra_bba}) -> greedy pick ({!Jra.greedy});
     - CRA, submodular objectives (coverage, blend, taxonomy): SDGA +
       stochastic refinement ({!Sdga}, {!Sra}) -> SDGA alone -> per-stage
       greedy ({!Greedy}), with {!Repair.complete} patching any short
@@ -78,11 +77,12 @@ val describe_reason :
     attributable to one event without correlating logs. *)
 
 val jra : ?ctx:Ctx.t -> Jra.problem -> Jra.solution outcome
-(** Best reviewer group for one paper. Without a deadline in [ctx] the
-    exact chain runs to completion and the outcome is [Complete]. With
-    one, the ILP link gets half the remaining time, branch-and-bound the
-    remainder, and the greedy pick backstops both; the best-scoring
-    incumbent seen anywhere in the chain is returned. Never raises. *)
+(** Best reviewer group for one paper, in the problem's caller ids
+    ({!Jra.solution}). Branch-and-bound runs on the whole remaining
+    budget: the outcome is [Complete] exactly when it finishes, and
+    [Degraded] with a ["jra-bba"] [Timeout] and its best incumbent (a
+    greedy pick if it reached no leaf) when the deadline fires. The
+    greedy pick also backstops a BBA fault. Never raises. *)
 
 val jra_batch : ?ctx:Ctx.t -> Jra.problem array -> Jra.solution outcome array
 (** {!jra} over a batch of independent problems, in input order. With a

@@ -2,21 +2,24 @@ module Checkpoint = Wgrap.Checkpoint
 module Assignment = Wgrap.Assignment
 
 let magic = "wgrap-snapshot"
-let version = 1
+let version = 2
+
+type fingerprint = (string * string) list
 
 let ( let* ) = Result.bind
 
 (* {1 Snapshot encoding}
 
    A snapshot is a line-oriented text file: a versioned header, the
-   solver state fields, both assignments in the canonical
+   run fingerprint ([run <field> <value>] lines), the solver state
+   fields, both assignments in the canonical
    {!Assignment.to_lines} form, and a trailing [crc <hex>] line whose
    CRC-32 covers every preceding byte. Floats are written with [%h]
    (hex float literals) and RNG words as raw hex, so every value
    round-trips bit-exactly — a resumed run must replay the
    uninterrupted run's arithmetic, not an approximation of it. *)
 
-let encode_state (st : Checkpoint.state) =
+let encode_state ~fingerprint (st : Checkpoint.state) =
   let b = Buffer.create 4096 in
   let line fmt =
     Printf.ksprintf
@@ -26,6 +29,7 @@ let encode_state (st : Checkpoint.state) =
       fmt
   in
   line "%s %d" magic version;
+  List.iter (fun (field, value) -> line "run %s %s" field value) fingerprint;
   line "link %s" st.link;
   (match st.phase with
   | Checkpoint.Sdga_stage k -> line "phase sdga %d" k
@@ -104,6 +108,14 @@ let decode_payload lines =
         else Error (Printf.sprintf "unsupported snapshot version %d" v)
     | _ -> Error (Printf.sprintf "bad header %S" header)
   in
+  let rec take_run acc = function
+    | l :: rest when String.starts_with ~prefix:"run " l -> (
+        match String.split_on_char ' ' l with
+        | [ _; field; value ] -> take_run ((field, value) :: acc) rest
+        | _ -> Error (Printf.sprintf "bad run line %S" l))
+    | lines -> Ok (List.rev acc, lines)
+  in
+  let* fingerprint, lines = take_run [] lines in
   let* link, lines = expect_field "link" lines in
   let* phase_str, lines = expect_field "phase" lines in
   let* phase =
@@ -156,7 +168,7 @@ let decode_payload lines =
     if lines = [] then Ok ()
     else Error (Printf.sprintf "trailing garbage after state (%d lines)" (List.length lines))
   in
-  Ok { Checkpoint.link; phase; stall; score; rng; best; current }
+  Ok (fingerprint, { Checkpoint.link; phase; stall; score; rng; best; current })
 
 let decode_state s =
   let len = String.length s in

@@ -10,12 +10,17 @@
 val magic : string
 val version : int
 
-val encode_state : Wgrap.Checkpoint.state -> string
-(** The full snapshot file image: versioned header, state fields, both
-    assignments, and a trailing [crc <hex>] line covering every
-    preceding byte. *)
+type fingerprint = (string * string) list
+(** The run a snapshot belongs to, as named fields in a fixed order
+    (see [Store.fingerprint]). Names and values hold no space. *)
 
-val decode_state : string -> (Wgrap.Checkpoint.state, string) result
+val encode_state : fingerprint:fingerprint -> Wgrap.Checkpoint.state -> string
+(** The full snapshot file image: versioned header, the run
+    fingerprint, state fields, both assignments, and a trailing
+    [crc <hex>] line covering every preceding byte. *)
+
+val decode_state :
+  string -> (fingerprint * Wgrap.Checkpoint.state, string) result
 (** Inverse of {!encode_state}. Rejects (with a human-readable reason)
     truncation, checksum mismatch, version mismatch, malformed fields,
     out-of-range reviewer ids and all-zero RNG states. *)

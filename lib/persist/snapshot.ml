@@ -1,7 +1,7 @@
 type error = Missing | Corrupt of string
 
-let write ~path st =
-  Blob.replace ~op:"writing snapshot" ~path (Codec.encode_state st)
+let write ~fingerprint ~path st =
+  Blob.replace ~op:"writing snapshot" ~path (Codec.encode_state ~fingerprint st)
 
 let read path =
   if not (Sys.file_exists path) then Error Missing
@@ -10,7 +10,7 @@ let read path =
     | exception Sys_error m -> Error (Corrupt m)
     | data -> (
         match Codec.decode_state data with
-        | Ok st -> Ok st
+        | Ok snap -> Ok snap
         | Error m -> Error (Corrupt m))
 
 let error_message = function

@@ -2,9 +2,42 @@ module Checkpoint = Wgrap.Checkpoint
 module Assignment = Wgrap.Assignment
 module Instance = Wgrap.Instance
 module Objective = Wgrap.Objective
+module Taxonomy = Wgrap.Taxonomy
 module Timer = Wgrap_util.Timer
 
 type cadence = Every_seconds of float | Every_rounds of int
+
+type run = {
+  objective : Objective.spec;
+  candidates : int;
+  refine : bool;
+  chains : int;
+}
+
+(* The objective's name, plus an MD5 over its payload when it has one.
+   Every float is printed with %h, so two payloads fingerprint alike
+   only if they are equal bit for bit. *)
+let objective_fingerprint spec =
+  let digest lines =
+    Objective.name spec ^ ":" ^ Digest.to_hex (Digest.string (String.concat "\n" lines))
+  in
+  let floats row = String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list row)) in
+  match spec with
+  | Objective.Coverage | Objective.Min -> Objective.name spec
+  | Objective.Blend { preferences; lambda } ->
+      digest (Printf.sprintf "%h" lambda :: List.map floats (Array.to_list preferences))
+  | Objective.Taxonomy { tree; decay } ->
+      digest
+        (Printf.sprintf "%h" decay
+        :: List.init (Taxonomy.dim tree) (fun v -> string_of_int (Taxonomy.parent tree v)))
+
+let fingerprint r =
+  [
+    ("objective", objective_fingerprint r.objective);
+    ("candidates", string_of_int r.candidates);
+    ("refine", string_of_bool r.refine);
+    ("chains", string_of_int r.chains);
+  ]
 
 let snapshot_path dir = Filename.concat dir "snapshot.wck"
 let journal_path dir = Filename.concat dir "journal.wal"
@@ -12,6 +45,7 @@ let journal_path dir = Filename.concat dir "journal.wal"
 type t = {
   dir : string;
   cadence : cadence;
+  fingerprint : Codec.fingerprint;
   mutable journal : Journal.writer option;
   mutable offers_since_write : int;
   mutable last_write : float;
@@ -27,7 +61,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_ ?(cadence = Every_seconds 5.) ?(fresh = false) ~dir () =
+let open_ ?(cadence = Every_seconds 5.) ?(fresh = false) ~run ~dir () =
   mkdir_p dir;
   if fresh then begin
     (try Sys.remove (snapshot_path dir) with Sys_error _ -> ());
@@ -36,6 +70,7 @@ let open_ ?(cadence = Every_seconds 5.) ?(fresh = false) ~dir () =
   {
     dir;
     cadence;
+    fingerprint = fingerprint run;
     journal = Some (Journal.open_writer (journal_path dir));
     offers_since_write = 0;
     last_write = Timer.now ();
@@ -108,7 +143,7 @@ let offer t mk =
     if due then (
       try
         let st = mk () in
-        Snapshot.write ~path:(snapshot_path t.dir) st;
+        Snapshot.write ~fingerprint:t.fingerprint ~path:(snapshot_path t.dir) st;
         t.offers_since_write <- 0;
         t.last_write <- Timer.now ();
         t.best_written <- st.Checkpoint.score;
@@ -131,8 +166,22 @@ let load_error_message = function
 
 let ( let* ) = Result.bind
 
+(* A checkpoint resumes only the run it was written by: a field that
+   differs (another candidate width, say) would resume a search that
+   the fresh run never makes. *)
+let check_fingerprint ~run recorded =
+  let has field = List.assoc_opt field recorded in
+  match List.find_opt (fun (field, want) -> has field <> Some want) (fingerprint run) with
+  | None -> Ok ()
+  | Some (field, want) ->
+      Error
+        (Printf.sprintf "%s mismatch: checkpoint has %s, run has %s" field
+           (Option.value (has field) ~default:"none")
+           want)
+
 (* Self-certification: a snapshot is only trusted after (a) its CRC and
-   version checks (done by {!Snapshot.read}), (b) constraint validation
+   version checks (done by {!Snapshot.read}) and the run fingerprint
+   check, (b) constraint validation
    of both assignments against the live instance — full validation for
    complete phases, partial for mid-SDGA states — and (c) the recorded
    objective matching a recomputation within 1e-9 under the run's own
@@ -167,12 +216,15 @@ let certify ~objective inst (st : Checkpoint.state) =
          st.score recomputed)
   else Ok ()
 
-let load ~dir ~objective inst =
+let load ~dir ~run inst =
   match Snapshot.read (snapshot_path dir) with
   | Error Snapshot.Missing -> Error No_checkpoint
   | Error (Snapshot.Corrupt m) -> Error (Invalid ("snapshot: " ^ m))
-  | Ok st -> (
-      match certify ~objective inst st with
+  | Ok (recorded, st) -> (
+      match
+        let* () = check_fingerprint ~run recorded in
+        certify ~objective:run.objective inst st
+      with
       | Error m -> Error (Invalid m)
       | Ok () -> (
           let { Journal.events; torn = _ } = Journal.replay (journal_path dir) in

@@ -10,7 +10,8 @@
     best-effort — a failing disk disables the store with a stderr
     warning and the solve continues un-checkpointed.
 
-    Read path ({!load}): CRC + version verification, constraint
+    Read path ({!load}): CRC + version verification, the run
+    fingerprint check ({!run}), constraint
     re-validation of the recovered assignments against the live
     instance, recomputation of the recorded objective value under the
     run's objective within 1e-9, and a staleness
@@ -23,10 +24,29 @@ type cadence =
   | Every_seconds of float  (** wall-clock throttle (default 5 s) *)
   | Every_rounds of int  (** snapshot every [n]-th offer *)
 
+type run = {
+  objective : Wgrap.Objective.spec;
+  candidates : int;  (** the candidate width, [ctx.candidates] *)
+  refine : bool;  (** whether {!Wgrap.Solver.cra} runs SRA *)
+  chains : int;
+      (** SRA chains: the job count, since {!Wgrap.Solver.cra} runs one
+          chain per job *)
+}
+(** What a run's result depends on beyond the instance and its seed.
+    Every snapshot records its run's {!fingerprint}, and {!load}
+    resumes only a checkpoint of the same run. *)
+
+val fingerprint : run -> Codec.fingerprint
+(** The fields a snapshot records, in order: [objective] (the
+    objective's name, plus an MD5 over its [%h]-printed payload for
+    [blend] and [taxonomy]), [candidates], [refine] and [chains]. *)
+
 type t
 
-val open_ : ?cadence:cadence -> ?fresh:bool -> dir:string -> unit -> t
-(** Create/open the store directory (made with parents as needed).
+val open_ :
+  ?cadence:cadence -> ?fresh:bool -> run:run -> dir:string -> unit -> t
+(** Create/open the store directory (made with parents as needed); the
+    snapshots it writes are pinned to [run].
     [fresh] (default false) deletes any existing snapshot and journal
     first — use it when starting a run from scratch so a later resume
     cannot see a previous run's incumbents. Raises on I/O errors at
@@ -54,14 +74,16 @@ type load_error =
 
 val load :
   dir:string ->
-  objective:Wgrap.Objective.spec ->
+  run:run ->
   Wgrap.Instance.t ->
   (Wgrap.Checkpoint.state, load_error) result
-(** Recover and certify the stored state (see module docs) for a run
-    under [objective]: the snapshot's score must equal
-    [Objective.value (Objective.bind objective inst)] of its best
-    assignment, so a checkpoint written under another objective is
-    reported [Invalid] ("objective mismatch"), never resumed. *)
+(** Recover and certify the stored state (see module docs) for [run].
+    A snapshot whose recorded fingerprint differs from [run]'s is
+    reported [Invalid] with a reason naming the first differing field
+    (["candidates mismatch: checkpoint has 16, run has 32"]), never
+    resumed. The snapshot's score must also equal
+    [Objective.value (Objective.bind run.objective inst)] of its best
+    assignment ("objective mismatch" otherwise). *)
 
 val load_error_message : load_error -> string
 

@@ -320,16 +320,16 @@ let solve_group ?deadline ?override t ~paper ~pvec cands =
   let n = List.length scaled in
   if n = 0 then ([], [])
   else if n >= t.delta_p then begin
-    let rids = Array.of_list (List.map fst scaled) in
-    let pool = Array.of_list (List.map snd scaled) in
-    let problem = Jra.make ~scoring ~paper:pvec ~pool ~group_size:t.delta_p () in
-    let ctx = Ctx.make ?deadline () in
-    let of_sol (sol : Jra.solution) =
-      List.sort compare (List.map (fun i -> rids.(i)) sol.group)
+    let problem =
+      Jra.make ~scoring ~paper:pvec
+        ~ids:(Array.of_list (List.map fst scaled))
+        ~pool:(Array.of_list (List.map snd scaled))
+        ~group_size:t.delta_p ()
     in
+    let ctx = Ctx.make ?deadline () in
     match Solver.jra ~ctx problem with
-    | Solver.Complete sol -> (of_sol sol, [])
-    | Solver.Degraded (sol, reasons) -> (of_sol sol, reasons)
+    | Solver.Complete sol -> (sol.Jra.group, [])
+    | Solver.Degraded (sol, reasons) -> (sol.Jra.group, reasons)
     | Solver.Infeasible msg ->
         (* cannot happen with an exclusion-free pool >= group_size, but
            the chain's contract allows it; fall back rather than trust *)

@@ -9,13 +9,18 @@
 # resumes from the
 # same checkpoint directory and asserts:
 #   1. the resumed run exits 0,
-#   2. it did not discard the checkpoint for an objective mismatch
-#      (a checkpoint certifies under the objective of its own run),
+#   2. it did not discard the checkpoint (a checkpoint certifies under
+#      the objective and run fingerprint of its own run),
 #   3. the final journaled incumbent is >= the incumbent at kill time,
 #   4. the resumed run wrote a non-empty assignment,
 #   5. that assignment is byte-identical (cmp) to the uninterrupted
 #      run's: a resume replays the remaining SDGA stages and SRA rounds
 #      exactly.
+#
+# A width leg then kills a `--candidates 16` run the same way and
+# resumes it with `--candidates 32`. The checkpoint pins its run, so
+# the resumed run must report the discard ("candidates mismatch") and
+# write the TSV of a fresh `--candidates 32` run, byte for byte.
 #
 # Used by CI (see .github/workflows/ci.yml) and runnable locally:
 #   dune build && scripts/kill_resume_smoke.sh
@@ -34,22 +39,20 @@ echo "== generate corpus =="
 "$WGRAP" generate --seed 7 --scale 1.0 \
   --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv"
 
-# leg NAME [extra assign flags...]
-leg() {
-  local name=$1
-  shift
-  local dir="$WORK/$name"
-  local ckpt="$dir/ckpt"
-  mkdir -p "$dir"
-  local assign=("$WGRAP" assign --seed 7 "$@"
-    --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv")
+# run_assign [assign flags...]: `wgrap assign` on the corpus at seed 7
+run_assign() {
+  "$WGRAP" assign --seed 7 \
+    --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv" "$@"
+}
 
-  echo "== [$name] uninterrupted run =="
-  "${assign[@]}" --out "$dir/uninterrupted.tsv" >"$dir/uninterrupted.log" 2>&1
-
+# checkpoint_and_kill NAME CKPT OUT [assign flags...]: start a
+# checkpointed run and SIGKILL it mid-solve.
+checkpoint_and_kill() {
+  local name=$1 ckpt=$2 out=$3
+  shift 3
   echo "== [$name] start checkpointed run =="
-  "${assign[@]}" --checkpoint-dir "$ckpt" --checkpoint-every 1r \
-    --out "$dir/assignment.tsv" >"$dir/first.log" 2>&1 &
+  run_assign "$@" --checkpoint-dir "$ckpt" --checkpoint-every 1r \
+    --out "$out" >"$out.first.log" 2>&1 &
   local pid=$!
 
   # Wait (max ~10 s) for a snapshot and a journaled incumbent, then
@@ -69,6 +72,20 @@ leg() {
     sleep 0.05
   done
   wait "$pid" 2>/dev/null || true
+}
+
+# leg NAME [extra assign flags...]
+leg() {
+  local name=$1
+  shift
+  local dir="$WORK/$name"
+  local ckpt="$dir/ckpt"
+  mkdir -p "$dir"
+
+  echo "== [$name] uninterrupted run =="
+  run_assign "$@" --out "$dir/uninterrupted.tsv" >"$dir/uninterrupted.log" 2>&1
+
+  checkpoint_and_kill "$name" "$ckpt" "$dir/assignment.tsv" "$@"
 
   echo "== [$name] checkpoint state at kill time =="
   "$WGRAP" checkpoint --checkpoint-dir "$ckpt" || true
@@ -79,7 +96,7 @@ leg() {
 
   echo "== [$name] resume =="
   rm -f "$dir/assignment.tsv"
-  if ! "${assign[@]}" --checkpoint-dir "$ckpt" --checkpoint-every 1r --resume \
+  if ! run_assign "$@" --checkpoint-dir "$ckpt" --checkpoint-every 1r --resume \
       --out "$dir/assignment.tsv" 2>"$dir/resume.err"; then
     cat "$dir/resume.err" >&2
     echo "kill_resume_smoke: FAIL [$name] — resumed run exited non-zero" >&2
@@ -93,8 +110,8 @@ leg() {
   after=$("$WGRAP" checkpoint --checkpoint-dir "$ckpt" \
     | sed -n 's/^journal: last incumbent //p')
 
-  if grep -q 'objective mismatch' "$dir/resume.err"; then
-    echo "kill_resume_smoke: FAIL [$name] — checkpoint discarded for an objective mismatch" >&2
+  if grep -q 'checkpoint: discarded' "$dir/resume.err"; then
+    echo "kill_resume_smoke: FAIL [$name] — checkpoint discarded" >&2
     exit 1
   fi
   if [ -z "$after" ]; then
@@ -116,7 +133,39 @@ leg() {
   echo "kill_resume_smoke: [$name] OK (incumbent $before at kill -> $after after resume, TSV bit-identical)"
 }
 
+# width_leg: a k = 16 checkpoint resumed at k = 32 is discarded, and the
+# run writes what a fresh k = 32 run writes.
+width_leg() {
+  local dir="$WORK/width"
+  local ckpt="$dir/ckpt"
+  mkdir -p "$dir"
+
+  echo "== [width] fresh --candidates 32 run =="
+  run_assign --candidates 32 --out "$dir/fresh32.tsv" >"$dir/fresh32.log" 2>&1
+
+  checkpoint_and_kill width "$ckpt" "$dir/k16.tsv" --candidates 16
+
+  echo "== [width] resume the k = 16 checkpoint with --candidates 32 =="
+  if ! run_assign --candidates 32 --checkpoint-dir "$ckpt" --checkpoint-every 1r --resume \
+      --out "$dir/resumed32.tsv" 2>"$dir/resume.err"; then
+    cat "$dir/resume.err" >&2
+    echo "kill_resume_smoke: FAIL [width] — resumed run exited non-zero" >&2
+    exit 1
+  fi
+  cat "$dir/resume.err" >&2
+  if ! grep -q 'candidates mismatch' "$dir/resume.err"; then
+    echo "kill_resume_smoke: FAIL [width] — the k = 16 checkpoint was not discarded" >&2
+    exit 1
+  fi
+  if ! cmp "$dir/fresh32.tsv" "$dir/resumed32.tsv"; then
+    echo "kill_resume_smoke: FAIL [width] — the run differs from a fresh k = 32 run" >&2
+    exit 1
+  fi
+  echo "kill_resume_smoke: [width] OK (k = 16 checkpoint discarded, TSV = fresh k = 32)"
+}
+
 leg coverage
 leg min --objective min
+width_leg
 
-echo "kill_resume_smoke: OK (coverage and min legs)"
+echo "kill_resume_smoke: OK (coverage, min and width legs)"

@@ -212,6 +212,178 @@ let test_cp_deadline () =
   | Jra_cp.Timed_out _ -> ()
   | Jra_cp.Solved _ -> Alcotest.fail "expected Timed_out"
 
+(* {1 Compact shortlisted problems}
+
+   [Jra.of_instance ~candidates] under c, cP and cD builds the compact
+   problem: the shortlist alone, projected onto the paper's support. The
+   oracle is the masked dense problem over the whole committee (the
+   pre-compact construction), built here by hand. *)
+
+(* A seeded sparse instance: every vector touches a few random topics,
+   and random (paper, reviewer) pairs are conflicts. *)
+let sparse_instance ~scoring rng =
+  let dim = 6 + Rng.int rng 10 and n_r = 6 + Rng.int rng 9 and n_p = 4 in
+  let dp = 1 + Rng.int rng 3 in
+  let vec () =
+    let v = Array.make dim 0. in
+    for _ = 0 to Rng.int rng 3 do
+      v.(Rng.int rng dim) <- 0.05 +. Rng.uniform rng
+    done;
+    v
+  in
+  let coi =
+    (* at most n_r / 2 pairs, so every paper keeps delta_p free reviewers *)
+    List.init (Rng.int rng ((n_r / 2) + 1)) (fun _ -> (Rng.int rng n_p, Rng.int rng n_r))
+  in
+  Instance.create_exn ~scoring ~coi
+    ~papers:(Array.init n_p (fun _ -> vec ()))
+    ~reviewers:(Array.init n_r (fun _ -> vec ()))
+    ~delta_p:dp ~delta_r:(n_p * dp) ()
+
+let masked_dense inst ~k ~paper =
+  let n_r = Instance.n_reviewers inst in
+  let cands = Instance.candidates inst ~k ~paper in
+  Jra.make ~scoring:inst.Instance.scoring
+    ~excluded:
+      (Array.init n_r (fun r ->
+           (not (Array.mem r cands)) || Instance.forbidden inst ~paper ~reviewer:r))
+    ~paper:inst.Instance.papers.(paper) ~pool:inst.Instance.reviewers
+    ~group_size:inst.Instance.delta_p ()
+
+let compact_matches_dense scoring =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "compact = masked dense under %s" (Scoring.name scoring))
+    ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let inst = sparse_instance ~scoring rng in
+      let n_r = Instance.n_reviewers inst and dp = inst.Instance.delta_p in
+      let k = 1 + Rng.int rng (n_r - 1) and paper = Rng.int rng (Instance.n_papers inst) in
+      let prob = Jra.of_instance ~candidates:k inst ~paper in
+      let cands = Instance.candidates inst ~k ~paper in
+      if Array.length cands < dp then begin
+        (* Too short a shortlist: the dense pool with COI exclusions. *)
+        if prob.Jra.ids <> None || Array.length prob.Jra.pool <> n_r then
+          QCheck.Test.fail_report "short shortlist left the dense path";
+        true
+      end
+      else begin
+        let supp = Instance.paper_support inst paper in
+        if
+          prob.Jra.ids <> Some cands || prob.Jra.excluded <> None
+          || Array.length prob.Jra.paper <> Array.length supp.Topic_vector.idx
+        then QCheck.Test.fail_report "not the compact shortlist problem";
+        let bba = Jra_bba.solve prob and bfs = Jra_bfs.solve prob in
+        let ilp =
+          match Jra_ilp.solve prob with
+          | Jra_ilp.Solved s -> s
+          | Jra_ilp.Timed_out _ -> QCheck.Test.fail_report "unbudgeted ILP timed out"
+        in
+        let oracle = Jra_bba.solve (masked_dense inst ~k ~paper) in
+        List.iter
+          (fun (name, (sol : Jra.solution)) ->
+            if Float.abs (sol.score -. oracle.Jra.score) > 1e-9 then
+              QCheck.Test.fail_reportf "%s scores %.17g, masked dense BBA %.17g" name
+                sol.score oracle.Jra.score;
+            if sol.group <> List.sort_uniq compare sol.group then
+              QCheck.Test.fail_reportf "%s group not ascending" name;
+            if List.length sol.group <> dp then
+              QCheck.Test.fail_reportf "%s group has the wrong size" name;
+            List.iter
+              (fun r ->
+                if not (Array.mem r cands) then
+                  QCheck.Test.fail_reportf "%s picked %d outside the shortlist" name r;
+                if Instance.forbidden inst ~paper ~reviewer:r then
+                  QCheck.Test.fail_reportf "%s picked conflicted reviewer %d" name r)
+              sol.group)
+          [ ("BBA", bba); ("BFS", bfs); ("ILP", ilp) ];
+        true
+      end)
+
+(* cR credits expertise off the paper's support, so its shortlist masks
+   the dense pool instead. *)
+let test_cr_stays_dense () =
+  let rng = Rng.create 21 in
+  for _ = 1 to 20 do
+    let inst = sparse_instance ~scoring:Scoring.Reviewer_coverage rng in
+    let n_r = Instance.n_reviewers inst in
+    let prob = Jra.of_instance ~candidates:(n_r - 1) inst ~paper:0 in
+    Alcotest.(check bool) "no id map" true (prob.Jra.ids = None);
+    Alcotest.(check int) "whole committee" n_r (Array.length prob.Jra.pool);
+    Alcotest.(check int) "every topic" (Instance.n_topics inst)
+      (Array.length prob.Jra.paper)
+  done
+
+(* {1 The Solver.jra chain: BBA -> greedy} *)
+
+let chain_problems rng =
+  List.concat_map
+    (fun scoring ->
+      let inst = sparse_instance ~scoring rng in
+      let k = 1 + Rng.int rng (Instance.n_reviewers inst - 1) in
+      List.init (Instance.n_papers inst) (fun paper -> Jra.of_instance ~candidates:k inst ~paper))
+    Scoring.all
+  @ List.init 4 (fun _ -> random_problem rng ~dim:5 ~n:12 ~dp:3)
+  |> Array.of_list
+
+let links out =
+  List.filter_map
+    (function
+      | Solver.Timeout { link } | Solver.Fault { link; _ } -> Some link
+      | Solver.Stale_checkpoint _ -> None)
+    (Solver.reasons out)
+
+let test_chain_unbudgeted () =
+  let problems = chain_problems (Rng.create 31) in
+  Array.iter
+    (fun prob ->
+      match Solver.jra prob with
+      | Solver.Complete sol ->
+          Alcotest.(check (float 0.)) "the chain is BBA" (Jra_bba.solve prob).Jra.score
+            sol.Jra.score
+      | o -> Alcotest.failf "unbudgeted chain %s" (Solver.status o))
+    problems
+
+let test_chain_expired () =
+  let problems = chain_problems (Rng.create 32) in
+  Array.iter
+    (fun prob ->
+      let ctx = Ctx.make ~deadline:(Timer.deadline (-1.)) () in
+      match Solver.jra ~ctx prob with
+      | Solver.Degraded (sol, [ Solver.Timeout { link = "jra-bba" } ]) ->
+          let greedy = Jra.greedy prob in
+          Alcotest.(check (list int)) "greedy group" greedy.Jra.group sol.Jra.group;
+          Alcotest.(check (float 0.)) "greedy score" greedy.Jra.score sol.Jra.score
+      | o ->
+          Alcotest.failf "expired deadline: %s [%s]" (Solver.status o)
+            (String.concat "; " (links o)))
+    problems
+
+let chain_never_names_ilp =
+  QCheck.Test.make ~name:"no outcome names a jra-ilp link" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let problems = chain_problems rng in
+      let budget = [| None; Some (-1.); Some 0.; Some 1e-4; Some 10. |] in
+      Array.for_all
+        (fun prob ->
+          let deadline = Option.map Timer.deadline budget.(Rng.int rng (Array.length budget)) in
+          not (List.mem "jra-ilp" (links (Solver.jra ~ctx:(Ctx.make ?deadline ()) prob))))
+        problems)
+
+let test_chain_batch_jobs () =
+  let problems = chain_problems (Rng.create 33) in
+  let key out =
+    (Solver.status out, Option.map (fun (s : Jra.solution) -> (s.group, s.score)) (Solver.value out), links out)
+  in
+  let at jobs =
+    Array.map key
+      (Solver.jra_batch ~ctx:(Ctx.make ~pool:(Wgrap_par.Pool.create ~jobs) ()) problems)
+  in
+  Alcotest.(check bool) "jobs 1 = jobs 2" true (at 1 = at 2)
+
 let () =
   Alcotest.run "jra"
     [
@@ -247,5 +419,17 @@ let () =
           Alcotest.test_case "cp deadline" `Quick test_cp_deadline;
           QCheck_alcotest.to_alcotest ilp_matches_bfs;
           QCheck_alcotest.to_alcotest cp_matches_bfs;
+        ] );
+      ( "compact",
+        Alcotest.test_case "cR stays dense" `Quick test_cr_stays_dense
+        :: List.map
+             (fun k -> QCheck_alcotest.to_alcotest (compact_matches_dense k))
+             Scoring.[ Weighted_coverage; Paper_coverage; Dot_product ] );
+      ( "chain",
+        [
+          Alcotest.test_case "unbudgeted is BBA" `Quick test_chain_unbudgeted;
+          Alcotest.test_case "expired deadline gives greedy" `Quick test_chain_expired;
+          Alcotest.test_case "jra_batch jobs 1 = jobs 2" `Quick test_chain_batch_jobs;
+          QCheck_alcotest.to_alcotest chain_never_names_ilp;
         ] );
     ]

@@ -14,6 +14,14 @@ open Wgrap
 
 let random_vec rng ~dim = Rng.dirichlet_sym rng ~alpha:0.4 ~dim
 
+(* The run the certification tests write and load under unless they say
+   otherwise: [Solver.cra]'s defaults at one job. *)
+let run_under objective =
+  { Store.objective; candidates = 0; refine = true; chains = 1 }
+
+let coverage_run = run_under Objective.coverage
+let coverage_fp = Store.fingerprint coverage_run
+
 let random_instance ?(dim = 6) ?coi rng ~n_p ~n_r ~dp =
   let dr = Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p:dp in
   Instance.create_exn ?coi
@@ -109,9 +117,11 @@ let test_crc32_vector () =
 
 let test_state_roundtrip () =
   let st = sample_state () in
-  match Codec.decode_state (Codec.encode_state st) with
+  match Codec.decode_state (Codec.encode_state ~fingerprint:coverage_fp st) with
   | Error e -> Alcotest.fail ("decode failed: " ^ e)
-  | Ok st' -> check_state_equal "roundtrip" st st'
+  | Ok (fp, st') ->
+      Alcotest.(check (list (pair string string))) "fingerprint" coverage_fp fp;
+      check_state_equal "roundtrip" st st'
 
 let test_state_roundtrip_sdga () =
   (* SDGA phase: no RNG, current == best, partial groups. *)
@@ -129,12 +139,12 @@ let test_state_roundtrip_sdga () =
       current = Assignment.copy best;
     }
   in
-  match Codec.decode_state (Codec.encode_state st) with
+  match Codec.decode_state (Codec.encode_state ~fingerprint:coverage_fp st) with
   | Error e -> Alcotest.fail ("decode failed: " ^ e)
-  | Ok st' -> check_state_equal "sdga roundtrip" st st'
+  | Ok (_, st') -> check_state_equal "sdga roundtrip" st st'
 
 let test_decode_rejects () =
-  let good = Codec.encode_state (sample_state ()) in
+  let good = Codec.encode_state ~fingerprint:coverage_fp (sample_state ()) in
   let expect_error name data =
     match Codec.decode_state data with
     | Ok _ -> Alcotest.fail (name ^ ": decoder accepted corrupt input")
@@ -179,15 +189,15 @@ let test_snapshot_file_roundtrip () =
   with_dir (fun dir ->
       let path = Filename.concat dir "snap.wck" in
       let st = sample_state () in
-      Snapshot.write ~path st;
+      Snapshot.write ~fingerprint:coverage_fp ~path st;
       (match Snapshot.read path with
-      | Ok st' -> check_state_equal "file roundtrip" st st'
+      | Ok (_, st') -> check_state_equal "file roundtrip" st st'
       | Error e -> Alcotest.fail (Snapshot.error_message e));
       (* Overwrite is atomic-replace: the second state fully wins. *)
       let st2 = { st with Checkpoint.score = 9.75; stall = 0 } in
-      Snapshot.write ~path st2;
+      Snapshot.write ~fingerprint:coverage_fp ~path st2;
       match Snapshot.read path with
-      | Ok st' -> check_state_equal "replaced" st2 st'
+      | Ok (_, st') -> check_state_equal "replaced" st2 st'
       | Error e -> Alcotest.fail (Snapshot.error_message e))
 
 let test_snapshot_missing_and_corrupt () =
@@ -339,7 +349,7 @@ let test_disk_full_store_disables () =
     with_dir (fun dir ->
         (* the journal lives on a full volume from the start *)
         Unix.symlink dev_full (Store.journal_path dir);
-        let store = Store.open_ ~dir () in
+        let store = Store.open_ ~run:coverage_run ~dir () in
         Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
         let sink = Store.sink store in
         (* must not raise — the store disables itself instead *)
@@ -375,7 +385,7 @@ let test_disk_full_atomic_writers () =
           (match v with `Old -> "old payload" | `New -> "new payload"));
     check "snapshot" ~op:"writing snapshot" (fun path v ->
         let st = sample_state () in
-        Snapshot.write ~path
+        Snapshot.write ~fingerprint:coverage_fp ~path
           (match v with
           | `Old -> st
           | `New -> { st with Checkpoint.score = 9.75 }))
@@ -405,14 +415,14 @@ let test_store_load_ok () =
   with_dir (fun dir ->
       let inst = Lazy.force test_instance in
       let st = Lazy.force captured_state in
-      Snapshot.write ~path:(Store.snapshot_path dir) st;
-      match Store.load ~dir ~objective:Objective.coverage inst with
+      Snapshot.write ~fingerprint:coverage_fp ~path:(Store.snapshot_path dir) st;
+      match Store.load ~dir ~run:coverage_run inst with
       | Ok st' -> check_state_equal "certified load" st st'
       | Error e -> Alcotest.fail (Store.load_error_message e))
 
 let test_store_load_missing () =
   with_dir (fun dir ->
-      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
+      match Store.load ~dir ~run:coverage_run (Lazy.force test_instance) with
       | Error Store.No_checkpoint -> ()
       | Error (Store.Invalid e) -> Alcotest.fail ("expected No_checkpoint: " ^ e)
       | Ok _ -> Alcotest.fail "loaded from empty dir")
@@ -421,12 +431,12 @@ let test_store_load_corrupt () =
   with_dir (fun dir ->
       let st = Lazy.force captured_state in
       let path = Store.snapshot_path dir in
-      Snapshot.write ~path st;
+      Snapshot.write ~fingerprint:coverage_fp ~path st;
       let data = read_file path in
       let b = Bytes.of_string data in
       Bytes.set b (Bytes.length b / 2) '#';
       write_file path (Bytes.to_string b);
-      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
+      match Store.load ~dir ~run:coverage_run (Lazy.force test_instance) with
       | Error (Store.Invalid _) -> ()
       | Error Store.No_checkpoint -> Alcotest.fail "file exists"
       | Ok _ -> Alcotest.fail "certified a corrupt snapshot")
@@ -436,7 +446,7 @@ let test_store_load_wrong_instance () =
      instance's COI, so certification must reject it. *)
   with_dir (fun dir ->
       let st = Lazy.force captured_state in
-      Snapshot.write ~path:(Store.snapshot_path dir) st;
+      Snapshot.write ~fingerprint:coverage_fp ~path:(Store.snapshot_path dir) st;
       let rng = Rng.create 5 in
       let coi =
         List.concat_map
@@ -444,7 +454,7 @@ let test_store_load_wrong_instance () =
           [ 0; 1; 2; 3; 4 ]
       in
       let other = random_instance ~coi rng ~n_p:10 ~n_r:8 ~dp:3 in
-      match Store.load ~dir ~objective:Objective.coverage other with
+      match Store.load ~dir ~run:coverage_run other with
       | Error (Store.Invalid _) -> ()
       | Error Store.No_checkpoint -> Alcotest.fail "file exists"
       | Ok _ -> Alcotest.fail "certified against the wrong instance")
@@ -453,8 +463,8 @@ let test_store_load_score_mismatch () =
   with_dir (fun dir ->
       let st = Lazy.force captured_state in
       let lied = { st with Checkpoint.score = st.Checkpoint.score +. 0.5 } in
-      Snapshot.write ~path:(Store.snapshot_path dir) lied;
-      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
+      Snapshot.write ~fingerprint:coverage_fp ~path:(Store.snapshot_path dir) lied;
+      match Store.load ~dir ~run:coverage_run (Lazy.force test_instance) with
       | Error (Store.Invalid _) -> ()
       | _ -> Alcotest.fail "certified a snapshot with a lying objective")
 
@@ -463,13 +473,13 @@ let test_store_load_stale () =
      is stale and must be rejected rather than silently losing work. *)
   with_dir (fun dir ->
       let st = Lazy.force captured_state in
-      Snapshot.write ~path:(Store.snapshot_path dir) st;
+      Snapshot.write ~fingerprint:coverage_fp ~path:(Store.snapshot_path dir) st;
       let w = Journal.open_writer (Store.journal_path dir) in
       Journal.append w
         (Checkpoint.Round_improved
            { round = 999; score = st.Checkpoint.score +. 0.1 });
       Journal.close_writer w;
-      match Store.load ~dir ~objective:Objective.coverage (Lazy.force test_instance) with
+      match Store.load ~dir ~run:coverage_run (Lazy.force test_instance) with
       | Error (Store.Invalid msg) ->
           Alcotest.(check bool) "mentions staleness" true
             (String.length msg > 0)
@@ -508,8 +518,10 @@ let test_store_min_checkpoint_resumes () =
     | sts -> List.nth sts (List.length sts / 2)
   in
   with_dir (fun dir ->
-      Snapshot.write ~path:(Store.snapshot_path dir) st;
-      match Store.load ~dir ~objective inst with
+      Snapshot.write
+        ~fingerprint:(Store.fingerprint (run_under objective))
+        ~path:(Store.snapshot_path dir) st;
+      match Store.load ~dir ~run:(run_under objective) inst with
       | Error e -> Alcotest.fail (Store.load_error_message e)
       | Ok st ->
           Alcotest.(check (list string)) "resumed min run = uninterrupted"
@@ -521,10 +533,10 @@ let test_store_min_checkpoint_resumes () =
 let test_store_load_other_objective () =
   with_dir (fun dir ->
       let inst = Lazy.force test_instance in
-      Snapshot.write ~path:(Store.snapshot_path dir) (Lazy.force captured_state);
+      Snapshot.write ~fingerprint:coverage_fp ~path:(Store.snapshot_path dir) (Lazy.force captured_state);
       List.iter
         (fun objective ->
-          match Store.load ~dir ~objective inst with
+          match Store.load ~dir ~run:(run_under objective) inst with
           | Error (Store.Invalid msg) ->
               Alcotest.(check bool)
                 (Objective.name objective ^ ": " ^ msg)
@@ -539,12 +551,78 @@ let test_store_load_other_objective () =
           Objective.taxonomy (Taxonomy.balanced ~dim:(Instance.n_topics inst) ~arity:2);
         ])
 
+(* Each field of the run fingerprint pins the run on its own: a
+   snapshot loaded under a run that differs in one field is discarded
+   with a reason naming that field. *)
+let test_store_fingerprint_fields () =
+  with_dir (fun dir ->
+      let inst = Lazy.force test_instance in
+      Snapshot.write ~fingerprint:coverage_fp ~path:(Store.snapshot_path dir)
+        (Lazy.force captured_state);
+      List.iter
+        (fun (field, run) ->
+          match Store.load ~dir ~run inst with
+          | Error (Store.Invalid msg) ->
+              Alcotest.(check bool) (field ^ ": " ^ msg) true
+                (String.starts_with ~prefix:(field ^ " mismatch") msg)
+          | Error Store.No_checkpoint -> Alcotest.fail "file exists"
+          | Ok _ -> Alcotest.failf "resumed across a %s change" field)
+        [
+          ("candidates", { coverage_run with candidates = 4 });
+          ("refine", { coverage_run with refine = false });
+          ("chains", { coverage_run with chains = 2 });
+          (* rejected on the fingerprint, before any shape check *)
+          ("objective", run_under (Objective.blend [| [| 0.5 |] |]));
+        ]);
+  (* The objective field digests the payload: blends that differ only in
+     lambda, or in one preference cell, fingerprint apart. *)
+  let objective_of spec = List.assoc "objective" (Store.fingerprint (run_under spec)) in
+  let prefs () = Array.make_matrix 3 4 0.25 in
+  let base = objective_of (Objective.blend ~lambda:0.7 (prefs ())) in
+  Alcotest.(check string) "equal payloads agree" base
+    (objective_of (Objective.blend ~lambda:0.7 (prefs ())));
+  Alcotest.(check bool) "lambda moves it" false
+    (String.equal base (objective_of (Objective.blend ~lambda:0.6 (prefs ()))));
+  let bumped = prefs () in
+  bumped.(2).(3) <- Float.succ 0.25;
+  Alcotest.(check bool) "one preference cell moves it" false
+    (String.equal base (objective_of (Objective.blend ~lambda:0.7 bumped)))
+
+(* The CLI repro: a quick-preset checkpoint written at --candidates 16
+   and resumed with --candidates 32 used to resume (and finish below a
+   fresh k = 32 run). It must be discarded, naming the width, and the
+   run must write exactly the fresh k = 32 TSV. *)
+let test_cli_width_resume () =
+  with_dir (fun dir ->
+      let tsv name = Filename.concat dir name in
+      let assign ~k extra =
+        let code, log =
+          Cli.run
+            ([ "assign"; "--preset"; "quick"; "--seed"; "2015"; "--candidates"; k ]
+            @ extra)
+        in
+        Alcotest.(check int) ("exit code\n" ^ log) 0 code;
+        log
+      in
+      let checkpointed = [ "--checkpoint-dir"; dir; "--checkpoint-every"; "1r" ] in
+      ignore (assign ~k:"16" (checkpointed @ [ "--out"; tsv "k16.tsv" ]));
+      let log = assign ~k:"32" (checkpointed @ [ "--resume"; "--out"; tsv "resumed.tsv" ]) in
+      ignore (assign ~k:"32" [ "--out"; tsv "fresh.tsv" ]);
+      Alcotest.(check bool) ("reports the discard\n" ^ log) true
+        (List.exists
+           (String.starts_with
+              ~prefix:"  - checkpoint: discarded (candidates mismatch: checkpoint has 16, run has 32)")
+           (String.split_on_char '\n' log));
+      Alcotest.(check string) "resumed TSV = fresh k = 32 TSV"
+        (read_file (tsv "fresh.tsv"))
+        (read_file (tsv "resumed.tsv")))
+
 let test_store_sink_writes () =
   with_dir (fun dir ->
       let inst = Lazy.force test_instance in
       (* Every_rounds 1: take every offer, so the final snapshot is the
          last round boundary. *)
-      let store = Store.open_ ~cadence:(Store.Every_rounds 1) ~fresh:true ~dir () in
+      let store = Store.open_ ~cadence:(Store.Every_rounds 1) ~fresh:true ~run:coverage_run ~dir () in
       let outcome = Solver.cra ~ctx:(Ctx.make ~seed:3 ~checkpoint:(Store.sink store) ()) inst in
       Store.close store;
       let a =
@@ -552,7 +630,7 @@ let test_store_sink_writes () =
         | Some a -> a
         | None -> Alcotest.fail "solver infeasible"
       in
-      (match Store.load ~dir ~objective:Objective.coverage inst with
+      (match Store.load ~dir ~run:coverage_run inst with
       | Ok st ->
           Alcotest.(check bool) "stored best is valid" true
             (Assignment.validate inst st.Checkpoint.best = Ok ());
@@ -563,10 +641,10 @@ let test_store_sink_writes () =
       Alcotest.(check bool) "journal has events" true (r.Journal.events <> []);
       Alcotest.(check bool) "journal untorn" false r.Journal.torn;
       (* [fresh:true] wipes both files for a from-scratch run. *)
-      let store = Store.open_ ~fresh:true ~dir () in
+      let store = Store.open_ ~fresh:true ~run:coverage_run ~dir () in
       Store.close store;
       Alcotest.(check bool) "fresh wiped snapshot" true
-        (Store.load ~dir ~objective:Objective.coverage inst = Error Store.No_checkpoint))
+        (Store.load ~dir ~run:coverage_run inst = Error Store.No_checkpoint))
 
 (* {1 Determinism and resume} *)
 
@@ -607,8 +685,8 @@ let resume_and_check ?(through_files = false) inst ~seed st =
       (* Round-trip the state through the real on-disk pipeline so the
          replay equality also certifies the codec. *)
       with_dir (fun dir ->
-          Snapshot.write ~path:(Store.snapshot_path dir) st;
-          match Store.load ~dir ~objective:Objective.coverage inst with
+          Snapshot.write ~fingerprint:coverage_fp ~path:(Store.snapshot_path dir) st;
+          match Store.load ~dir ~run:coverage_run inst with
           | Ok st -> st
           | Error e -> Alcotest.fail (Store.load_error_message e))
   in
@@ -757,6 +835,10 @@ let () =
           Alcotest.test_case "stale vs journal rejected" `Quick
             test_store_load_stale;
           Alcotest.test_case "store sink writes" `Quick test_store_sink_writes;
+          Alcotest.test_case "fingerprint fields pin the run" `Quick
+            test_store_fingerprint_fields;
+          Alcotest.test_case "k=16 checkpoint discarded under k=32 (CLI)" `Quick
+            test_cli_width_resume;
           Alcotest.test_case "min checkpoint resumes under min" `Quick
             test_store_min_checkpoint_resumes;
           Alcotest.test_case "coverage checkpoint rejected under min/taxonomy"

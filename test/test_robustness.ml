@@ -487,6 +487,9 @@ let with_temp_store_dir f =
     (fun () -> f dir)
 
 let kill_resume_test =
+  let run =
+    { Store.objective = Objective.coverage; candidates = 0; refine = true; chains = 1 }
+  in
   QCheck.Test.make
     ~name:"kill/resume: never invalid, never below journaled incumbent"
     ~count:120
@@ -518,7 +521,7 @@ let kill_resume_test =
           Option.iter
             (fun st ->
               write_file (Store.snapshot_path dir)
-                (maybe_corrupt (Codec.encode_state st)))
+                (maybe_corrupt (Codec.encode_state ~fingerprint:(Store.fingerprint run) st)))
             !snapshot;
           if events <> [] then
             write_file (Store.journal_path dir)
@@ -535,7 +538,7 @@ let kill_resume_test =
             | Some f -> f
             | None -> Float.neg_infinity
           in
-          let load_result = Store.load ~dir ~objective:Objective.coverage inst in
+          let load_result = Store.load ~dir ~run inst in
           let outcome =
             match load_result with
             | Ok st -> Solver.cra ~ctx:(Ctx.make ~seed:kill_seed ~resume_from:(Ok st) ()) inst
@@ -567,19 +570,6 @@ let kill_resume_test =
    line naming the flag) before any work starts — never an uncaught
    exception from the layer that finally rejects it. *)
 
-let cli_exe = "../bin/wgrap_cli.exe"
-
-let run_cli args =
-  let cmd =
-    String.concat " " (List.map Filename.quote (cli_exe :: args))
-    ^ " </dev/null 2>&1"
-  in
-  let ic = Unix.open_process_in cmd in
-  let out = In_channel.input_all ic in
-  match Unix.close_process_in ic with
-  | Unix.WEXITED n -> (n, out)
-  | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + n, out)
-
 let contains ~sub s =
   let ls = String.length s and lb = String.length sub in
   let rec scan i = i + lb <= ls && (String.sub s i lb = sub || scan (i + 1)) in
@@ -588,7 +578,7 @@ let contains ~sub s =
 let test_cli_bad_numeric_flags () =
   List.iter
     (fun (flag, args) ->
-      let code, out = run_cli args in
+      let code, out = Cli.run args in
       Alcotest.(check int) (flag ^ ": exit code") 1 code;
       Alcotest.(check bool) (flag ^ ": no internal error") false
         (contains ~sub:"internal error" out);
@@ -616,7 +606,7 @@ let test_cli_preset_delta_p () =
     ~finally:(fun () -> Sys.remove out)
     (fun () ->
       let code, log =
-        run_cli
+        Cli.run
           [ "assign"; "--preset"; "quick"; "--candidates"; "16";
             "--no-refine"; "--delta-p"; "2"; "--out"; out ]
       in
@@ -636,7 +626,7 @@ let test_cli_preset_delta_p () =
           | _ -> Alcotest.failf "malformed line %S" line)
         lines);
   let code, log =
-    run_cli [ "assign"; "--preset"; "quick"; "--delta-p"; "31" ]
+    Cli.run [ "assign"; "--preset"; "quick"; "--delta-p"; "31" ]
   in
   Alcotest.(check int) "over capacity: exit code" 2 code;
   Alcotest.(check bool) "over capacity: no internal error" false
@@ -656,7 +646,7 @@ let test_cli_preset_matches_solver () =
     Fun.protect
       ~finally:(fun () -> Sys.remove out)
       (fun () ->
-        let code, log = run_cli (args out) in
+        let code, log = Cli.run (args out) in
         Alcotest.(check int) ("exit code\n" ^ log) 0 code;
         In_channel.with_open_bin out In_channel.input_all)
   in
