@@ -310,9 +310,34 @@ let greedy_fill ?deadline ?override t ~paper ~pvec ~have cands =
      reasons := [ Solver.Timeout { link = "serve-greedy" } ]);
   (List.sort compare !picked, !reasons)
 
-(* Full single-paper re-solve through the anytime JRA chain when the
-   candidate pool can fill a whole group; greedy partial fill when it
-   cannot. *)
+(* The event planner's JRA chain: the ILP on half of the event budget,
+   then, unless it proved its group optimal, {!Solver.jra} (BBA, then
+   greedy) on the rest; the ILP's incumbent wins ties. Serve's pools are
+   dense, and there BBA alone is faster but heavy-tailed (0.1 ms to past
+   the 50 ms default budget), so throughput would swing with the stream
+   and the host's load; DESIGN.md "Service mode" says why the ILP still
+   leads here. *)
+let plan_jra ?deadline problem =
+  let half = Option.map (fun d -> Timer.deadline (0.5 *. Timer.remaining d)) deadline in
+  let rest ilp incumbent =
+    let better (sol : Jra.solution) =
+      match incumbent with
+      | Some (i : Jra.solution) when i.score >= sol.score -> i
+      | _ -> sol
+    in
+    match Solver.jra ~ctx:(Ctx.make ?deadline ()) problem with
+    | Solver.Complete sol -> Solver.Complete (better sol)
+    | Solver.Degraded (sol, reasons) -> Solver.Degraded (better sol, ilp :: reasons)
+    | Solver.Infeasible _ as none -> (
+        match incumbent with Some i -> Solver.Degraded (i, [ ilp ]) | None -> none)
+  in
+  match Wgrap.Jra_ilp.solve ?deadline:half problem with
+  | Wgrap.Jra_ilp.Solved sol -> Solver.Complete sol
+  | Wgrap.Jra_ilp.Timed_out incumbent -> rest (Solver.Timeout { link = "jra-ilp" }) incumbent
+  | exception e -> rest (Solver.Fault { link = "jra-ilp"; error = Solver.describe_exn e }) None
+
+(* Full single-paper re-solve through {!plan_jra} when the candidate
+   pool can fill a whole group; greedy partial fill when it cannot. *)
 let solve_group ?deadline ?override t ~paper ~pvec cands =
   let scaled =
     List.map (fun (r, v) -> (r, weighted ?override t ~paper ~reviewer:r v)) cands
@@ -326,8 +351,7 @@ let solve_group ?deadline ?override t ~paper ~pvec cands =
         ~pool:(Array.of_list (List.map snd scaled))
         ~group_size:t.delta_p ()
     in
-    let ctx = Ctx.make ?deadline () in
-    match Solver.jra ~ctx problem with
+    match plan_jra ?deadline problem with
     | Solver.Complete sol -> (sol.Jra.group, [])
     | Solver.Degraded (sol, reasons) -> (sol.Jra.group, reasons)
     | Solver.Infeasible msg ->

@@ -10,8 +10,9 @@
 
     - {!plan} is {e pure}: it computes, under an optional wall-clock
       deadline, the ops (group changes, pending marks) the event should
-      cause, running a minimal re-solve — a single-paper
-      {!Wgrap.Solver.jra} for a new paper or a bid change, and a
+      cause, running a minimal re-solve — a single-paper JRA for a new
+      paper or a bid change (the ILP on half of the deadline, then
+      {!Wgrap.Solver.jra} on the rest), and a
       bid-weighted greedy refill of the broken groups for a reviewer
       leaving or a late conflict (also the degraded backstop). The
       result may depend on the wall clock; that is fine, because

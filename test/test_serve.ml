@@ -185,6 +185,62 @@ let populated rng ~dim ~delta_p ~delta_r ~n_r ~n_p =
   done;
   (st, id)
 
+(* {1 Arrival planning} *)
+
+let planned_group (planned : State.planned) =
+  List.find_map
+    (function Event.Set_group { group; _ } -> Some group | _ -> None)
+    planned.State.ops
+
+(* Without a deadline a paper-add gets the best group over every
+   reviewer with spare capacity; brute force over the pairs is the
+   oracle. *)
+let test_arrival_plan_exact () =
+  let rng = Rng.create 2015 in
+  let dim = 4 and n_r = 7 in
+  let revs = Array.init n_r (fun _ -> fresh_vec rng ~dim) in
+  let st = get_ok ~msg:"create" (State.create ~dim ~delta_p:2 ~delta_r:5 ()) in
+  Array.iteri
+    (fun r vec -> must_apply st ~id:(r + 1) (Event.Reviewer_join { reviewer = r; vec }))
+    revs;
+  let pvec = fresh_vec rng ~dim in
+  let planned = State.plan st (Event.Paper_add { paper = 0; vec = pvec }) in
+  Alcotest.(check int) "no reasons" 0 (List.length planned.State.reasons);
+  let score g =
+    Wgrap.Scoring.group_score Wgrap.Scoring.Weighted_coverage
+      (List.map (fun r -> revs.(r)) g) pvec
+  in
+  let best = ref neg_infinity in
+  for a = 0 to n_r - 1 do
+    for b = a + 1 to n_r - 1 do
+      best := Float.max !best (score [ a; b ])
+    done
+  done;
+  match planned_group planned with
+  | Some g ->
+      Alcotest.(check int) "full group" 2 (List.length g);
+      Alcotest.(check (float 1e-12)) "optimal" !best (score g)
+  | None -> Alcotest.fail "no Set_group op"
+
+(* An expired budget still yields a full group, marked pending, and the
+   first reason names the ILP, which leads the arrival plan. *)
+let test_arrival_plan_expired () =
+  let rng = Rng.create 7 in
+  let st, _ = populated rng ~dim:4 ~delta_p:2 ~delta_r:5 ~n_r:7 ~n_p:0 in
+  let deadline = Wgrap_util.Timer.deadline 0. in
+  let planned =
+    State.plan ~deadline st (Event.Paper_add { paper = 0; vec = fresh_vec rng ~dim:4 })
+  in
+  (match planned.State.reasons with
+  | Wgrap.Solver.Timeout { link = "jra-ilp" } :: _ -> ()
+  | rs ->
+      Alcotest.failf "reasons: [%s]"
+        (String.concat "; " (List.map Wgrap.Solver.describe_reason rs)));
+  Alcotest.(check (option int)) "full group" (Some 2)
+    (Option.map List.length (planned_group planned));
+  Alcotest.(check bool) "pending" true
+    (List.mem (Event.Pend 0) planned.State.ops)
+
 (* {1 Late-change adversarial properties} *)
 
 (* A conflict surfacing on an already-assigned pair must evict the
@@ -1065,6 +1121,12 @@ let () =
           QCheck_alcotest.to_alcotest amend_withdraw_mid_improvement_test;
           QCheck_alcotest.to_alcotest leave_touches_holders_test;
           QCheck_alcotest.to_alcotest coi_touches_holder_test;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "arrival plan is exact" `Quick test_arrival_plan_exact;
+          Alcotest.test_case "expired arrival plan degrades" `Quick
+            test_arrival_plan_expired;
         ] );
       ( "hostile",
         [
