@@ -98,18 +98,15 @@ let load_corpus ~lenient authors_path papers_path =
 
 (* {1 assign} *)
 
-(* --jobs N: 0 means "one per core" (Pool.recommended_jobs); on a
-   sequential-fallback build any request collapses to 1 with a warning,
-   so scripts carrying --jobs stay portable across OCaml versions. *)
+(* --jobs N: 0 means "one per core" (Pool.recommended_jobs), and more
+   jobs than that are capped there with a warning, so a request never
+   starts more domains than the machine has cores (a build without the
+   multicore runtime recommends 1). The job count changes only wall
+   time, never the answer. *)
 let pool_of_jobs jobs =
-  let requested =
-    if jobs = 0 then Wgrap_par.Pool.recommended_jobs () else jobs
-  in
-  if requested > 1 && not Wgrap_par.Pool.parallel_supported then begin
-    warn "--jobs %d ignored: this build has no multicore runtime" requested;
-    Wgrap_par.Pool.sequential
-  end
-  else Wgrap_par.Pool.create ~jobs:requested
+  let cores = Wgrap_par.Pool.recommended_jobs () in
+  if jobs > cores then warn "--jobs %d capped at %d cores" jobs cores;
+  Wgrap_par.Pool.create ~jobs:(if jobs = 0 then cores else min jobs cores)
 
 (* {2 objective selection}
 
@@ -258,14 +255,7 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
   in
   let objective = spec_for ~dim:(Instance.n_topics inst) in
   let pool = pool_of_jobs jobs in
-  let run =
-    {
-      Wgrap_persist.Store.objective;
-      candidates;
-      refine;
-      chains = Wgrap_par.Pool.jobs pool;
-    }
-  in
+  let run = { Wgrap_persist.Store.objective; candidates; refine } in
   (* Crash-safe mode: recover (and certify) any stored state before the
      store is opened, because opening fresh wipes the previous run's
      files. A rejected checkpoint (another run's, or corrupt) degrades
@@ -695,11 +685,12 @@ let assign_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Solver domains: refinement runs $(docv) independent chains \
-             (best one wins, deterministic for a fixed seed and $(docv)) \
-             and gain-matrix fills are row-parallel. $(b,0) means one per \
-             core. Ignored (with a warning) on builds without the \
-             multicore runtime.")
+            "Solver domains for the gain-matrix row fills of the SDGA and \
+             greedy seeds. The refinement is one sequential chain, so \
+             $(docv) changes only wall time, never the assignment. $(b,0) \
+             means one per core; a larger $(docv) is capped at the core \
+             count with a warning (1 on builds without the multicore \
+             runtime).")
   in
   let candidates =
     Arg.(

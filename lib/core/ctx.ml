@@ -26,7 +26,7 @@ let default =
   }
 
 let make ?deadline ?budget ?rng ?seed ?gains ?(candidates = 0) ?checkpoint
-    ?resume_from ?pool ?jobs ?(objective = Objective.coverage) () =
+    ?resume_from ?pool ?(objective = Objective.coverage) () =
   if candidates < 0 then invalid_arg "Ctx.make: candidates must be >= 0";
   {
     deadline =
@@ -43,13 +43,8 @@ let make ?deadline ?budget ?rng ?seed ?gains ?(candidates = 0) ?checkpoint
     candidates;
     checkpoint;
     resume_from;
-    pool =
-      (match (pool, jobs) with
-      | (Some _ as p), _ -> p
-      | None, Some j -> Some (Pool.create ~jobs:j)
-      | None, None -> None);
+    pool;
     objective;
   }
 
 let rng_or ~seed t = match t.rng with Some r -> r | None -> Rng.create seed
-let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1

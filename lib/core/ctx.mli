@@ -13,7 +13,7 @@
     from 0, without checkpoints. Set only what a run needs:
 
     {[
-      Solver.cra ~ctx:(Ctx.make ~budget:30. ~jobs:8 ()) inst
+      Solver.cra ~ctx:(Ctx.make ~budget:30. ~pool:(Wgrap_par.Pool.create ~jobs:8) ()) inst
     ]}
 
     A context is one {e run}'s environment. The [rng] field is a live,
@@ -44,7 +44,7 @@ type t = {
           [Error msg]: a checkpoint was offered but failed load
           certification — run fresh and report {!Solver.Stale_checkpoint} *)
   pool : Wgrap_par.Pool.t option;
-      (** domain pool for the parallel paths (SRA chain fan-out, JRA
+      (** domain pool for the paths whose result it cannot change (JRA
           batches, gain-matrix rebuilds); [None] = sequential *)
   objective : Objective.spec;
       (** the objective every solver entered through this context binds
@@ -69,14 +69,12 @@ val make :
   ?checkpoint:Checkpoint.sink ->
   ?resume_from:(Checkpoint.state, string) result ->
   ?pool:Wgrap_par.Pool.t ->
-  ?jobs:int ->
   ?objective:Objective.spec ->
   unit ->
   t
 (** Labelled constructor. [budget] is shorthand for a fresh deadline of
     that many seconds ([deadline] wins when both are given); [seed] for
-    [rng:(Rng.create seed)] ([rng] wins); [jobs] for
-    [pool:(Pool.create ~jobs)] ([pool] wins). [objective] defaults to
+    [rng:(Rng.create seed)] ([rng] wins). [objective] defaults to
     {!Objective.coverage}. *)
 
 (** {2 Accessors used by the solver implementations} *)
@@ -84,5 +82,3 @@ val make :
 val rng_or : seed:int -> t -> Wgrap_util.Rng.t
 (** The context's generator, or a fresh [Rng.create seed]. *)
 
-val jobs : t -> int
-(** The pool's job count; 1 when no pool is set. *)

@@ -84,7 +84,7 @@ let group_vec t paper =
       g
 
 (* [scratch] is the caller's: the matrix's own on the sequential paths,
-   one per task in {!iter_rows}. *)
+   one per task in {!rebuild}'s row-parallel pass. *)
 let candidates_in t scratch ~paper =
   if t.k = 0 then t.all
   else
@@ -246,62 +246,38 @@ let column_denominators t =
       t.denom <- Some d;
       d
 
-let spawn t =
-  {
-    inst = t.inst;
-    n_p = t.n_p;
-    n_r = t.n_r;
-    dim = t.dim;
-    k = t.k;
-    all = t.all;
-    (* Candidate lists are immutable once retrieved: share the entries
-       computed so far, but give the spawn its own slot array so
-       domains never write into a shared one. *)
-    cands = Array.copy t.cands;
-    rows = Array.make t.n_p None;
-    gvec = Array.make t.n_p None;
-    version = Array.make t.n_p 0;
-    row_version = Array.make t.n_p (-1);
-    scratch_vec = [||];
-    scratch = Candidate_index.scratch ();
-    (* Immutable once computed: shared, not copied. *)
-    denom = t.denom;
-  }
+let prime ?deadline t =
+  let module Timer = Wgrap_util.Timer in
+  (* Every candidate list, then the Eq. 9 sums in paper order. *)
+  for paper = 0 to t.n_p - 1 do
+    Timer.check_opt deadline;
+    ignore (candidates_in t t.scratch ~paper)
+  done;
+  match t.denom with
+  | Some _ -> ()
+  | None -> t.denom <- Some (column_sums ?deadline t t.scratch)
 
-(* Row-parallel iteration shared by {!prime} and {!rebuild}: rows are
-   independent by construction (one candidate list and one gain row per
-   paper), and every worker polls the deadline so a budgeted caller can
-   cut the pass off mid-way and fall back to lazy rows. Papers split into
-   one contiguous chunk per pool task, and each chunk retrieves through
-   its own scratch. *)
-let iter_rows ?pool t f =
+(* Row-parallel over [pool]: rows are independent by construction (one
+   candidate list and one gain row per paper), and every worker polls
+   the deadline so a budgeted caller can cut the pass off mid-way and
+   fall back to lazy rows. Papers split into one contiguous chunk per
+   pool task, and each chunk retrieves through its own scratch. *)
+let rebuild ?pool ?deadline t =
+  let module Timer = Wgrap_util.Timer in
   let module Pool = Wgrap_par.Pool in
+  let fill scratch paper =
+    Timer.check_opt deadline;
+    ensure_row t scratch paper
+  in
   match pool with
   | Some p when Pool.jobs p > 1 ->
       let chunks = Pool.jobs p in
       Pool.iter p ~n:chunks (fun c ->
           let scratch = Candidate_index.scratch () in
           for paper = c * t.n_p / chunks to ((c + 1) * t.n_p / chunks) - 1 do
-            f scratch paper
+            fill scratch paper
           done)
   | _ ->
       for paper = 0 to t.n_p - 1 do
-        f t.scratch paper
+        fill t.scratch paper
       done
-
-let prime ?pool ?deadline t =
-  let module Timer = Wgrap_util.Timer in
-  (* Every candidate list (slots are disjoint, so pool workers may fill
-     them concurrently), then the Eq. 9 sums in paper order. *)
-  iter_rows ?pool t (fun scratch paper ->
-      Timer.check_opt deadline;
-      ignore (candidates_in t scratch ~paper));
-  match t.denom with
-  | Some _ -> ()
-  | None -> t.denom <- Some (column_sums ?deadline t t.scratch)
-
-let rebuild ?pool ?deadline t =
-  let module Timer = Wgrap_util.Timer in
-  iter_rows ?pool t (fun scratch paper ->
-      Timer.check_opt deadline;
-      ensure_row t scratch paper)

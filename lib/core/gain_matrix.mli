@@ -113,23 +113,10 @@ val column_denominators : t -> float array
     per paper. O(n_r) live memory either way. The single source of
     truth for the denominator ({!Sra.keep_probability} reads it). *)
 
-val spawn : t -> t
-(** A fresh matrix over the same instance and candidate width: empty
-    groups, no rows, but sharing the Eq. 9 column sums (immutable once
-    computed) and every candidate list retrieved so far (the spawn gets
-    its own slot array, so later lazy retrievals never write shared
-    memory). This is how parallel SRA gives each chain a private matrix:
-    chain state is O(n_p) at spawn, rows materialize lazily per domain,
-    and the static state is shared read-only. *)
-
-val prime : ?pool:Wgrap_par.Pool.t -> ?deadline:Wgrap_util.Timer.deadline -> t -> unit
-(** Force the static state now: every candidate list (slots are
-    per-paper, so [pool] workers fill them concurrently, one contiguous
-    chunk of papers and one {!Candidate_index.scratch} per task; nothing
-    to retrieve on a dense matrix), then the Eq. 9 column sums,
-    sequentially. Parallel SRA primes the coordinator's matrix once,
-    then hands chains {!spawn}s of it.
-    [deadline] is polled per row; expiry raises
+val prime : ?deadline:Wgrap_util.Timer.deadline -> t -> unit
+(** Force the static state now, sequentially: every candidate list
+    (nothing to retrieve on a dense matrix), then the Eq. 9 column
+    sums. [deadline] is polled per row; expiry raises
     [Wgrap_util.Timer.Expired] and leaves the remaining state unset
     (safe: it computes lazily on access). *)
 

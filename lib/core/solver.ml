@@ -180,17 +180,9 @@ let primary ~refine ~ctx inst =
     | _ -> None
   in
   let refine_from ?resume ~rng a =
-    let sctx = link_ctx ctx ~gm ?deadline ?sink ?resume ~rng () in
-    match resume with
-    | None when Ctx.jobs sctx > 1 ->
-        (* Fan the refinement out: independent chains, one per job,
-           best chain wins. Deterministic for a fixed (rng, jobs). *)
-        Sra.refine_parallel ~ctx:sctx inst a
-    | _ ->
-        (* Sequential — always for a mid-SRA resume: a restored round
-           sequence can only be replayed bit-exactly by the schedule
-           that produced it, the single-chain one. *)
-        Sra.refine ~ctx:sctx inst a
+    (* One chain at every job count: SRA never reads the pool, so the
+       answer does not depend on it. *)
+    Sra.refine ~ctx:(link_ctx ctx ~gm ?deadline ?sink ?resume ~rng ()) inst a
   in
   match resume_state with
   | Some ({ Checkpoint.phase = Checkpoint.Sra_round _; _ } as st) ->

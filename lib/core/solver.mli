@@ -103,11 +103,11 @@ val cra : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t outcome
     when a truncated run left short groups, completed with
     {!Repair.complete} before being accepted. Never raises.
 
-    [ctx.pool], when parallel, is threaded through the whole chain:
-    refinement becomes {!Sra.refine_parallel} (one chain per job, best
-    chain wins — deterministic for a fixed (rng, jobs), and a mid-SRA
-    resume still replays sequentially for bit-exactness), and the
-    SDGA/greedy links prefill their gain rows across domains.
+    [ctx.pool], when parallel, lets the SDGA/greedy links prefill their
+    gain rows across domains ({!Gain_matrix.rebuild}). It never changes
+    the result: the refinement is one sequential {!Sra.refine} chain at
+    every job count, so a run's output, and the checkpoints it writes,
+    are the same at any job count.
 
     [ctx.checkpoint] threads a durable-state sink through the chain:
     each link stamps its name on offered snapshots

@@ -22,13 +22,14 @@ let keep_probability ~denom ~score ~round ~lambda ~reviewer =
     (1. /. float_of_int (Array.length denom))
     (exp (-.lambda *. float_of_int round) *. ratio)
 
-let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
-    ?(candidates = 0) ?checkpoint ?resume_from
-    ?(objective = Objective.coverage) ~rng inst start =
+let refine ?(params = default_params) ?on_round ?(ctx = Ctx.default) inst
+    start =
+  let deadline = ctx.Ctx.deadline and checkpoint = ctx.Ctx.checkpoint in
+  let rng = Ctx.rng_or ~seed:0 ctx in
   (* Bind once; the view is what rows, stages and scores are taken
      against (for a transforming backend a supplied [gains] must already
      be over it — the Ctx entry points uphold this). *)
-  let obj = Objective.bind objective inst in
+  let obj = Objective.bind ctx.Ctx.objective inst in
   let inst = Objective.view obj in
   let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
   (* The shared gain matrix carries the Eq. 9 column sums (static across
@@ -36,7 +37,9 @@ let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
      that never defined the group max on the paper's support keeps the
      row valid for the refill stage. *)
   let gm =
-    match gains with Some g -> g | None -> Gain_matrix.create ~candidates inst
+    match ctx.Ctx.gains with
+    | Some g -> g
+    | None -> Gain_matrix.create ~candidates:ctx.Ctx.candidates inst
   in
   (* Keep-probabilities are only ever read for current group members —
      delta_p pairs per paper per round — so each score is computed on
@@ -61,8 +64,8 @@ let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
      held (the codec round-trips floats bit-exactly); certification of
      that score against a recomputed objective is the store's job. *)
   let resume =
-    match resume_from with
-    | Some ({ Checkpoint.phase = Checkpoint.Sra_round k; _ } as st) ->
+    match ctx.Ctx.resume_from with
+    | Some (Ok ({ Checkpoint.phase = Checkpoint.Sra_round k; _ } as st)) ->
         Some (k, st)
     | _ -> None
   in
@@ -197,90 +200,3 @@ let refine_impl ?(params = default_params) ?deadline ?on_round ?gains
          abandoned and the best-so-far stands. *)
       ());
   !best
-
-let refine ?params ?on_round ?(ctx = Ctx.default) inst start =
-  let resume_from =
-    match ctx.Ctx.resume_from with Some (Ok s) -> Some s | _ -> None
-  in
-  refine_impl ?params ?deadline:ctx.Ctx.deadline ?on_round ?gains:ctx.Ctx.gains
-    ~candidates:ctx.Ctx.candidates ?checkpoint:ctx.Ctx.checkpoint ?resume_from
-    ~objective:ctx.Ctx.objective ~rng:(Ctx.rng_or ~seed:0 ctx) inst start
-
-(* Parallel SRA: [chains] completely independent refinement chains, one
-   per task, each with its own split RNG stream and private gain matrix
-   ({!Gain_matrix.spawn}: Eq. 9 sums and candidate lists shared
-   read-only, rows lazy and worker-private). The winner
-   is the highest-scoring chain, ties to the lowest chain index, so the
-   result is a pure function of (rng state, chains) — the pool's job
-   count only changes wall-clock time. *)
-let refine_parallel ?params ?chains ?(ctx = Ctx.default) inst start =
-  let module Pool = Wgrap_par.Pool in
-  let pool =
-    match ctx.Ctx.pool with Some p -> p | None -> Pool.sequential
-  in
-  let chains =
-    match chains with Some c -> max 1 c | None -> max 1 (Pool.jobs pool)
-  in
-  let deadline = ctx.Ctx.deadline in
-  let rng = Ctx.rng_or ~seed:0 ctx in
-  let chain_rngs = Rng.split rng chains in
-  (* The coordinator binds once for matrix construction and winner
-     scoring; each chain re-binds the same spec inside refine_impl
-     (deterministic, so the views agree value-for-value with the
-     coordinator's matrix caches). *)
-  let obj = Objective.bind ctx.Ctx.objective inst in
-  (* Coordinator-owned matrix: prime the candidate lists (row-parallel)
-     and the streamed Eq. 9 sums once, then hand them to every chain's
-     private matrix. If the deadline cuts the priming short the chains
-     fall back to computing them lazily — they will find the deadline
-     expired and return the start assignment anyway. *)
-  let base_gm =
-    match ctx.Ctx.gains with
-    | Some g -> g
-    | None ->
-        Gain_matrix.create ~candidates:ctx.Ctx.candidates (Objective.view obj)
-  in
-  (try Gain_matrix.prime ~pool ?deadline base_gm with Timer.Expired -> ());
-  let results =
-    Pool.run pool ~n:chains (fun c ->
-        (* A spawn, not a full-matrix copy: O(n_p) chain state sharing
-           the coordinator's Eq. 9 sums and candidate lists
-           read-only; rows materialize lazily inside the worker's own
-           Bigarray buffers. *)
-        let gm = Gain_matrix.spawn base_gm in
-        (* No [checkpoint] and no [on_round] inside a worker: observers
-           run on the coordinator only (the sink contract is
-           single-domain). Workers poll the shared deadline through the
-           round loop as usual. *)
-        let a =
-          refine_impl ?params ?deadline ~gains:gm
-            ~objective:ctx.Ctx.objective ~rng:chain_rngs.(c) inst start
-        in
-        (Objective.value obj a, a))
-  in
-  let best_c = ref 0 in
-  for c = 1 to chains - 1 do
-    if fst results.(c) > fst results.(!best_c) then best_c := c
-  done;
-  let best_score, best = results.(!best_c) in
-  (* One coordinator-side snapshot of the winner, saturated ([stall =
-     omega]) so that resuming it returns the winner immediately instead
-     of replaying rounds that never happened in this schedule. *)
-  (match ctx.Ctx.checkpoint with
-  | None -> ()
-  | Some sink ->
-      let omega =
-        (match params with Some p -> p | None -> default_params).omega
-      in
-      sink.Checkpoint.offer (fun () ->
-          let snap = Assignment.copy best in
-          {
-            Checkpoint.link = "sra";
-            phase = Checkpoint.Sra_round 0;
-            stall = omega;
-            score = best_score;
-            rng = Some (Rng.words rng);
-            best = snap;
-            current = snap;
-          }));
-  best

@@ -67,38 +67,8 @@ val refine :
     the context's rng from [state.rng] via {!Wgrap_util.Rng.of_words} —
     the refinement replays the uninterrupted run's remaining rounds
     exactly. A state in any other phase is ignored. [ctx.pool] is {e
-    not} consulted: one refinement chain is inherently sequential; for
-    the multi-chain parallel search use {!refine_parallel}. *)
-
-val refine_parallel :
-  ?params:params ->
-  ?chains:int ->
-  ?ctx:Ctx.t ->
-  Instance.t ->
-  Assignment.t ->
-  Assignment.t
-(** [chains] (default: the pool's job count) completely independent
-    refinement chains run across [ctx.pool] (sequentially without one),
-    each seeded from its own {!Wgrap_util.Rng.split} stream of the
-    context rng and refining the same [start] with its own
-    {!Gain_matrix.spawn} of the coordinator matrix — O(n_p) chain state
-    sharing the Eq. 9 sums and candidate lists read-only, not a
-    full-matrix copy — so chain memory does not scale with
-    [n_p * n_r]. The best final score wins, ties to the lowest chain
-    index. The result is therefore a pure
-    function of (rng state, [chains]) — the pool's job count changes
-    only wall-clock time, which is what the parallel-equivalence
-    property tests pin down.
-
-    Workers poll [ctx.deadline] as usual; each returns its best-so-far
-    on expiry, so the winner degrades exactly like sequential {!refine}.
-    [ctx.checkpoint] is coordinator-only: no offers are made while
-    chains run, and one saturated snapshot of the winner ([stall =
-    omega]) is offered at the end — resuming it returns the winner
-    immediately. A mid-run {!Checkpoint.Sra_round} resume cannot be
-    replayed across an arbitrary chain schedule; callers holding one
-    ({!Solver.cra} does) replay it with sequential {!refine} instead.
-    [ctx.resume_from] is ignored here. *)
+    not} consulted: the refinement is one sequential chain (Alg. 3), so
+    its result is the same at every job count. *)
 
 val keep_probability :
   denom:float array ->

@@ -10,18 +10,18 @@
 
     {b Determinism contract}: results are returned in task-index order
     no matter which domain computed them, so for a pure task function
-    the result is bit-identical at any job count. All of the parallel
-    solver paths ({!Wgrap.Sra.refine_parallel}, {!Wgrap.Solver.jra_batch},
-    {!Wgrap.Gain_matrix.rebuild}) build on this: their property tests pin
-    [jobs = n] against [jobs = 1] exactly.
+    the result is bit-identical at any job count. The solver paths that
+    use a pool ({!Wgrap.Solver.jra_batch}, {!Wgrap.Gain_matrix.rebuild})
+    build on this: their property tests pin [jobs = n] against
+    [jobs = 1] exactly. Work whose result would depend on the job count
+    does not belong on a pool.
 
     {b Sharing contract}: task functions must not mutate state reachable
     from another task. Read-only sharing (the instance, a score matrix,
     a {!Wgrap_util.Timer.deadline} every task polls) is safe; anything
-    mutable must be task-local or partitioned by task index.
-    {!Wgrap.Sra.refine_parallel} is the largest client: one task per
-    refinement chain, each owning its RNG stream and working assignment
-    outright, with the best chain picked on the calling domain. *)
+    mutable must be task-local or partitioned by task index, as
+    {!Wgrap.Gain_matrix.rebuild} partitions rows (one contiguous chunk
+    of papers, and one retrieval scratch, per task). *)
 
 type t
 
@@ -36,7 +36,7 @@ val recommended_jobs : unit -> int
 val create : jobs:int -> t
 (** A pool allowed up to [jobs] domains per operation (clamped to at
     least 1). [jobs] beyond {!recommended_jobs} is allowed but
-    oversubscribes the machine. *)
+    oversubscribes the machine; the CLI caps [--jobs] there. *)
 
 val sequential : t
 (** The [jobs = 1] pool: every operation runs in the calling domain, in

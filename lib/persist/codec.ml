@@ -2,7 +2,10 @@ module Checkpoint = Wgrap.Checkpoint
 module Assignment = Wgrap.Assignment
 
 let magic = "wgrap-snapshot"
-let version = 2
+(* Version 3 dropped the [chains] fingerprint field. A version-2
+   snapshot written at several jobs could hold a multi-chain SRA winner
+   that no run reaches any more, so older versions never load. *)
+let version = 3
 
 type fingerprint = (string * string) list
 

@@ -11,7 +11,6 @@ type run = {
   objective : Objective.spec;
   candidates : int;
   refine : bool;
-  chains : int;
 }
 
 (* The objective's name, plus an MD5 over its payload when it has one.
@@ -36,7 +35,6 @@ let fingerprint r =
     ("objective", objective_fingerprint r.objective);
     ("candidates", string_of_int r.candidates);
     ("refine", string_of_bool r.refine);
-    ("chains", string_of_int r.chains);
   ]
 
 let snapshot_path dir = Filename.concat dir "snapshot.wck"

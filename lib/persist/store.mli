@@ -28,18 +28,18 @@ type run = {
   objective : Wgrap.Objective.spec;
   candidates : int;  (** the candidate width, [ctx.candidates] *)
   refine : bool;  (** whether {!Wgrap.Solver.cra} runs SRA *)
-  chains : int;
-      (** SRA chains: the job count, since {!Wgrap.Solver.cra} runs one
-          chain per job *)
 }
 (** What a run's result depends on beyond the instance and its seed.
     Every snapshot records its run's {!fingerprint}, and {!load}
-    resumes only a checkpoint of the same run. *)
+    resumes only a checkpoint of the same run. The job count is not
+    part of it: {!Wgrap.Solver.cra} writes the same result and the same
+    checkpoints at any job count, so a run killed at one job count
+    resumes at another. *)
 
 val fingerprint : run -> Codec.fingerprint
 (** The fields a snapshot records, in order: [objective] (the
     objective's name, plus an MD5 over its [%h]-printed payload for
-    [blend] and [taxonomy]), [candidates], [refine] and [chains]. *)
+    [blend] and [taxonomy]), [candidates] and [refine]. *)
 
 type t
 

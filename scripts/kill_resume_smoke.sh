@@ -17,6 +17,11 @@
 #      run's: a resume replays the remaining SDGA stages and SRA rounds
 #      exactly.
 #
+# A jobs leg kills a `--jobs 2` run the same way and resumes it at the
+# default `--jobs 1`. The job count changes only wall time and is not
+# part of the run fingerprint, so the same five checks hold against an
+# uninterrupted `--jobs 1` run.
+#
 # A width leg then kills a `--candidates 16` run the same way and
 # resumes it with `--candidates 32`. The checkpoint pins its run, so
 # the resumed run must report the discard ("candidates mismatch") and
@@ -40,9 +45,9 @@ echo "== generate corpus =="
   --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv"
 
 # run_assign [assign flags...]: `wgrap assign` on the corpus at seed 7
+CORPUS=(--seed 7 --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv")
 run_assign() {
-  "$WGRAP" assign --seed 7 \
-    --authors "$WORK/authors.tsv" --papers "$WORK/papers.tsv" "$@"
+  "$WGRAP" assign "${CORPUS[@]}" "$@"
 }
 
 # checkpoint_and_kill NAME CKPT OUT [assign flags...]: start a
@@ -51,8 +56,11 @@ checkpoint_and_kill() {
   local name=$1 ckpt=$2 out=$3
   shift 3
   echo "== [$name] start checkpointed run =="
-  run_assign "$@" --checkpoint-dir "$ckpt" --checkpoint-every 1r \
-    --out "$out" >"$out.first.log" 2>&1 &
+  # `exec`: the background job is the wgrap process itself, so the
+  # SIGKILL below reaches it (killing a subshell leaves its child running).
+  (exec "$WGRAP" assign "${CORPUS[@]}" "$@" \
+    --checkpoint-dir "$ckpt" --checkpoint-every 1r \
+    --out "$out" >"$out.first.log" 2>&1) &
   local pid=$!
 
   # Wait (max ~10 s) for a snapshot and a journaled incumbent, then
@@ -65,7 +73,7 @@ checkpoint_and_kill() {
     state=$("$WGRAP" checkpoint --checkpoint-dir "$ckpt" 2>/dev/null || true)
     if grep -q '^snapshot: link=' <<<"$state" \
         && grep -q 'last incumbent' <<<"$state"; then
-      echo "== [$name] SIGKILL pid $pid mid-refinement =="
+      echo "== [$name] SIGKILL pid $pid mid-solve =="
       kill -KILL "$pid" 2>/dev/null || true
       break
     fi
@@ -74,10 +82,11 @@ checkpoint_and_kill() {
   wait "$pid" 2>/dev/null || true
 }
 
-# leg NAME [extra assign flags...]
+# leg NAME KILL_FLAGS [extra assign flags...]: KILL_FLAGS (word-split)
+# apply to the killed run only; the other two runs use the extra flags.
 leg() {
-  local name=$1
-  shift
+  local name=$1 kill_flags=$2
+  shift 2
   local dir="$WORK/$name"
   local ckpt="$dir/ckpt"
   mkdir -p "$dir"
@@ -85,7 +94,7 @@ leg() {
   echo "== [$name] uninterrupted run =="
   run_assign "$@" --out "$dir/uninterrupted.tsv" >"$dir/uninterrupted.log" 2>&1
 
-  checkpoint_and_kill "$name" "$ckpt" "$dir/assignment.tsv" "$@"
+  checkpoint_and_kill "$name" "$ckpt" "$dir/assignment.tsv" "$@" $kill_flags
 
   echo "== [$name] checkpoint state at kill time =="
   "$WGRAP" checkpoint --checkpoint-dir "$ckpt" || true
@@ -164,8 +173,9 @@ width_leg() {
   echo "kill_resume_smoke: [width] OK (k = 16 checkpoint discarded, TSV = fresh k = 32)"
 }
 
-leg coverage
-leg min --objective min
+leg coverage ""
+leg min "" --objective min
+leg jobs "--jobs 2"
 width_leg
 
-echo "kill_resume_smoke: OK (coverage, min and width legs)"
+echo "kill_resume_smoke: OK (coverage, min, jobs and width legs)"

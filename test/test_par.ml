@@ -1,7 +1,7 @@
 (* Parallel execution tests: the Pool primitive itself, then the
-   parallel-vs-sequential equivalence properties that pin every parallel
-   solver path (SRA chains, JRA batches, gain-matrix construction) to
-   its sequential twin bit-for-bit.
+   parallel-vs-sequential equivalence properties that pin every solver
+   path that takes a pool (the CRA chain, JRA batches, gain-matrix
+   construction) to its sequential twin bit-for-bit.
 
    [WGRAP_TEST_JOBS] overrides the job count used for the "parallel"
    side (default 4). On a sequential-fallback build (OCaml 4.x) the
@@ -132,33 +132,39 @@ let test_backend_matches_compiler () =
 
 let seeds = QCheck.(int_range 0 1_000_000)
 
-(* Parallel SRA is a pure function of (rng, chains): the job count must
-   only change wall-clock, never the result. *)
-let sra_equivalence ~name ~coi_tight =
+(* The whole CRA chain at jobs = N equals jobs = 1: the pool only fills
+   gain rows, and the refinement is one sequential chain at every job
+   count. Checked dense (k = 0) and candidate-pruned (k > 0). *)
+let cra_equivalence ~name ~coi_tight =
   QCheck.Test.make ~name ~count:60 seeds (fun seed ->
       let rng = Rng.create seed in
       let n_r = 5 + Rng.int rng 5 in
       let n_p = n_r + Rng.int rng 10 in
       let coi = if coi_tight then Some (random_coi rng ~n_p ~n_r) else None in
       let inst = random_instance ?coi rng ~n_p ~n_r ~dp:2 in
-      match Sdga.solve inst with
-      | exception Failure _ -> true (* infeasible draw: nothing to refine *)
-      | start ->
-      let refine pool =
-        Sra.refine_parallel ~chains:3
-          ~ctx:(Ctx.make ~seed:(seed + 17) ~pool ())
-          inst start
-      in
-      let seq = refine Pool.sequential in
-      let par = refine par_pool in
-      (match Assignment.validate inst par with
-      | Ok () -> ()
-      | Error e -> QCheck.Test.fail_reportf "parallel result infeasible: %s" e);
-      if not (Assignment.equal seq par) then
-        QCheck.Test.fail_reportf
-          "jobs=1 and jobs=%d disagree: coverage %.9f vs %.9f" test_jobs
-          (Assignment.coverage inst seq)
-          (Assignment.coverage inst par);
+      List.iter
+        (fun candidates ->
+          let cra pool =
+            Solver.cra ~ctx:(Ctx.make ~seed:(seed + 17) ~candidates ~pool ()) inst
+          in
+          let seq = cra Pool.sequential and par = cra par_pool in
+          match (Solver.value seq, Solver.value par) with
+          | None, None -> () (* infeasible draw, at both job counts *)
+          | Some a1, Some a2 ->
+              (match Assignment.validate inst a2 with
+              | Ok () -> ()
+              | Error e ->
+                  QCheck.Test.fail_reportf "k=%d: parallel result infeasible: %s"
+                    candidates e);
+              if Solver.status seq <> Solver.status par || not (Assignment.equal a1 a2)
+              then
+                QCheck.Test.fail_reportf
+                  "k=%d: jobs=1 and jobs=%d disagree: %s %.9f vs %s %.9f"
+                  candidates test_jobs (Solver.status seq)
+                  (Assignment.coverage inst a1) (Solver.status par)
+                  (Assignment.coverage inst a2)
+          | _ -> QCheck.Test.fail_reportf "k=%d: feasibility differs across jobs" candidates)
+        [ 0; 2 + Rng.int rng 4 ];
       true)
 
 let jra_problems rng inst ~n_p =
@@ -210,8 +216,8 @@ let solver_jra_batch_equivalence =
         QCheck.Test.fail_report "jra_batch differs from per-problem jra";
       true)
 
-(* prime/rebuild must be bit-identical to the lazy sequential paths
-   they shortcut. *)
+(* prime (sequential) and rebuild (row-parallel) must be bit-identical
+   to the lazy sequential paths they shortcut. *)
 let gain_matrix_equivalence =
   QCheck.Test.make ~name:"Gain_matrix prime/rebuild jobs=N = lazy" ~count:60
     seeds (fun seed ->
@@ -222,7 +228,7 @@ let gain_matrix_equivalence =
       let inst = random_instance ?coi rng ~n_p ~n_r ~dp:2 in
       let lazy_gm = Gain_matrix.create inst in
       let par_gm = Gain_matrix.create inst in
-      Gain_matrix.prime ~pool:par_pool par_gm;
+      Gain_matrix.prime par_gm;
       (* Priming's observable faces are the Eq. 9 column sums (compared
          below) and the empty-group gain rows, which equal
          single-reviewer scores cell for cell. *)
@@ -280,9 +286,9 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest
-            (sra_equivalence ~name:"SRA parallel = sequential" ~coi_tight:false);
+            (cra_equivalence ~name:"Solver.cra jobs=N = jobs=1" ~coi_tight:false);
           QCheck_alcotest.to_alcotest
-            (sra_equivalence ~name:"SRA parallel = sequential (COI-tight)"
+            (cra_equivalence ~name:"Solver.cra jobs=N = jobs=1 (COI-tight)"
                ~coi_tight:true);
           QCheck_alcotest.to_alcotest jra_batch_equivalence;
           QCheck_alcotest.to_alcotest solver_jra_batch_equivalence;

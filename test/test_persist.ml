@@ -15,9 +15,8 @@ open Wgrap
 let random_vec rng ~dim = Rng.dirichlet_sym rng ~alpha:0.4 ~dim
 
 (* The run the certification tests write and load under unless they say
-   otherwise: [Solver.cra]'s defaults at one job. *)
-let run_under objective =
-  { Store.objective; candidates = 0; refine = true; chains = 1 }
+   otherwise: [Solver.cra]'s defaults. *)
+let run_under objective = { Store.objective; candidates = 0; refine = true }
 
 let coverage_run = run_under Objective.coverage
 let coverage_fp = Store.fingerprint coverage_run
@@ -570,10 +569,13 @@ let test_store_fingerprint_fields () =
         [
           ("candidates", { coverage_run with candidates = 4 });
           ("refine", { coverage_run with refine = false });
-          ("chains", { coverage_run with chains = 2 });
           (* rejected on the fingerprint, before any shape check *)
           ("objective", run_under (Objective.blend [| [| 0.5 |] |]));
         ]);
+  (* Nothing else pins the run: the job count never changes a result. *)
+  Alcotest.(check (list string))
+    "fingerprint fields" [ "objective"; "candidates"; "refine" ]
+    (List.map fst coverage_fp);
   (* The objective field digests the payload: blends that differ only in
      lambda, or in one preference cell, fingerprint apart. *)
   let objective_of spec = List.assoc "objective" (Store.fingerprint (run_under spec)) in
@@ -587,6 +589,28 @@ let test_store_fingerprint_fields () =
   bumped.(2).(3) <- Float.succ 0.25;
   Alcotest.(check bool) "one preference cell moves it" false
     (String.equal base (objective_of (Objective.blend ~lambda:0.7 bumped)))
+
+(* A version-2 snapshot (the format that pinned the SRA chain count) is
+   never resumed, even with a valid checksum and this run's other
+   fields: one written at several jobs could hold a multi-chain winner
+   that no run reaches any more. *)
+let test_store_rejects_v2 () =
+  with_dir (fun dir ->
+      let v2 =
+        Codec.encode_state ~fingerprint:(coverage_fp @ [ ("chains", "2") ])
+          (Lazy.force captured_state)
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"crc " l))
+        |> List.mapi (fun i l -> if i = 0 then Codec.magic ^ " 2" else l)
+        |> List.map (fun l -> l ^ "\n")
+        |> String.concat ""
+      in
+      write_file (Store.snapshot_path dir) (v2 ^ "crc " ^ Crc32.hex v2 ^ "\n");
+      match Store.load ~dir ~run:coverage_run (Lazy.force test_instance) with
+      | Error (Store.Invalid msg) ->
+          Alcotest.(check string) "reason" "snapshot: unsupported snapshot version 2" msg
+      | Error Store.No_checkpoint -> Alcotest.fail "file exists"
+      | Ok _ -> Alcotest.fail "resumed a version-2 snapshot")
 
 (* The CLI repro: a quick-preset checkpoint written at --candidates 16
    and resumed with --candidates 32 used to resume (and finish below a
@@ -837,6 +861,8 @@ let () =
           Alcotest.test_case "store sink writes" `Quick test_store_sink_writes;
           Alcotest.test_case "fingerprint fields pin the run" `Quick
             test_store_fingerprint_fields;
+          Alcotest.test_case "version-2 snapshot rejected" `Quick
+            test_store_rejects_v2;
           Alcotest.test_case "k=16 checkpoint discarded under k=32 (CLI)" `Quick
             test_cli_width_resume;
           Alcotest.test_case "min checkpoint resumes under min" `Quick

@@ -377,18 +377,18 @@ let pruned_jobs_determinism =
       let inst = random_instance rng ~n_p ~n_r ~dp:2 in
       let k = 2 + Rng.int rng 6 in
       let solve pool =
-        let ctx = Ctx.make ~seed:(seed + 11) ~candidates:k ~pool () in
-        match Sdga.solve ~ctx inst with
-        | a -> Some (a, Sra.refine_parallel ~chains:3 ~ctx inst a)
+        let ctx () = Ctx.make ~seed:(seed + 11) ~candidates:k ~pool () in
+        match Sdga.solve ~ctx:(ctx ()) inst with
+        | a -> Some (a, Solver.value (Solver.cra ~ctx:(ctx ()) inst))
         | exception Failure _ -> None
       in
       (match (solve Pool.sequential, solve par_pool) with
       | Some (a1, r1), Some (a2, r2) ->
           if not (Assignment.equal a1 a2) then
             QCheck.Test.fail_reportf "pruned SDGA differs at jobs=%d" test_jobs;
-          if not (Assignment.equal r1 r2) then
+          if not (Option.equal Assignment.equal r1 r2) then
             QCheck.Test.fail_reportf
-              "pruned parallel SRA differs at jobs=%d" test_jobs
+              "pruned Solver.cra differs at jobs=%d" test_jobs
       | None, None -> ()
       | _ -> QCheck.Test.fail_report "pruned feasibility differs across jobs");
       (* greedy seeds its heap from pool-rebuilt rows; must not depend

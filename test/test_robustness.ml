@@ -488,7 +488,7 @@ let with_temp_store_dir f =
 
 let kill_resume_test =
   let run =
-    { Store.objective = Objective.coverage; candidates = 0; refine = true; chains = 1 }
+    { Store.objective = Objective.coverage; candidates = 0; refine = true }
   in
   QCheck.Test.make
     ~name:"kill/resume: never invalid, never below journaled incumbent"
@@ -665,6 +665,36 @@ let test_cli_preset_matches_solver () =
         first
   | o -> Alcotest.failf "in-process solve not complete (%s)" (Solver.status o)
 
+(* --jobs changes only wall time: the quick preset writes the same TSV
+   at --jobs 1 and --jobs 2, and a job count above the core count is
+   capped there with one warning and writes that TSV too. *)
+let preset_tsv jobs =
+  let out = Filename.temp_file "wgrap_jobs" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code, log =
+        Cli.run
+          [ "assign"; "--preset"; "quick"; "--candidates"; "16"; "--seed"; "2015";
+            "--jobs"; string_of_int jobs; "--out"; out ]
+      in
+      Alcotest.(check int) ("exit code\n" ^ log) 0 code;
+      (log, In_channel.with_open_bin out In_channel.input_all))
+
+let jobs1_tsv = lazy (snd (preset_tsv 1))
+
+let test_cli_jobs_invariant () =
+  Alcotest.(check string) "--jobs 2 TSV = --jobs 1 TSV" (Lazy.force jobs1_tsv)
+    (snd (preset_tsv 2))
+
+let test_cli_jobs_capped () =
+  let cores = Wgrap_par.Pool.recommended_jobs () in
+  let log, tsv = preset_tsv (cores + 1) in
+  let warning = Printf.sprintf "wgrap: --jobs %d capped at %d cores" (cores + 1) cores in
+  Alcotest.(check int) ("one cap warning\n" ^ log) 1
+    (List.length (List.filter (String.equal warning) (String.split_on_char '\n' log)));
+  Alcotest.(check string) "capped TSV = --jobs 1 TSV" (Lazy.force jobs1_tsv) tsv
+
 let () =
   Alcotest.run "robustness"
     [
@@ -693,5 +723,9 @@ let () =
             test_cli_preset_delta_p;
           Alcotest.test_case "preset TSV = in-process Solver.cra" `Quick
             test_cli_preset_matches_solver;
+          Alcotest.test_case "--jobs 2 TSV = --jobs 1 TSV" `Quick
+            test_cli_jobs_invariant;
+          Alcotest.test_case "--jobs above the cores is capped" `Quick
+            test_cli_jobs_capped;
         ] );
     ]

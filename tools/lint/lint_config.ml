@@ -108,6 +108,6 @@ let extra_solver_modules : string list ref = ref []
 let solver_entry_names =
   [
     "solve"; "solve_rescan"; "solve_counting";
-    "top_k"; "refine"; "refine_parallel"; "maximize"; "minimize";
+    "top_k"; "refine"; "maximize"; "minimize";
     "min_cost_flow"; "transportation";
   ]

@@ -23,7 +23,7 @@ type origin = { oeffect : Effects.t; oline : int; oident : string }
 type argroot = Arg_param of int | Arg_shared | Arg_other
 
 (* One call edge out of a function body. [target] is the textual
-   reference as written ("helper", "Gain_matrix.spawn"), resolved
+   reference as written ("helper", "Gain_matrix.rebuild"), resolved
    against the module set in phase 2. [args] carries the label and root
    of each applied argument so the callee's per-parameter mutation set
    can be lifted precisely: callee mutates a parameter bound to our
