@@ -8,6 +8,7 @@ module Rng = Wgrap_util.Rng
 module Timer = Wgrap_util.Timer
 module Report = Wgrap_util.Report
 open Wgrap
+open Wgrap_baselines
 
 let ablation_bba_bound ctx =
   Context.section ctx "Ablation: BBA bounding (Eq. 3) on JRA instances";

@@ -5,6 +5,7 @@ module Rng = Wgrap_util.Rng
 module Timer = Wgrap_util.Timer
 module Report = Wgrap_util.Report
 open Wgrap
+open Wgrap_baselines
 
 type profile = {
   label : string;

@@ -7,6 +7,7 @@ module Rng = Wgrap_util.Rng
 module Timer = Wgrap_util.Timer
 module Report = Wgrap_util.Report
 open Wgrap
+open Wgrap_baselines
 
 (* Memoization across figures: many tables reuse the same
    (dataset, delta_p, solver) run and the same ideal assignment. *)

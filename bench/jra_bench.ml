@@ -6,6 +6,7 @@ module Rng = Wgrap_util.Rng
 module Timer = Wgrap_util.Timer
 module Report = Wgrap_util.Report
 open Wgrap
+open Wgrap_baselines
 
 let combinations n k =
   let acc = ref 1. in

@@ -3,8 +3,8 @@
    [dune exec bench/main.exe] regenerates every table and figure of the
    paper's evaluation at a scaled-down "quick" profile; [--full] uses
    Table 3-scale datasets and larger budgets; [--only fig10,table7]
-   restricts to specific experiments; [--bechamel] appends the
-   micro-benchmarks; [--list] shows the experiment index. *)
+   restricts to specific experiments; [--list] shows the experiment
+   index. *)
 
 module Timer = Wgrap_util.Timer
 
@@ -36,10 +36,9 @@ let experiments : (string * string * (Context.t -> unit)) list =
   ]
 
 let list_experiments () =
-  List.iter (fun (id, desc, _) -> Printf.printf "%-22s %s\n" id desc) experiments;
-  Printf.printf "%-22s %s\n" "bechamel" "micro-benchmarks (via --bechamel)"
+  List.iter (fun (id, desc, _) -> Printf.printf "%-22s %s\n" id desc) experiments
 
-let run ~full ~only ~bechamel ~seed =
+let run ~full ~only ~seed =
   let profile = if full then Context.full else Context.quick in
   Printf.printf
     "WGRAP experiment harness - profile %s (scale %.2f), seed %d\n%!"
@@ -69,16 +68,12 @@ let run ~full ~only ~bechamel ~seed =
       Format.fprintf ctx.Context.fmt "[%s done in %s]@.%!" id
         (Wgrap_util.Report.seconds_cell dt))
     selected;
-  if bechamel then Bechamel_bench.run ctx;
   Format.pp_print_flush ctx.Context.fmt ()
 
 open Cmdliner
 
 let full_flag =
   Arg.(value & flag & info [ "full" ] ~doc:"Run at Table 3 scale with large budgets.")
-
-let bechamel_flag =
-  Arg.(value & flag & info [ "bechamel" ] ~doc:"Also run the Bechamel micro-benchmarks.")
 
 let list_flag =
   Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")
@@ -97,9 +92,8 @@ let cmd =
   Cmd.v
     (Cmd.info "wgrap-bench" ~doc)
     Term.(
-      const (fun list_only full only bechamel seed ->
-          if list_only then list_experiments ()
-          else run ~full ~only ~bechamel ~seed)
-      $ list_flag $ full_flag $ only_arg $ bechamel_flag $ seed_arg)
+      const (fun list_only full only seed ->
+          if list_only then list_experiments () else run ~full ~only ~seed)
+      $ list_flag $ full_flag $ only_arg $ seed_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -12,6 +12,7 @@
 module Rng = Wgrap_util.Rng
 module Timer = Wgrap_util.Timer
 open Wgrap
+open Wgrap_baselines
 
 let () =
   let rng = Rng.create 7 in

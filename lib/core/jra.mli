@@ -1,7 +1,8 @@
 (** The Journal Reviewer Assignment problem (Definition 6): pick the
     group of [group_size] reviewers from a pool that maximizes the
-    coverage of a single paper. Shared types for the four exact solvers
-    (BFS, BBA, ILP, CP). *)
+    coverage of a single paper. Shared types for the exact solvers: BBA
+    and ILP here, and the paper's BFS and CP baselines in
+    [wgrap_baselines]. *)
 
 type problem = {
   paper : Topic_vector.t;

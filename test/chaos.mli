@@ -1,10 +1,12 @@
-(** Deterministic fault injection for the robustness suite.
+(** Deterministic fault injection for the robustness, persistence and
+    service suites.
 
     Every corruption is a pure function of an explicit {!Wgrap_util.Rng}
     stream, so a failing property test reproduces from its seed alone.
     Three fault families match the three trust boundaries the library
-    has: TSV rows entering {!Loader}, topic-vector matrices entering
-    {!Pipeline.instance_checked} / {!Wgrap.Instance.create}, and
+    has: TSV rows entering {!Dataset.Loader}, topic-vector matrices
+    entering {!Dataset.Pipeline.instance_checked} /
+    {!Wgrap.Instance.create}, and
     conflict structure entering the solvers. *)
 
 type tsv_fault =
@@ -101,4 +103,4 @@ val dense_coi :
 
 val write_lines : string -> string list -> unit
 (** Write lines to a file, newline-terminated — the counterpart of
-    {!Loader}'s reader for round-tripping corrupted files. *)
+    {!Dataset.Loader}'s reader for round-tripping corrupted files. *)

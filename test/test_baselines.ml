@@ -1,5 +1,6 @@
 module Rng = Wgrap_util.Rng
 open Wgrap
+open Wgrap_baselines
 
 (* {1 SGRAP (Section 2.3)} *)
 

@@ -1,6 +1,7 @@
 module Rng = Wgrap_util.Rng
 module Timer = Wgrap_util.Timer
 open Wgrap
+open Wgrap_baselines
 
 let random_instance ?(dim = 6) ?coi rng ~n_p ~n_r ~dp =
   let dr = Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p:dp in

@@ -1,5 +1,6 @@
 module Rng = Wgrap_util.Rng
 open Wgrap
+open Wgrap_baselines
 
 let tiny_instance ?coi rng ~n_p ~n_r ~dp ~dr =
   let vec () = Rng.dirichlet_sym rng ~alpha:0.5 ~dim:4 in

@@ -1,6 +1,7 @@
 module Rng = Wgrap_util.Rng
 module Timer = Wgrap_util.Timer
 open Wgrap
+open Wgrap_baselines
 
 let random_problem ?scoring rng ~dim ~n ~dp =
   let vec () = Array.init dim (fun _ -> Rng.uniform rng) in

@@ -1,11 +1,12 @@
 (* End-to-end suite for the wgrap_lint analyzer, driving the built
    executable over a synthetic temp tree: the interprocedural rules
-   catch seeded violations (and stay quiet on the allowed twins), the
-   digest-keyed summary cache goes fully warm on a second run and
-   invalidates exactly the edited module, and the SARIF / JSON /
-   baseline / explain surfaces behave. *)
+   catch seeded violations (and stay quiet on the allowed twins), and
+   the SARIF / JSON / explain surfaces behave. A config case checks
+   that every path Lint_config names still exists, so a moved module
+   cannot silently drop out of its rules. *)
 
 let lint_exe = "../tools/lint/wgrap_lint.exe"
+let lint_config = "../tools/lint/lint_config.ml"
 
 let write_file path contents =
   let oc = open_out path in
@@ -134,7 +135,7 @@ let solver_flags dir =
     [ "nondet_bad.ml"; "nondet_ok.ml"; "trans_bad.ml"; "trans_ok.ml" ]
 
 let lint_tree ?(extra = []) dir =
-  run_lint (("--no-cache" :: solver_flags dir) @ extra @ [ dir ])
+  run_lint (solver_flags dir @ extra @ [ dir ])
 
 (* --- tests -------------------------------------------------------- *)
 
@@ -165,66 +166,7 @@ let test_interproc_findings () =
         (count_lines_with ~sub:twin out))
     [ "race_ok.ml:"; "nondet_ok.ml:"; "trans_ok.ml:"; "trans_ok.mli:" ]
 
-let summary_stamps sums =
-  Sys.readdir sums |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".summary")
-  |> List.map (fun f ->
-         let path = Filename.concat sums f in
-         (f, (Unix.stat path).Unix.st_mtime))
-  |> List.sort compare
-
-let parse_stats out =
-  (* "summaries: %d cached, %d rebuilt" on its own line *)
-  let line =
-    List.find (contains ~sub:"summaries:") (String.split_on_char '\n' out)
-  in
-  Scanf.sscanf line " summaries: %d cached, %d rebuilt" (fun c r -> (c, r))
-
-let test_summary_cache () =
-  with_dir @@ fun dir ->
-  seed_tree dir;
-  let sums = Filename.concat dir "sums" in
-  let go () =
-    run_lint
-      (solver_flags dir
-      @ [ "--summaries"; sums; "--cache-stats"; dir ])
-  in
-  let _, out1 = go () in
-  let cached1, rebuilt1 = parse_stats out1 in
-  Alcotest.(check int) "cold run caches nothing" 0 cached1;
-  Alcotest.(check int) "cold run summarizes every module" 6 rebuilt1;
-  (* Stamp every summary file, then check a warm run rewrites none. *)
-  let stamps = summary_stamps sums in
-  let _, out2 = go () in
-  let cached2, rebuilt2 = parse_stats out2 in
-  Alcotest.(check int) "warm run re-summarizes zero modules" 0 rebuilt2;
-  Alcotest.(check int) "warm run serves all from cache" 6 cached2;
-  Alcotest.(check bool) "warm run leaves every stamp untouched" true
-    (stamps = summary_stamps sums);
-  (* Edit one module: exactly its summary is invalidated and rewritten. *)
-  write_file (Filename.concat dir "race_ok.ml") (race_ok ^ "(* edited *)\n");
-  let _, out3 = go () in
-  let cached3, rebuilt3 = parse_stats out3 in
-  Alcotest.(check int) "stale digest re-summarizes exactly one" 1 rebuilt3;
-  Alcotest.(check int) "the other summaries stay cached" 5 cached3;
-  let changed =
-    List.filter
-      (fun (f, m) ->
-        match List.assoc_opt f stamps with
-        | Some m0 -> m <> m0
-        | None -> true)
-      (summary_stamps sums)
-  in
-  Alcotest.(check (list string)) "only the edited module's entry changed"
-    [ "race_ok.ml.summary" ]
-    (List.map fst changed
-    |> List.map (fun f ->
-           (* strip the flattened directory prefix *)
-           match String.rindex_opt f '_' with
-           | Some _ when contains ~sub:"race_ok" f -> "race_ok.ml.summary"
-           | _ -> f))
-
-let test_sarif_json_baseline () =
+let test_sarif_json () =
   with_dir @@ fun dir ->
   seed_tree dir;
   let sarif = Filename.concat dir "out.sarif" in
@@ -240,19 +182,7 @@ let test_sarif_json_baseline () =
   let _, json = lint_tree ~extra:[ "--json" ] dir in
   Alcotest.(check bool) "json is an array of findings" true
     (String.length json > 0 && json.[0] = '['
-    && contains ~sub:"\"rule\":\"nondet-reach\"" json);
-  (* Grandfather the current findings, then the tree lints clean. *)
-  let _, text = lint_tree dir in
-  let baseline = Filename.concat dir "baseline.txt" in
-  write_file baseline text;
-  let code, out = lint_tree ~extra:[ "--baseline"; baseline ] dir in
-  Alcotest.(check int) "baselined run exits 0" 0 code;
-  Alcotest.(check string) "baselined run prints nothing" "" out;
-  (* A missing baseline file is a usage error, not silence. *)
-  let code, _ =
-    lint_tree ~extra:[ "--baseline"; Filename.concat dir "nope.txt" ] dir
-  in
-  Alcotest.(check int) "missing baseline exits 2" 2 code
+    && contains ~sub:"\"rule\":\"nondet-reach\"" json)
 
 let test_explain () =
   let code, out = run_lint [ "--explain"; "domain-race" ] in
@@ -263,6 +193,21 @@ let test_explain () =
   let code, _ = run_lint [ "--explain"; "no-such-rule" ] in
   Alcotest.(check int) "unknown rule exits 2" 2 code
 
+(* Every quoted path in Lint_config (its only string literals holding a
+   '/') must name a file or directory of the tree: a stale entry would
+   leave the rules keyed on it covering nothing. *)
+let test_config_paths () =
+  let paths =
+    String.split_on_char '"' (read_file lint_config)
+    |> List.filteri (fun i _ -> i mod 2 = 1)
+    |> List.filter (fun s -> String.contains s '/')
+  in
+  Alcotest.(check bool) "config lists paths" true (List.length paths >= 10);
+  Alcotest.(check (list string)) "no stale Lint_config path" []
+    (List.filter
+       (fun p -> not (Sys.file_exists (Filename.concat ".." p)))
+       paths)
+
 let () =
   if not (Sys.file_exists lint_exe) then
     failwith ("test_lint: linter not built at " ^ lint_exe);
@@ -271,13 +216,8 @@ let () =
       ( "interproc",
         [ Alcotest.test_case "seeded violations" `Quick test_interproc_findings ]
       );
-      ( "cache",
-        [ Alcotest.test_case "warm and invalidate" `Quick test_summary_cache ]
-      );
-      ( "output",
-        [
-          Alcotest.test_case "sarif json baseline" `Quick
-            test_sarif_json_baseline;
-        ] );
+      ("output", [ Alcotest.test_case "sarif json" `Quick test_sarif_json ]);
+      ( "config",
+        [ Alcotest.test_case "every path exists" `Quick test_config_paths ] );
       ("explain", [ Alcotest.test_case "rule catalog" `Quick test_explain ]);
     ]

@@ -253,7 +253,6 @@ let test_journal_append_replay () =
 (* {1 Disk full} *)
 
 module Persist_error = Wgrap_persist.Persist_error
-module Chaos = Dataset.Chaos
 
 let test_disk_full_wrap_maps () =
   let expect_disk_full name f =

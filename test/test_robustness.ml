@@ -8,8 +8,8 @@ module Timer = Wgrap_util.Timer
 module Corpus = Dataset.Corpus
 module Loader = Dataset.Loader
 module Pipeline = Dataset.Pipeline
-module Chaos = Dataset.Chaos
 open Wgrap
+open Wgrap_baselines
 
 let random_vec rng ~dim = Rng.dirichlet_sym rng ~alpha:0.4 ~dim
 

@@ -8,7 +8,6 @@
    faults thrown at the stream and the files. *)
 
 module Rng = Wgrap_util.Rng
-module Chaos = Dataset.Chaos
 module Event = Wgrap_serve.Event
 module State = Wgrap_serve.State
 module Admission = Wgrap_serve.Admission

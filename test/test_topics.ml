@@ -137,108 +137,23 @@ let test_atm_beats_random_perplexity () =
      support, so trained should be near 5. *)
   Alcotest.(check bool) (Printf.sprintf "perplexity %.2f < 8" ppl) true (ppl < 8.)
 
+(* LDA is ATM where document d's sole author is d: each document's
+   mixture is its author's theta row. *)
 let test_lda_shares_machinery () =
   let rng = Rng.create 105 in
   let docs =
     Array.init 6 (fun d ->
         let base = if d mod 2 = 0 then 0 else 5 in
-        Array.init 30 (fun _ -> base + Rng.int rng 5))
+        { Atm.tokens = Array.init 30 (fun _ -> base + Rng.int rng 5);
+          authors = [| d |] })
   in
-  let model = Topics.Lda.train ~iters:100 ~rng ~n_topics:2 ~n_words:10 docs in
-  Alcotest.(check int) "mixture per doc" 6 (Array.length model.Topics.Lda.doc_topic);
+  let model = Atm.train ~iters:100 ~rng ~n_authors:6 ~n_topics:2 ~n_words:10 docs in
+  Alcotest.(check int) "mixture per doc" 6 (Array.length model.Atm.theta);
   (* Even/odd docs land on different topics. *)
   let dominant d =
-    if model.Topics.Lda.doc_topic.(d).(0) > model.Topics.Lda.doc_topic.(d).(1) then 0 else 1
+    if model.Atm.theta.(d).(0) > model.Atm.theta.(d).(1) then 0 else 1
   in
   Alcotest.(check bool) "separates docs" true (dominant 0 <> dominant 1)
-
-(* {1 pLSI} *)
-
-let test_plsi_separates_planted_docs () =
-  let rng = Rng.create 109 in
-  let docs =
-    Array.init 8 (fun d ->
-        let base = if d mod 2 = 0 then 0 else 5 in
-        Array.init 40 (fun _ -> base + Rng.int rng 5))
-  in
-  let model = Topics.Plsi.train ~iters:150 ~rng ~n_topics:2 ~n_words:10 docs in
-  let dominant d =
-    if model.Topics.Plsi.doc_topic.(d).(0) > model.Topics.Plsi.doc_topic.(d).(1)
-    then 0 else 1
-  in
-  Alcotest.(check bool) "even/odd docs split" true (dominant 0 <> dominant 1);
-  Alcotest.(check bool) "consistent" true
-    (dominant 0 = dominant 2 && dominant 1 = dominant 3)
-
-let test_plsi_rows_normalized () =
-  let rng = Rng.create 110 in
-  let docs = Array.init 4 (fun _ -> Array.init 15 (fun _ -> Rng.int rng 8)) in
-  let model = Topics.Plsi.train ~iters:30 ~rng ~n_topics:3 ~n_words:8 docs in
-  Array.iter
-    (fun row ->
-      Alcotest.(check (float 1e-9)) "doc_topic row" 1. (Wgrap_util.Stats.sum row))
-    model.Topics.Plsi.doc_topic;
-  Array.iter
-    (fun row ->
-      Alcotest.(check (float 1e-9)) "phi row" 1. (Wgrap_util.Stats.sum row))
-    model.Topics.Plsi.phi
-
-let test_plsi_monotone_likelihood () =
-  (* Fresh models with increasing iteration budgets from the same seed:
-     likelihood must be non-decreasing in the budget. *)
-  let docs =
-    Array.init 6 (fun d ->
-        let base = if d mod 2 = 0 then 0 else 5 in
-        Array.init 25 (fun i -> base + ((d + i) mod 5)))
-  in
-  let prev = ref neg_infinity in
-  List.iter
-    (fun iters ->
-      let rng = Rng.create 111 in
-      let m = Topics.Plsi.train ~iters ~tol:0. ~rng ~n_topics:2 ~n_words:10 docs in
-      Alcotest.(check bool)
-        (Printf.sprintf "ll non-decreasing at %d iters" iters)
-        true
-        (m.Topics.Plsi.log_likelihood >= !prev -. 1e-9);
-      prev := m.Topics.Plsi.log_likelihood)
-    [ 1; 3; 10; 40 ]
-
-let test_plsi_validation () =
-  let rng = Rng.create 112 in
-  Alcotest.check_raises "bad word" (Invalid_argument "Plsi.train: bad word id")
-    (fun () ->
-      ignore (Topics.Plsi.train ~rng ~n_topics:2 ~n_words:3 [| [| 9 |] |]));
-  Alcotest.check_raises "no docs" (Invalid_argument "Plsi.train: no documents")
-    (fun () -> ignore (Topics.Plsi.train ~rng ~n_topics:2 ~n_words:3 [||]))
-
-(* {1 Diagnostics} *)
-
-let test_train_chains_picks_best () =
-  let rng = Rng.create 106 in
-  let docs, n_words = planted_corpus rng ~n_authors:4 ~docs_per_author:4 ~tokens_per_doc:20 in
-  let best, lls = Topics.Diagnostics.train_chains ~iters:40 ~chains:3 ~rng
-      ~n_authors:4 ~n_topics:2 ~n_words docs in
-  Alcotest.(check int) "three lls" 3 (Array.length lls);
-  let max_ll = Array.fold_left Float.max neg_infinity lls in
-  Alcotest.(check (float 1e-9)) "winner has max ll" max_ll best.Atm.log_likelihood
-
-let test_choose_n_topics_prefers_planted () =
-  let rng = Rng.create 107 in
-  let docs, n_words = planted_corpus rng ~n_authors:6 ~docs_per_author:10 ~tokens_per_doc:40 in
-  let best, profile = Topics.Diagnostics.choose_n_topics
-      ~candidates:[ 1; 2 ] ~iters:60 ~rng ~n_authors:6 ~n_words docs in
-  Alcotest.(check int) "profile size" 2 (List.length profile);
-  (* The corpus has exactly two planted topics; T=2 must beat T=1. *)
-  Alcotest.(check int) "recovers T=2" 2 best
-
-let test_choose_n_topics_validation () =
-  let rng = Rng.create 108 in
-  Alcotest.check_raises "no candidates"
-    (Invalid_argument "Diagnostics.choose_n_topics: no candidates") (fun () ->
-      ignore (Topics.Diagnostics.choose_n_topics ~candidates:[] ~rng
-                ~n_authors:1 ~n_words:3
-                [| { Atm.tokens = [| 0 |]; authors = [| 0 |] };
-                   { Atm.tokens = [| 1 |]; authors = [| 0 |] } |]))
 
 (* {1 EM inference} *)
 
@@ -315,19 +230,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_atm_validation;
           Alcotest.test_case "beats random perplexity" `Quick test_atm_beats_random_perplexity;
           Alcotest.test_case "lda separates docs" `Quick test_lda_shares_machinery;
-        ] );
-      ( "plsi",
-        [
-          Alcotest.test_case "separates planted docs" `Quick test_plsi_separates_planted_docs;
-          Alcotest.test_case "rows normalized" `Quick test_plsi_rows_normalized;
-          Alcotest.test_case "monotone likelihood" `Quick test_plsi_monotone_likelihood;
-          Alcotest.test_case "validation" `Quick test_plsi_validation;
-        ] );
-      ( "diagnostics",
-        [
-          Alcotest.test_case "chains pick best" `Quick test_train_chains_picks_best;
-          Alcotest.test_case "choose T" `Quick test_choose_n_topics_prefers_planted;
-          Alcotest.test_case "validation" `Quick test_choose_n_topics_validation;
         ] );
       ( "em",
         [

@@ -1,8 +1,7 @@
 (* The effect lattice for the interprocedural analysis. Each top-level
    value gets a set of these, first from its own body (phase 1, see
    {!Summarize}) and then closed over the call graph (phase 2, see
-   {!Callgraph}). Sets are int bitmasks so the fixpoint is cheap and
-   the serialized summaries stay stable. *)
+   {!Callgraph}). Sets are int bitmasks so the fixpoint is cheap. *)
 
 type t =
   | Mut_global  (* writes state not bound inside the function itself *)
@@ -13,12 +12,6 @@ type t =
   | Raises_expired  (* may raise Timer.Expired *)
   | Forwards_deadline  (* passes a ~deadline/?deadline/~ctx argument on *)
 
-let all =
-  [
-    Mut_global; Mut_arg; Io; Nondet; Polls_deadline; Raises_expired;
-    Forwards_deadline;
-  ]
-
 let bit = function
   | Mut_global -> 1
   | Mut_arg -> 2
@@ -27,15 +20,6 @@ let bit = function
   | Polls_deadline -> 16
   | Raises_expired -> 32
   | Forwards_deadline -> 64
-
-let to_tag = function
-  | Mut_global -> "mutates-global"
-  | Mut_arg -> "mutates-argument"
-  | Io -> "performs-io"
-  | Nondet -> "reads-nondet"
-  | Polls_deadline -> "polls-deadline"
-  | Raises_expired -> "may-raise-expired"
-  | Forwards_deadline -> "forwards-deadline"
 
 module Set = struct
   type elt = t
@@ -49,7 +33,6 @@ module Set = struct
   let singleton e = bit e
   let equal (a : int) (b : int) = Int.equal a b
   let of_list l = List.fold_left (fun s e -> add e s) empty l
-  let to_list s = List.filter (fun e -> mem e s) all
 
   (* Effects a caller inherits from a plain call: argument mutation is
      relative to the callee's own parameters, so it does not transfer
@@ -59,8 +42,4 @@ module Set = struct
   let propagated =
     of_list [ Mut_global; Io; Nondet; Polls_deadline; Raises_expired;
               Forwards_deadline ]
-
-  let to_string s = String.concat "," (List.map to_tag (to_list s))
-  let of_mask (i : int) : t = i
-  let mask (s : t) : int = s
 end

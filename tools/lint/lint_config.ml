@@ -33,7 +33,7 @@ let cancel_owners =
     "lib/core/sdga.ml";
     "lib/core/sra.ml";
     "lib/core/greedy.ml";
-    "lib/core/exact.ml";
+    "lib/baselines/exact.ml";
     "lib/serve/state.ml";
   ]
 
@@ -52,7 +52,7 @@ let direct_scoring_modules =
     "lib/core/greedy.ml";
     "lib/core/solver.ml";
     "lib/core/bids.ml";
-    "lib/core/brgg.ml";
+    "lib/baselines/brgg.ml";
   ]
 
 (* Extra files treated as solver-chain modules for the direct-scoring
@@ -66,14 +66,14 @@ let extra_direct_scoring_modules : string list ref = ref []
    forward the deadline to a callee that does. *)
 let solver_modules =
   [
-    "lib/core/brgg.ml";
-    "lib/core/exact.ml";
+    "lib/baselines/brgg.ml";
+    "lib/baselines/exact.ml";
+    "lib/baselines/jra_bfs.ml";
+    "lib/baselines/jra_cp.ml";
+    "lib/baselines/local_search.ml";
     "lib/core/greedy.ml";
     "lib/core/jra_bba.ml";
-    "lib/core/jra_bfs.ml";
-    "lib/core/jra_cp.ml";
     "lib/core/jra_ilp.ml";
-    "lib/core/local_search.ml";
     "lib/core/sdga.ml";
     "lib/core/sra.ml";
     "lib/core/stage.ml";

@@ -634,7 +634,7 @@ and summarize_module st ~prefix (mb : module_binding) =
   in
   of_mod mb.pmb_expr
 
-let structure ~path ~digest (str : structure) : Summary.t =
+let structure ~path (str : structure) : Summary.t =
   let file_allows = Allow.structure_allows str in
   let st =
     {
@@ -648,8 +648,7 @@ let structure ~path ~digest (str : structure) : Summary.t =
     }
   in
   {
-    Summary.digest;
-    path;
+    Summary.path;
     modname = Summary.modname_of_path path;
     file_allows;
     values = summarize_items st ~prefix:"" str;

@@ -11,10 +11,9 @@
    per top-level value: direct effects (mutates-global, mutates-argument
    by parameter index, performs-IO, reads-nondeterministic-source,
    polls-deadline, may-raise-Expired), call edges with argument roots,
-   and Pool spawn sites — caching summaries under --summaries keyed by
-   file digest. Phase 2 stitches the summaries into a call graph,
-   propagates effects to a fixpoint, and runs the interprocedural rules
-   on top of the per-expression ones.
+   and Pool spawn sites. Phase 2 stitches the summaries into a call
+   graph, propagates effects to a fixpoint, and runs the
+   interprocedural rules on top of the per-expression ones.
 
    Expression rules (suppress per-expression with [@wgrap.allow "rule"],
    per-val with [@@wgrap.allow "rule"], per-file with
@@ -52,20 +51,15 @@
      --serve-module PATH   add PATH to the serve blocking-read targets
      --scoring-module PATH add PATH to the direct-scoring targets
      --exclude PATH        skip files under this directory
-     --summaries DIR       summary cache directory (.lint-summaries)
-     --no-cache            neither read nor write the summary cache
-     --cache-stats         print cached/rebuilt counts to stderr
      --sarif FILE          also write a SARIF 2.1 log to FILE
      --json                print findings as a JSON array, not text
-     --baseline FILE       suppress findings listed in FILE
      --explain RULE        print the rule's rationale and examples *)
 
 let usage =
   "usage: wgrap_lint [--solver-module PATH] [--serve-module PATH]\n\
   \                  [--scoring-module PATH]\n\
-  \                  [--exclude PATH] [--summaries DIR] [--no-cache]\n\
-  \                  [--cache-stats] [--sarif FILE] [--json]\n\
-  \                  [--baseline FILE] [--explain RULE] PATH..."
+  \                  [--exclude PATH] [--sarif FILE] [--json]\n\
+  \                  [--explain RULE] PATH..."
 
 let rec walk ~excludes path acc =
   if
@@ -128,27 +122,12 @@ let parse_files files =
 type opts = {
   mutable paths : string list;
   mutable excludes : string list;
-  mutable summaries_dir : string;
-  mutable use_cache : bool;
-  mutable cache_stats : bool;
   mutable sarif : string option;
   mutable json : bool;
-  mutable baseline : string option;
 }
 
 let () =
-  let o =
-    {
-      paths = [];
-      excludes = [];
-      summaries_dir = ".lint-summaries";
-      use_cache = true;
-      cache_stats = false;
-      sarif = None;
-      json = false;
-      baseline = None;
-    }
-  in
+  let o = { paths = []; excludes = []; sarif = None; json = false } in
   let extra_solver_modules = ref [] in
   let rec parse_args = function
     | [] -> ()
@@ -165,23 +144,11 @@ let () =
     | "--exclude" :: d :: rest ->
         o.excludes <- d :: o.excludes;
         parse_args rest
-    | "--summaries" :: d :: rest ->
-        o.summaries_dir <- d;
-        parse_args rest
-    | "--no-cache" :: rest ->
-        o.use_cache <- false;
-        parse_args rest
-    | "--cache-stats" :: rest ->
-        o.cache_stats <- true;
-        parse_args rest
     | "--sarif" :: f :: rest ->
         o.sarif <- Some f;
         parse_args rest
     | "--json" :: rest ->
         o.json <- true;
-        parse_args rest
-    | "--baseline" :: f :: rest ->
-        o.baseline <- Some f;
         parse_args rest
     | "--explain" :: rule :: rest -> (
         parse_args rest;
@@ -194,7 +161,7 @@ let () =
               (String.concat ", " (Explain.rule_names ()));
             exit 2)
     | ( "--solver-module" | "--serve-module" | "--scoring-module"
-      | "--exclude" | "--summaries" | "--sarif" | "--baseline" | "--explain" )
+      | "--exclude" | "--sarif" | "--explain" )
       :: [] ->
         prerr_endline usage;
         exit 2
@@ -211,16 +178,6 @@ let () =
     prerr_endline usage;
     exit 2
   end;
-  let baseline =
-    match o.baseline with
-    | None -> []
-    | Some f ->
-        if Sys.file_exists f then Baseline.load f
-        else begin
-          Printf.eprintf "wgrap_lint: baseline file %s not found\n" f;
-          exit 2
-        end
-  in
   let files =
     try
       List.fold_left
@@ -233,16 +190,13 @@ let () =
   in
   let parsed = parse_files files in
   let findings = ref parsed.parse_failures in
-  (* Phase 1: per-module effect summaries, digest-cached. *)
-  let cache =
-    Cache.create (if o.use_cache then Some o.summaries_dir else None)
-  in
+  (* Phase 1: per-module effect summaries. *)
   let summaries =
     List.map
-      (fun (path, str) -> Cache.summarize cache ~path str)
+      (fun (path, str) ->
+        Summarize.structure ~path:(Lint_path.repo_relative path) str)
       parsed.structures
   in
-  if o.cache_stats then prerr_endline (Cache.report cache);
   (* Expression rules over every implementation. Keep each file's context
      so the deadline pass can reuse its file-level allows. *)
   let ml_ctxs =
@@ -281,7 +235,6 @@ let () =
        (fun (path, ctx, str) -> (path, { ctx with Ctx.findings = [] }, str))
        ml_ctxs);
   let findings = List.sort_uniq Finding.compare !findings in
-  let findings = Baseline.filter ~baseline findings in
   Option.iter
     (fun f -> Sarif.write_file f (Sarif.to_sarif findings))
     o.sarif;
