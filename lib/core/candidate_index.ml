@@ -136,11 +136,12 @@ let walk t s ~scoring ~seeds (paper : Topic_vector.support) =
     let tt = idx.(j) in
     let pv = nz.(j) in
     let ids = t.posting_ids.(tt) and ws = t.posting_ws.(tt) in
+    (* The numerators accumulate inside [Scoring], where the per-topic
+       term is inlined and stays an unboxed float. *)
+    Scoring.add_postings scoring ~acc:s.acc ~ids ~ws pv;
     for i = 0 to Array.length ids - 1 do
       let r = ids.(i) in
-      let v = ws.(i) in
-      s.acc.(r) <- s.acc.(r) +. Scoring.contribution scoring v pv;
-      if cr then s.inside.(r) <- s.inside.(r) +. v;
+      if cr then s.inside.(r) <- s.inside.(r) +. ws.(i);
       touch s r
     done
   done

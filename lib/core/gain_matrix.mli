@@ -10,7 +10,9 @@
     a paper's version only when it actually moved the group vector
     somewhere the paper's gains can see (its topic support — everywhere
     for [Reviewer_coverage]), and stale rows are recomputed lazily with
-    the O(nnz) sparse kernels on next access.
+    {!Scoring.gain_row} on next access. Group vectors are kept in
+    {!Scoring}'s layout: on the paper's support, or over every topic
+    for [Reviewer_coverage].
 
     One row layout serves every width: a row holds one cell per entry
     of the paper's candidate list, in ascending reviewer order. The
@@ -43,6 +45,9 @@
 
 type t
 
+type row = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** One paper's gain cells, one per entry of its candidate list. *)
+
 val create : ?candidates:int -> Instance.t -> t
 (** All groups empty; no rows computed yet. [candidates] is the per-
     paper top-k width, [0] (the default) for dense rows; a width
@@ -62,11 +67,17 @@ val candidates : t -> paper:int -> int array
 (** The reviewer ids the paper's row covers, ascending: its top-k
     candidates when pruned (retrieved and then memoized on first call —
     possibly shorter than the width for papers with narrow supports),
-    the shared identity list on a dense matrix. Do not mutate. *)
+    the shared identity list on a dense matrix. Do not mutate.
+
+    A pruned retrieval also stores the paper's {e weight block}: the
+    candidates' weights on the paper's support topics, [k * nnz(p)]
+    floats, from which every later row recompute reads instead of the
+    reviewers' dense vectors. *)
 
 val matrix_bytes : t -> int
-(** Bytes of Bigarray row storage allocated so far — the "peak matrix
-    memory" a pruning bench reports. O(n_p) scan; telemetry only. *)
+(** Bytes of gain rows and weight blocks allocated so far — the "peak
+    matrix memory" a pruning bench reports. O(n_p) scan; telemetry
+    only. *)
 
 val reset : t -> unit
 (** Empty every group and invalidate every row (cheap: versions bump,
@@ -90,6 +101,13 @@ val gain : t -> paper:int -> reviewer:int -> float
 (** One fresh marginal gain against the current group vector, computed
     directly with the sparse kernel; does not touch the row cache.
     Works for any reviewer, candidate or not. *)
+
+val row : t -> paper:int -> row
+(** The paper's row, recomputed first if stale: cell [i] is the gain of
+    reviewer [(candidates t ~paper).(i)]. The buffer is the matrix's
+    own and changes with the next group update; read it, do not keep
+    or write it. What a hot consumer reads instead of {!iter_row}, whose
+    callback takes each gain boxed. *)
 
 val iter_row : t -> paper:int -> (reviewer:int -> gain:float -> unit) -> unit
 (** Visit the paper's row, recomputing it first if stale: its candidate
@@ -119,6 +137,32 @@ val prime : ?deadline:Wgrap_util.Timer.deadline -> t -> unit
     sums. [deadline] is polled per row; expiry raises
     [Wgrap_util.Timer.Expired] and leaves the remaining state unset
     (safe: it computes lazily on access). *)
+
+(** {1 Stage scratch} *)
+
+type stage_scratch = {
+  mutable value : float array;  (** edge values, slots [0 .. len - 1] *)
+  mutable reviewer : int array;  (** edge reviewers *)
+  mutable len : int;  (** edges in use *)
+  mutable start : int array;
+      (** per paper and one past the last: paper [p]'s edges are the
+          slots from [start.(p)] up to [start.(p + 1)] *)
+  mutable stop : int array;  (** per paper, the end of its live edges *)
+  mutable heap : int array;  (** papers, a binary heap in matching order *)
+  mutable mask : bool array;  (** per reviewer, [false] between uses *)
+  mutable left : int array;  (** per reviewer, remaining capacity *)
+  mutable chosen : int array;  (** per paper, the matched reviewer *)
+}
+(** The buffers {!Stage.solve} works in: its candidate edges as a
+    struct of arrays grouped by paper, the matcher's per-paper heap, and
+    its per-reviewer and per-paper arrays. They grow on first use and
+    are reused by every later stage on the same matrix, so an SDGA
+    stage or an SRA round allocates none of them. Only {!Stage} reads
+    or writes them. *)
+
+val stage_scratch : t -> stage_scratch
+(** This matrix's stage buffers. Sequential use only, like the matrix's
+    group state. *)
 
 val rebuild : ?pool:Wgrap_par.Pool.t -> ?deadline:Wgrap_util.Timer.deadline -> t -> unit
 (** Recompute all stale gain rows now. With [pool], rows are recomputed

@@ -112,6 +112,100 @@ let gain_sparse kind ~group (r : Topic_vector.support)
   | Weighted_coverage | Paper_coverage | Dot_product -> ());
   if p.Topic_vector.mass <= 0. then 0. else !delta /. p.Topic_vector.mass
 
+(* {1 Gain rows against a maintained group}
+
+   [Gain_matrix] keeps a paper's group vector on the paper's support
+   under the three kinds with [f(v, 0) = 0] (slot [j] is topic
+   [p.idx.(j)]), and over every topic under Reviewer_coverage, whose
+   off-support correction reads the group everywhere. The kernels below
+   take the group in that layout and add exactly the terms
+   [gain_sparse] adds, in its order, so every cell is bitwise equal to
+   [gain_sparse] on the dense group. *)
+
+let[@inline] gain_term kind delta g w pv =
+  delta +. contribution kind (Float.max g w) pv -. contribution kind g pv
+
+let support_group kind = match kind with Reviewer_coverage -> false | _ -> true
+
+let gain_cell kind ~group (r : Topic_vector.support) (p : Topic_vector.support) =
+  if not (support_group kind) then gain_sparse kind ~group r p
+  else begin
+    let idx = p.Topic_vector.idx and nz = p.Topic_vector.nz in
+    let rvec = r.Topic_vector.vec in
+    let delta = ref 0. in
+    for j = 0 to Array.length idx - 1 do
+      delta := gain_term kind !delta group.(j) rvec.(idx.(j)) nz.(j)
+    done;
+    if p.Topic_vector.mass <= 0. then 0. else !delta /. p.Topic_vector.mass
+  end
+
+(* The cell loop is written out here rather than calling a per-cell
+   helper: a helper with loops is not inlined, and its float result
+   would be boxed once per cell. *)
+let gain_row kind
+    ~(dst : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t)
+    ~group ?block ~reviewers ~cands (p : Topic_vector.support) =
+  let idx = p.Topic_vector.idx and nz = p.Topic_vector.nz in
+  let n = Array.length cands and m = Array.length idx in
+  let mass = p.Topic_vector.mass and pvec = p.Topic_vector.vec in
+  let sup = support_group kind in
+  if Bigarray.Array1.dim dst < n then
+    invalid_arg "Scoring.gain_row: dst shorter than cands";
+  if Array.length group <> (if sup then m else Array.length pvec) then
+    invalid_arg "Scoring.gain_row: group layout mismatch";
+  let w, has_block =
+    match block with
+    | Some w ->
+        if Array.length w <> n * m then
+          invalid_arg "Scoring.gain_row: block is not cands x nnz(paper)";
+        (w, true)
+    | None -> ([||], false)
+  in
+  for i = 0 to n - 1 do
+    let r = reviewers.(cands.(i)) in
+    let rvec = r.Topic_vector.vec and off = i * m in
+    let delta = ref 0. in
+    if sup then begin
+      if has_block then
+        for j = 0 to m - 1 do
+          delta :=
+            gain_term kind !delta (Array.unsafe_get group j)
+              (Array.unsafe_get w (off + j)) (Array.unsafe_get nz j)
+        done
+      else
+        for j = 0 to m - 1 do
+          delta :=
+            gain_term kind !delta (Array.unsafe_get group j)
+              rvec.(Array.unsafe_get idx j) (Array.unsafe_get nz j)
+        done
+    end
+    else begin
+      for j = 0 to m - 1 do
+        let t = Array.unsafe_get idx j in
+        let x = if has_block then Array.unsafe_get w (off + j) else rvec.(t) in
+        delta := gain_term kind !delta group.(t) x (Array.unsafe_get nz j)
+      done;
+      (* The off-support correction, as in [gain_sparse]. *)
+      let ridx = r.Topic_vector.idx and rnz = r.Topic_vector.nz in
+      for k = 0 to Array.length ridx - 1 do
+        let t = Array.unsafe_get ridx k in
+        if pvec.(t) <= 0. then begin
+          let d = Array.unsafe_get rnz k -. group.(t) in
+          if d > 0. then delta := !delta +. d
+        end
+      done
+    end;
+    Bigarray.Array1.unsafe_set dst i (if mass <= 0. then 0. else !delta /. mass)
+  done
+
+let add_postings kind ~acc ~ids ~ws pv =
+  if Array.length ws <> Array.length ids then
+    invalid_arg "Scoring.add_postings: ids and ws differ in length";
+  for i = 0 to Array.length ids - 1 do
+    let r = ids.(i) in
+    acc.(r) <- acc.(r) +. contribution kind (Array.unsafe_get ws i) pv
+  done
+
 let score_into kind ~dst ~reviewers (p : Topic_vector.support) =
   if Array.length dst <> Array.length reviewers then
     invalid_arg "Scoring.score_into: dst length mismatch";
@@ -119,13 +213,6 @@ let score_into kind ~dst ~reviewers (p : Topic_vector.support) =
     let rs = reviewers.(r) in
     dst.(r) <-
       score_sparse kind ~v:rs.Topic_vector.vec ~v_mass:rs.Topic_vector.mass p
-  done
-
-let gain_into kind ~dst ~group ~reviewers (p : Topic_vector.support) =
-  if Array.length dst <> Array.length reviewers then
-    invalid_arg "Scoring.gain_into: dst length mismatch";
-  for r = 0 to Array.length reviewers - 1 do
-    dst.(r) <- gain_sparse kind ~group reviewers.(r) p
   done
 
 let group_score_sparse kind vecs (p : Topic_vector.support) =
@@ -137,10 +224,15 @@ let group_score_sparse kind vecs (p : Topic_vector.support) =
   | Weighted_coverage | Paper_coverage | Dot_product ->
       if vecs = [] then invalid_arg "Scoring.group_score_sparse: empty group";
       let idx = p.Topic_vector.idx and nz = p.Topic_vector.nz in
+      let vecs = Array.of_list vecs in
       let num = ref 0. in
       for k = 0 to Array.length idx - 1 do
         let t = idx.(k) in
-        let v = List.fold_left (fun acc m -> Float.max acc m.(t)) 0. vecs in
-        num := !num +. contribution kind v nz.(k)
+        (* The group maximum, taken in list order from 0. *)
+        let v = ref 0. in
+        for i = 0 to Array.length vecs - 1 do
+          v := Float.max !v vecs.(i).(t)
+        done;
+        num := !num +. contribution kind !v nz.(k)
       done;
       if p.Topic_vector.mass <= 0. then 0. else !num /. p.Topic_vector.mass

@@ -70,6 +70,54 @@ val gain_sparse :
 (** [gain_sparse kind ~group r p] is [gain kind ~group r.vec p.vec] in
     O(nnz(p)) (+ O(nnz(r)) for [Reviewer_coverage]). *)
 
+(** {2 Gain rows against a maintained group}
+
+    A {!Gain_matrix} group vector is kept in one of two layouts. Under
+    [Weighted_coverage], [Paper_coverage] and [Dot_product] it lives on
+    the paper's support only: slot [j] holds the group maximum on topic
+    [p.idx.(j)], [nnz(p)] floats in all. Under [Reviewer_coverage],
+    whose off-support correction reads the group everywhere, it is the
+    dense vector. The kernels below add exactly the terms
+    {!gain_sparse} adds, in its order, so each cell equals
+    {!gain_sparse} on the dense group {e bitwise}. *)
+
+val support_group : kind -> bool
+(** Whether the kind keeps its group vector on the paper's support
+    ([false] only for [Reviewer_coverage]). *)
+
+val gain_cell :
+  kind -> group:float array -> Topic_vector.support -> Topic_vector.support -> float
+(** [gain_cell kind ~group r p] is [gain_sparse kind ~group:dense r p]
+    with [group] in the kind's layout. *)
+
+val gain_row :
+  kind ->
+  dst:(float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  group:float array ->
+  ?block:float array ->
+  reviewers:Topic_vector.support array ->
+  cands:int array ->
+  Topic_vector.support ->
+  unit
+(** [gain_row kind ~dst ~group ~reviewers ~cands p] sets [dst.(i)] to
+    the marginal gain of reviewer [cands.(i)] against [group] (in the
+    kind's layout) for paper [p]. With [block], the reviewers' weights
+    on the paper's support come from it, row-major:
+    [block.(i * nnz(p) + j)] is reviewer [cands.(i)]'s weight on topic
+    [p.idx.(j)], so the row never reads a dense reviewer vector (only
+    [Reviewer_coverage]'s off-support correction reads the reviewer's
+    own support). Without it they are read from the dense vectors.
+    O(|cands| * nnz(p)), no allocation. Raises [Invalid_argument] when
+    [dst] is shorter than [cands], [group] is not in the kind's layout,
+    or [block] is not [|cands| * nnz(p)] long. *)
+
+val add_postings :
+  kind -> acc:float array -> ids:int array -> ws:float array -> float -> unit
+(** [add_postings kind ~acc ~ids ~ws pv] adds [contribution kind ws.(i) pv]
+    to [acc.(ids.(i))] for every posting [i], in posting order: one
+    topic's share of every posted reviewer's score numerator, the inner
+    loop of {!Candidate_index}'s walk. No allocation. *)
+
 val score_into :
   kind ->
   dst:float array ->
@@ -78,16 +126,6 @@ val score_into :
   unit
 (** Fill [dst.(r)] with the single-reviewer score of every reviewer
     against one paper: one row of the score matrix, O(R * nnz(p)). *)
-
-val gain_into :
-  kind ->
-  dst:float array ->
-  group:Topic_vector.t ->
-  reviewers:Topic_vector.support array ->
-  Topic_vector.support ->
-  unit
-(** Fill [dst.(r)] with the marginal gain of every reviewer w.r.t.
-    [group] for one paper: one gain-matrix row, O(R * nnz(p)). *)
 
 val group_score_sparse :
   kind -> Topic_vector.t list -> Topic_vector.support -> float

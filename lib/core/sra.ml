@@ -98,6 +98,11 @@ let refine ?(params = default_params) ?on_round ?(ctx = Ctx.default) inst
   let stall = ref (match resume with Some (_, st) -> st.Checkpoint.stall | None -> 0)
   and round = ref (match resume with Some (k, _) -> k | None -> 0) in
   let start_time = Timer.now () in
+  (* Per-round buffers, reset each round rather than reallocated: the
+     trimmed workloads and refill capacities, and one paper's members
+     with their removal weights. *)
+  let workload = Array.make n_r 0 and capacity = Array.make n_r 0 in
+  let members = ref [||] and weights = ref [||] in
   (try
      while
        !stall < params.omega
@@ -108,32 +113,39 @@ let refine ?(params = default_params) ?on_round ?(ctx = Ctx.default) inst
        (* Removal phase: drop exactly one reviewer from every group,
           favouring pairs with low keep-probability. *)
        let trimmed = Assignment.empty ~n_papers:n_p in
-       let workload = Array.make n_r 0 in
+       Array.fill workload 0 n_r 0;
        for p = 0 to n_p - 1 do
-         let members = Array.of_list (Assignment.group !current p) in
-         let weights =
-           Array.map
-             (fun r -> 1. -. keep ~round:!round ~paper:p ~reviewer:r)
-             members
-         in
+         let group = Assignment.group !current p in
+         let n = List.length group in
+         if Array.length !members < n then begin
+           members := Array.make n 0;
+           weights := Array.make n 0.
+         end;
+         let members = !members and weights = !weights in
+         List.iteri (fun i r -> members.(i) <- r) group;
+         let total = ref 0. in
+         for i = 0 to n - 1 do
+           weights.(i) <-
+             1. -. keep ~round:!round ~paper:p ~reviewer:members.(i);
+           total := !total +. weights.(i)
+         done;
          let victim =
-           if Array.fold_left ( +. ) 0. weights <= 0. then
-             Rng.int rng (Array.length members)
-           else Rng.categorical rng weights
+           if !total <= 0. then Rng.int rng n
+           else Rng.categorical_prefix rng weights n
          in
-         Array.iteri
-           (fun i r ->
-             if i <> victim then begin
-               Assignment.add trimmed ~paper:p ~reviewer:r;
-               workload.(r) <- workload.(r) + 1
-             end)
-           members;
+         for i = 0 to n - 1 do
+           if i <> victim then begin
+             let r = members.(i) in
+             Assignment.add trimmed ~paper:p ~reviewer:r;
+             workload.(r) <- workload.(r) + 1
+           end
+         done;
          Gain_matrix.set_group gm ~paper:p (Assignment.group trimmed p)
        done;
        (* Refill phase: one Stage-WGRAP completes every group. *)
-       let capacity =
-         Array.init n_r (fun r -> inst.Instance.delta_r - workload.(r))
-       in
+       for r = 0 to n_r - 1 do
+         capacity.(r) <- inst.Instance.delta_r - workload.(r)
+       done;
        let pair_gain = Objective.stage_gain obj ~current:trimmed in
        let pairs =
          Stage.solve ?pair_gain ~gains:gm ?deadline inst

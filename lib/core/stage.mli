@@ -34,6 +34,12 @@ val solve :
     matching past it — with a per-paper full scan only for papers the
     candidate edges could not place. Nothing [rows x n_r]-sized is
     built. [Failure] then means no reviewer at all had capacity left.
+    The greedy matching takes the edges in the total order value desc
+    (as [Float.compare] ranks values), paper asc, reviewer asc, through
+    a lazy per-paper heap merge that reads only the edges it needs. The
+    edges and the matcher's buffers live in [gains]'s
+    {!Gain_matrix.stage_scratch}, reused by every later stage on the
+    same matrix.
 
     [pair_gain] replaces the objective of the stage: it receives the
     plain coverage gain and returns the value to maximize — the hook the

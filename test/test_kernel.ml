@@ -104,14 +104,20 @@ let test_row_kernels_match_cells () =
                 v)
             dst;
           let group = sparse_vec rng dim in
-          Scoring.gain_into kind ~dst ~group ~reviewers:supports psupp;
-          Array.iteri
-            (fun r v ->
-              Alcotest.(check (float tol))
-                "gain_into cell"
-                (Scoring.gain kind ~group reviewers.(r) paper)
-                v)
-            dst)
+          let layout =
+            if Scoring.support_group kind then
+              Array.map (fun t -> group.(t)) psupp.Topic_vector.idx
+            else group
+          in
+          let row = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n_r in
+          Scoring.gain_row kind ~dst:row ~group:layout ~reviewers:supports
+            ~cands:(Array.init n_r Fun.id) psupp;
+          for r = 0 to n_r - 1 do
+            Alcotest.(check (float tol))
+              "gain_row cell"
+              (Scoring.gain kind ~group reviewers.(r) paper)
+              (Bigarray.Array1.get row r)
+          done)
         (edge_papers dim @ List.init 20 (fun _ -> sparse_vec rng dim)))
     Scoring.all
 
@@ -347,6 +353,140 @@ let test_gain_matrix_extra_coi () =
         Scoring.all)
     [ 0; 4 ]
 
+(* {1 Weight blocks and support-indexed groups: bitwise oracle}
+
+   Every row cell — members' cells included — and every point gain of a
+   matrix, dense or pruned, equals [Scoring.gain_sparse] on the dense
+   group vector of the paper's members, bit for bit, after any sequence
+   of [add]s and [set_group]s. Under the three kinds with f(v, 0) = 0
+   the matrix keeps its groups on the paper's support and pruned rows
+   read the weight block; under Reviewer_coverage the group is dense
+   and the off-support correction applies. *)
+let bits = Int64.bits_of_float
+
+let block_rows_bitwise =
+  QCheck.Test.make ~name:"gain rows = Scoring.gain_sparse bitwise" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n_p = 3 + Rng.int rng 6 and n_r = 6 + Rng.int rng 14 in
+      let dim = 4 + Rng.int rng 12 in
+      let papers = Array.init n_p (fun _ -> sparse_vec rng ~density:0.35 dim) in
+      (* Quantized reviewers: equal weights, so group maxima tie. *)
+      let reviewers =
+        Array.init n_r (fun _ ->
+            Array.map (fun x -> Float.round (x *. 4.) /. 4.) (sparse_vec rng dim))
+      in
+      let coi =
+        List.init (Rng.int rng 6) (fun _ -> (Rng.int rng n_p, Rng.int rng n_r))
+      in
+      let kind = List.nth Scoring.all (Rng.int rng 4) in
+      let inst =
+        Instance.create_exn ~scoring:kind ~coi ~papers ~reviewers ~delta_p:2
+          ~delta_r:(Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p:2)
+          ()
+      in
+      let k = if Rng.bool rng then 0 else 1 + Rng.int rng (n_r - 1) in
+      let gm = Gain_matrix.create ~candidates:k inst in
+      let groups = Array.make n_p [] in
+      let check step =
+        for p = 0 to n_p - 1 do
+          let group =
+            match groups.(p) with
+            | [] -> Scoring.empty_group ~dim
+            | g -> Topic_vector.group_max (List.map (fun r -> reviewers.(r)) g)
+          in
+          let oracle r =
+            Scoring.gain_sparse kind ~group (Instance.reviewer_support inst r)
+              (Instance.paper_support inst p)
+          in
+          let row = Gain_matrix.row gm ~paper:p in
+          Array.iteri
+            (fun i r ->
+              let got = Bigarray.Array1.get row i in
+              if not (Int64.equal (bits got) (bits (oracle r))) then
+                QCheck.Test.fail_reportf "%s k=%d step %d: cell (%d, %d) %h, oracle %h"
+                  (Scoring.name kind) k step p r got (oracle r))
+            (Gain_matrix.candidates gm ~paper:p);
+          for r = 0 to n_r - 1 do
+            let got = Gain_matrix.gain gm ~paper:p ~reviewer:r in
+            if not (Int64.equal (bits got) (bits (oracle r))) then
+              QCheck.Test.fail_reportf "%s k=%d step %d: gain (%d, %d) %h, oracle %h"
+                (Scoring.name kind) k step p r got (oracle r)
+          done
+        done
+      in
+      check 0;
+      for step = 1 to 30 do
+        let p = Rng.int rng n_p in
+        (match Rng.int rng 4 with
+        | 0 ->
+            let members =
+              List.sort_uniq Int.compare
+                (List.init (Rng.int rng 4) (fun _ -> Rng.int rng n_r))
+            in
+            groups.(p) <- members;
+            Gain_matrix.set_group gm ~paper:p members
+        | 1 when step mod 10 = 0 ->
+            Gain_matrix.reset gm;
+            Array.fill groups 0 n_p []
+        | _ ->
+            let r = Rng.int rng n_r in
+            if not (List.mem r groups.(p)) then begin
+              groups.(p) <- r :: groups.(p);
+              Gain_matrix.add gm ~paper:p ~reviewer:r
+            end);
+        check step
+      done;
+      true)
+
+(* [Scoring.gain_row] with a weight block and without one, against the
+   cell kernel, on the kind's group layout. *)
+let test_gain_row_block () =
+  let rng = Rng.create 41 in
+  let dim = 14 and n_r = 12 in
+  let reviewers = Array.init n_r (fun _ -> sparse_vec rng dim) in
+  let supports = Array.map Topic_vector.support reviewers in
+  List.iter
+    (fun kind ->
+      for _ = 1 to 20 do
+        let paper = sparse_vec rng dim in
+        let p = Topic_vector.support paper in
+        let idx = p.Topic_vector.idx in
+        let m = Array.length idx in
+        let cands =
+          Array.of_list
+            (List.filter (fun _ -> Rng.bool rng) (List.init n_r Fun.id))
+        in
+        let n = Array.length cands in
+        let dense_group = sparse_vec rng dim in
+        let group =
+          if Scoring.support_group kind then Array.map (fun t -> dense_group.(t)) idx
+          else dense_group
+        in
+        let block =
+          Array.init (n * m) (fun c -> reviewers.(cands.(c / max 1 m)).(idx.(c mod max 1 m)))
+        in
+        let fresh () =
+          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+        in
+        let with_block = fresh () and without = fresh () in
+        Scoring.gain_row kind ~dst:with_block ~group ~block ~reviewers:supports ~cands p;
+        Scoring.gain_row kind ~dst:without ~group ~reviewers:supports ~cands p;
+        Array.iteri
+          (fun i r ->
+            let oracle = bits (Scoring.gain_sparse kind ~group:dense_group supports.(r) p) in
+            let label = Printf.sprintf "%s reviewer %d" (Scoring.name kind) r in
+            Alcotest.(check int64) (label ^ ": block row") oracle
+              (bits (Bigarray.Array1.get with_block i));
+            Alcotest.(check int64) (label ^ ": dense row") oracle
+              (bits (Bigarray.Array1.get without i));
+            Alcotest.(check int64) (label ^ ": cell") oracle
+              (bits (Scoring.gain_cell kind ~group supports.(r) p)))
+          cands
+      done)
+    Scoring.all
+
 (* {1 Eq. 9 denominators and Eq. 10: one source of truth} *)
 
 (* The cached denominators equal the streamed reference bit for bit —
@@ -575,6 +715,9 @@ let () =
             test_gain_matrix_version_monotone;
           Alcotest.test_case "extra COI on a fresh matrix" `Quick
             test_gain_matrix_extra_coi;
+          QCheck_alcotest.to_alcotest block_rows_bitwise;
+          Alcotest.test_case "gain_row with and without a block" `Quick
+            test_gain_row_block;
         ] );
       ( "denominators",
         [ Alcotest.test_case "one source of truth" `Quick test_denominators_agree ] );

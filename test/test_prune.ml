@@ -408,6 +408,258 @@ let pruned_jobs_determinism =
       | _ -> QCheck.Test.fail_report "greedy feasibility differs across jobs");
       true)
 
+(* ------------------------------------- pruned stage vs boxed oracle *)
+
+(* The pruned stage as it was before its edges moved into the matrix's
+   struct-of-arrays scratch: boxed edge records, consed in collection
+   order, sorted with [edge_compare], matched greedily past the work
+   gate and by a compact Hungarian below it. [Stage.solve] on a pruned
+   matrix must return exactly this oracle's pairs. *)
+module Boxed_stage = struct
+  type edge = { value : float; paper : int; reviewer : int }
+
+  let edge_compare a b =
+    match Float.compare b.value a.value with
+    | 0 -> (
+        match Int.compare a.paper b.paper with
+        | 0 -> Int.compare a.reviewer b.reviewer
+        | c -> c)
+    | c -> c
+
+  let hungarian_work_gate = 100_000_000
+
+  let value pair_gain ~paper ~reviewer g =
+    match pair_gain with None -> g | Some f -> f ~paper ~reviewer ~coverage_gain:g
+
+  let collect pair_gain gm inst ~current ~capacity =
+    let edges = ref [] in
+    for p = 0 to Instance.n_papers inst - 1 do
+      let members = Assignment.group current p in
+      Gain_matrix.iter_row gm ~paper:p (fun ~reviewer:r ~gain ->
+          if
+            capacity.(r) > 0 && (not (List.mem r members))
+            && not (Instance.forbidden inst ~paper:p ~reviewer:r)
+          then
+            edges :=
+              { value = value pair_gain ~paper:p ~reviewer:r gain; paper = p; reviewer = r }
+              :: !edges)
+    done;
+    Array.of_list !edges
+
+  let compact_hungarian ~rows ~capacity edges =
+    let touched =
+      List.sort_uniq Int.compare (Array.to_list (Array.map (fun e -> e.reviewer) edges))
+    in
+    let owner =
+      Array.of_list
+        (List.concat_map (fun r -> List.init (min capacity.(r) rows) (fun _ -> r)) touched)
+    in
+    let cols = Array.length owner in
+    if cols < rows then None
+    else begin
+      let score = Array.init rows (fun _ -> Array.make cols Lap.Hungarian.forbidden) in
+      Array.iter
+        (fun e ->
+          Array.iteri (fun c r -> if r = e.reviewer then score.(e.paper).(c) <- e.value) owner)
+        edges;
+      match Lap.Hungarian.maximize score with
+      | cols_of_rows, _ -> Some (Array.map (fun c -> owner.(c)) cols_of_rows)
+      | exception Failure _ -> None
+    end
+
+  let greedy pair_gain gm inst ~current ~capacity edges =
+    let rows = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
+    Array.sort edge_compare edges;
+    let chosen = Array.make rows (-1) and left = Array.copy capacity in
+    Array.iter
+      (fun e ->
+        if chosen.(e.paper) < 0 && left.(e.reviewer) > 0 then begin
+          chosen.(e.paper) <- e.reviewer;
+          left.(e.reviewer) <- left.(e.reviewer) - 1
+        end)
+      edges;
+    for p = 0 to rows - 1 do
+      if chosen.(p) < 0 then begin
+        let members = Assignment.group current p in
+        let best = ref (-1) and best_value = ref neg_infinity in
+        for r = 0 to n_r - 1 do
+          if
+            left.(r) > 0 && (not (List.mem r members))
+            && not (Instance.forbidden inst ~paper:p ~reviewer:r)
+          then begin
+            let v = value pair_gain ~paper:p ~reviewer:r (Gain_matrix.gain gm ~paper:p ~reviewer:r) in
+            if v > !best_value then begin
+              best_value := v;
+              best := r
+            end
+          end
+        done;
+        if !best < 0 then failwith "infeasible";
+        chosen.(p) <- !best;
+        left.(!best) <- left.(!best) - 1
+      end
+    done;
+    chosen
+
+  (* The pairs, whether the stage fell below the work gate, and whether
+     the compact Hungarian (rather than greedy) produced them. *)
+  let solve ?pair_gain gm inst ~current ~capacity =
+    let rows = Instance.n_papers inst in
+    let edges = collect pair_gain gm inst ~current ~capacity in
+    let units = Array.fold_left (fun acc c -> acc + min c rows) 0 capacity in
+    let exact =
+      rows * rows <= hungarian_work_gate / max 1 (min units (Array.length edges))
+    in
+    let chosen, hungarian =
+      match if exact then compact_hungarian ~rows ~capacity edges else None with
+      | Some chosen -> (chosen, true)
+      | None -> (greedy pair_gain gm inst ~current ~capacity edges, false)
+    in
+    (List.init rows (fun p -> (p, chosen.(p))), exact, hungarian)
+end
+
+(* Instances built for ties and leftovers: weights on a coarse grid and
+   duplicated reviewers (equal gains), a pair transform that rounds
+   gains (more ties), zero-capacity reviewers and narrow candidate
+   lists (the full-scan completion). Small instances solve below the
+   work gate, 300-paper ones above it. *)
+let stage_matches_boxed ~name ~count ~n_p ~n_r =
+  QCheck.Test.make ~name ~count seeds (fun seed ->
+      let rng = Rng.create seed in
+      let dim = 16 in
+      let coarse () =
+        Array.init dim (fun _ ->
+            if Rng.uniform rng < 0.3 then float_of_int (1 + Rng.int rng 3) /. 4. else 0.)
+      in
+      let papers = Array.init n_p (fun _ -> coarse ()) in
+      let distinct = Array.init ((n_r / 3) + 1) (fun _ -> coarse ()) in
+      let reviewers = Array.init n_r (fun r -> distinct.(r mod Array.length distinct)) in
+      let kind = List.nth Scoring.all (Rng.int rng 4) in
+      let coi = random_coi rng ~n_p ~n_r in
+      let dp = 2 in
+      let inst =
+        Instance.create_exn ~scoring:kind ~coi ~papers ~reviewers ~delta_p:dp
+          ~delta_r:(Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p:dp + 1)
+          ()
+      in
+      let k = 1 + Rng.int rng 4 in
+      let gm = Gain_matrix.create ~candidates:k inst in
+      let oracle_gm = Gain_matrix.create ~candidates:k inst in
+      (* One reviewer already in each group, as after SDGA's first stage. *)
+      let current = Assignment.empty ~n_papers:n_p in
+      for p = 0 to n_p - 1 do
+        let r = Rng.int rng n_r in
+        if not (Instance.forbidden inst ~paper:p ~reviewer:r) then begin
+          Assignment.add current ~paper:p ~reviewer:r;
+          Gain_matrix.add gm ~paper:p ~reviewer:r;
+          Gain_matrix.add oracle_gm ~paper:p ~reviewer:r
+        end
+      done;
+      let zero_share = Rng.uniform rng *. 0.6 in
+      let capacity =
+        Array.init n_r (fun _ -> if Rng.uniform rng < zero_share then 0 else 1 + Rng.int rng 2)
+      in
+      let pair_gain =
+        if Rng.bool rng then None
+        else
+          Some
+            (fun ~paper:_ ~reviewer:_ ~coverage_gain ->
+              Float.round (coverage_gain *. 20.) /. 20.)
+      in
+      let got =
+        match Stage.solve ?pair_gain ~gains:gm inst ~current ~capacity with
+        | pairs -> Some pairs
+        | exception Failure _ -> None
+      in
+      let want =
+        match Boxed_stage.solve ?pair_gain oracle_gm inst ~current ~capacity with
+        | pairs, _, _ -> Some pairs
+        | exception Failure _ -> None
+      in
+      (match (got, want) with
+      | Some g, Some w when g = w -> ()
+      | None, None -> ()
+      | _ ->
+          QCheck.Test.fail_reportf "seed %d %s k=%d: Stage.solve differs from the boxed oracle"
+            seed (Scoring.name kind) k);
+      true)
+
+(* Shapes that reach every path of the pruned stage: the compact
+   Hungarian below the work gate, greedy above it, and the full-scan
+   completion both when the Hungarian finds the edges cannot cover
+   every paper and above the gate. Checked here so the oracle
+   properties cannot pass vacuously. *)
+let test_stage_oracle_paths () =
+  let paths = Hashtbl.create 4 in
+  List.iter
+    (fun (n_p, n_r, k, zero_share) ->
+      let rng = Rng.create (n_p + k) in
+      let inst = random_instance rng ~n_p ~n_r ~dp:2 in
+      let gm = Gain_matrix.create ~candidates:k inst in
+      let capacity =
+        Array.init n_r (fun r -> if r mod 10 < zero_share then 0 else 2)
+      in
+      let current = Assignment.empty ~n_papers:n_p in
+      let pairs, exact, hungarian = Boxed_stage.solve gm inst ~current ~capacity in
+      Alcotest.(check bool) "oracle = Stage.solve" true
+        (pairs = Stage.solve ~gains:(Gain_matrix.create ~candidates:k inst) inst ~current ~capacity);
+      let completed =
+        List.exists
+          (fun (p, r) -> not (Array.mem r (Gain_matrix.candidates gm ~paper:p)))
+          pairs
+      in
+      Hashtbl.replace paths (exact, hungarian, completed) ())
+    [ (12, 30, 3, 0); (300, 900, 4, 0); (300, 900, 1, 6); (1200, 2000, 1, 5) ];
+  List.iter
+    (fun (label, key) -> Alcotest.(check bool) label true (Hashtbl.mem paths key))
+    [
+      ("compact Hungarian", (true, true, false));
+      ("greedy above the gate", (false, false, false));
+      ("completion below the gate", (true, false, true));
+      ("completion above the gate", (false, false, true));
+    ]
+
+(* An SRA round on a pruned matrix allocates a few words per paper and
+   none per edge: its workload, capacity and stage buffers are reused
+   across rounds, and the stage's edges live in the matrix's scratch.
+   What a round still allocates — the trimmed assignment, boxed keep
+   probabilities, the stage's pair list, the objective's per-paper
+   scores — measured ~100 words per paper here (200 papers, 2000
+   reviewers, ~14 edges per paper, no completion scans). With boxed
+   edge records and per-round reviewer arrays the same round took ~400
+   words per paper; the bound sits between. *)
+let test_sra_round_allocation () =
+  let rng = Rng.create 2015 in
+  let n_p = 200 and n_r = 2000 and dim = 100 in
+  let papers = Array.init n_p (fun _ -> sparse_vec rng ~dim ~nnz:6) in
+  let reviewers = Array.init n_r (fun _ -> sparse_vec rng ~dim ~nnz:8) in
+  let inst =
+    Instance.create_exn ~papers ~reviewers ~delta_p:3
+      ~delta_r:(Instance.min_workload ~papers:n_p ~reviewers:n_r ~delta_p:3 + 1)
+      ()
+  in
+  let gm = Gain_matrix.create ~candidates:16 inst in
+  let ctx = { (Ctx.make ~seed:7 ~candidates:16 ()) with Ctx.gains = Some gm } in
+  let start = Sdga.solve ~ctx inst in
+  let words = ref [] and last = ref 0. in
+  let on_round ~round:_ ~elapsed:_ ~best:_ =
+    let now = Gc.minor_words () in
+    words := (now -. !last) :: !words;
+    last := now
+  in
+  last := Gc.minor_words ();
+  ignore
+    (Sra.refine ~on_round
+       ~params:{ Sra.default_params with Sra.omega = max_int; max_rounds = 12 }
+       ~ctx inst start);
+  let sorted = List.sort Float.compare !words in
+  let median = List.nth sorted (List.length sorted / 2) in
+  let per_paper = median /. float_of_int n_p in
+  Printf.printf "SRA round: median %.0f minor words, %.1f per paper\n" median per_paper;
+  Alcotest.(check bool)
+    (Printf.sprintf "median round allocates %.1f words per paper (bound 150)" per_paper)
+    true (per_paper < 150.)
+
 let () =
   Alcotest.run "prune"
     [
@@ -423,6 +675,17 @@ let () =
         ] );
       ( "matrix",
         [ QCheck_alcotest.to_alcotest pruned_cells_match_dense ] );
+      ( "stage",
+        [
+          QCheck_alcotest.to_alcotest
+            (stage_matches_boxed ~name:"exact side = boxed oracle" ~count:60 ~n_p:10
+               ~n_r:30);
+          QCheck_alcotest.to_alcotest
+            (stage_matches_boxed ~name:"greedy side = boxed oracle" ~count:8 ~n_p:300
+               ~n_r:1200);
+          Alcotest.test_case "oracle shapes reach every path" `Quick
+            test_stage_oracle_paths;
+        ] );
       ( "solvers",
         [
           QCheck_alcotest.to_alcotest pruned_solves_valid;
@@ -430,5 +693,7 @@ let () =
           QCheck_alcotest.to_alcotest pruned_jobs_determinism;
           Alcotest.test_case "k=16/32 SDGA coverage >= 0.99x dense" `Quick
             test_pruned_coverage_ratio;
+          Alcotest.test_case "SRA round allocates per paper" `Quick
+            test_sra_round_allocation;
         ] );
     ]

@@ -695,6 +695,37 @@ let test_cli_jobs_capped () =
     (List.length (List.filter (String.equal warning) (String.split_on_char '\n' log)));
   Alcotest.(check string) "capped TSV = --jobs 1 TSV" (Lazy.force jobs1_tsv) tsv
 
+(* A standing parity oracle for the pruned path: the quick preset's
+   k = 16 TSVs under both objectives and two seeds, pinned by MD5. A
+   change meant to keep outputs (a performance change) must leave these
+   digests alone; a change that moves an assignment on purpose updates
+   them and says why. *)
+let pinned_pruned_tsvs =
+  [
+    ("coverage", 2015, "fa4f84c503cfec056b5ec594f2169458");
+    ("coverage", 7, "a86fd47aa3b9d080b13ba4f205416157");
+    ("min", 2015, "b42dce9982ca67130c9e013d4aab6019");
+    ("min", 7, "d55b452753ca7012cc4a3d32a3b1c3b2");
+  ]
+
+let test_cli_pruned_digests () =
+  List.iter
+    (fun (objective, seed, digest) ->
+      let out = Filename.temp_file "wgrap_pinned" ".tsv" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove out)
+        (fun () ->
+          let code, log =
+            Cli.run
+              [ "assign"; "--preset"; "quick"; "--candidates"; "16"; "--objective";
+                objective; "--seed"; string_of_int seed; "--out"; out ]
+          in
+          let label = Printf.sprintf "--objective %s --seed %d" objective seed in
+          Alcotest.(check int) (label ^ ": exit code\n" ^ log) 0 code;
+          Alcotest.(check string) (label ^ ": TSV digest") digest
+            (Digest.to_hex (Digest.file out))))
+    pinned_pruned_tsvs
+
 let () =
   Alcotest.run "robustness"
     [
@@ -727,5 +758,7 @@ let () =
             test_cli_jobs_invariant;
           Alcotest.test_case "--jobs above the cores is capped" `Quick
             test_cli_jobs_capped;
+          Alcotest.test_case "quick k=16 TSVs pinned by MD5" `Quick
+            test_cli_pruned_digests;
         ] );
     ]

@@ -459,7 +459,8 @@ let direct_scoring =
   let scoring_kernels =
     [
       "contribution"; "score"; "group_score"; "gain"; "score_sparse";
-      "gain_sparse"; "score_into"; "gain_into"; "group_score_sparse";
+      "gain_sparse"; "score_into"; "gain_cell"; "gain_row"; "add_postings";
+      "group_score_sparse";
     ]
   in
   let in_scope file =
