@@ -111,30 +111,13 @@ let pool_of_jobs jobs =
 (* {2 objective selection}
 
    --objective names the scoring backend (Objective.spec). The name is
-   checked as soon as the flags are applied, before any work; the
-   returned function builds the spec for the instance's topic
-   dimension, loading the taxonomy tree only when that backend is
-   selected and checking it against the dimension it will be bound
-   to. *)
+   checked as soon as the flags are applied, before any work. *)
 
-let objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay =
-  let tree_spec dim =
-    match taxonomy_tsv with
-    | None -> die exit_usage "--objective taxonomy requires --taxonomy-tsv"
-    | Some path -> (
-        match Dataset.Loader.load_taxonomy ~dim path with
-        | Ok tree -> (
-            try Objective.taxonomy ~decay:taxonomy_decay tree
-            with Invalid_argument m -> die exit_usage "%s" m)
-        | Error e -> die exit_data "error loading taxonomy %s: %s" path e)
-  in
-  match objective with
-  | "coverage" -> fun ~dim:_ -> Objective.coverage
-  | "min" -> fun ~dim:_ -> Objective.min_coverage
-  | "taxonomy" -> fun ~dim -> tree_spec dim
+let objective_spec = function
+  | "coverage" -> Objective.coverage
+  | "min" -> Objective.min_coverage
   | other ->
-      die exit_usage
-        "--objective must be one of coverage, min, taxonomy (got %S)" other
+      die exit_usage "--objective must be one of coverage, min (got %S)" other
 
 (* {2 assign inputs}
 
@@ -238,14 +221,14 @@ let corpus_input ~seed ~lenient ~authors_path ~papers_path ~dataset ~delta_p
   }
 
 let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
-    ~taxonomy_tsv ~taxonomy_decay ~json ~refine ~budget ~jobs ~candidates
-    ~lenient ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume ~preset =
+    ~json ~refine ~budget ~jobs ~candidates ~lenient ~strict ~out
+    ~checkpoint_dir ~checkpoint_every ~resume ~preset =
   check_flag ~flag:"delta-p" ~min:1 delta_p;
   check_flag ~flag:"candidates" ~min:0 candidates;
   check_flag ~flag:"jobs" ~min:0 jobs;
   if resume && Option.is_none checkpoint_dir then
     die exit_usage "--resume requires --checkpoint-dir";
-  let spec_for = objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay in
+  let objective = objective_spec objective in
   let { inst; paper_label; tsv_lines } =
     match preset with
     | Some name -> preset_input ~seed ~delta_p ~json name
@@ -253,7 +236,6 @@ let assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
         corpus_input ~seed ~lenient ~authors_path ~papers_path ~dataset
           ~delta_p ~json
   in
-  let objective = spec_for ~dim:(Instance.n_topics inst) in
   let pool = pool_of_jobs jobs in
   let run = { Wgrap_persist.Store.objective; candidates; refine } in
   (* Crash-safe mode: recover (and certify) any stored state before the
@@ -541,9 +523,9 @@ let resume_arg =
 
 (* {1 serve} *)
 
-let serve ~dim ~delta_p ~delta_r ~objective ~taxonomy_tsv ~taxonomy_decay
-    ~state_dir ~resume ~verify ~socket ~event_budget_ms ~queue_limit
-    ~p99_limit_ms ~snapshot_every ~max_clients =
+let serve ~dim ~delta_p ~delta_r ~objective ~state_dir ~resume ~verify
+    ~socket ~event_budget_ms ~queue_limit ~p99_limit_ms ~snapshot_every
+    ~max_clients =
   check_flag ~flag:"queue-limit" ~min:1 queue_limit;
   let module Server = Wgrap_serve.Server in
   let module State = Wgrap_serve.State in
@@ -551,8 +533,7 @@ let serve ~dim ~delta_p ~delta_r ~objective ~taxonomy_tsv ~taxonomy_decay
   let cfg =
     {
       (Server.default ~dim ~delta_p ~delta_r) with
-      objective =
-        objective_spec ~objective ~taxonomy_tsv ~taxonomy_decay ~dim;
+      objective = objective_spec objective;
       event_budget =
         (if event_budget_ms <= 0. then None else Some (event_budget_ms /. 1000.));
       queue_limit;
@@ -637,26 +618,10 @@ let objective_arg =
     & info [ "objective" ] ~docv:"NAME"
         ~doc:
           "Scoring backend: $(b,coverage) (Eq. 9 weighted coverage, the \
-           default), $(b,min) (maximize the worst-off paper) or \
-           $(b,taxonomy) (tree-smoothed expertise, needs \
-           $(b,--taxonomy-tsv)). Non-submodular backends route \
-           greedy-seeded refinement chains instead of SDGA-led ones.")
-
-let taxonomy_tsv_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "taxonomy-tsv" ] ~docv:"FILE"
-        ~doc:
-          "Topic-taxonomy edge list: one $(i,child)\\t$(i,parent) line per \
-           edge, $(b,-1) or $(b,-) for roots, $(b,#)-comments; unmentioned \
-           topics default to roots.")
-
-let taxonomy_decay_arg =
-  Arg.(
-    value & opt float 0.5
-    & info [ "taxonomy-decay" ] ~docv:"D"
-        ~doc:"Per-hop expertise decay along taxonomy edges, in [0, 1].")
+           default) or $(b,min) (maximize the worst-off paper). \
+           Non-submodular backends route greedy-seeded refinement chains \
+           instead of SDGA-led ones. Under $(b,serve) it shapes only the \
+           $(b,stats) report; every re-solve scores weighted coverage.")
 
 let assign_cmd =
   let dataset =
@@ -722,17 +687,15 @@ let assign_cmd =
     (Cmd.info "assign" ~doc:"Conference assignment (SDGA + SRA anytime harness)")
     Term.(
       const
-        (fun seed authors_path papers_path dataset delta_p objective
-             taxonomy_tsv taxonomy_decay json no_refine budget jobs candidates
-             lenient strict out checkpoint_dir checkpoint_every resume preset ->
+        (fun seed authors_path papers_path dataset delta_p objective json
+             no_refine budget jobs candidates lenient strict out checkpoint_dir
+             checkpoint_every resume preset ->
           assign ~seed ~authors_path ~papers_path ~dataset ~delta_p ~objective
-            ~taxonomy_tsv ~taxonomy_decay ~json ~refine:(not no_refine) ~budget
-            ~jobs ~candidates ~lenient ~strict ~out ~checkpoint_dir
-            ~checkpoint_every ~resume ~preset)
+            ~json ~refine:(not no_refine) ~budget ~jobs ~candidates ~lenient
+            ~strict ~out ~checkpoint_dir ~checkpoint_every ~resume ~preset)
       $ seed_arg $ authors_arg $ papers_arg $ dataset $ delta_p $ objective_arg
-      $ taxonomy_tsv_arg $ taxonomy_decay_arg $ json
-      $ no_refine $ budget_arg $ jobs $ candidates $ lenient_arg $ strict_arg
-      $ out $ checkpoint_dir_arg $ checkpoint_every_arg $ resume_arg $ preset)
+      $ json $ no_refine $ budget_arg $ jobs $ candidates $ lenient_arg
+      $ strict_arg $ out $ checkpoint_dir_arg $ checkpoint_every_arg $ resume_arg $ preset)
 
 let checkpoint_cmd =
   let dir =
@@ -870,15 +833,14 @@ let serve_cmd =
        ~doc:"Kill-safe online assignment service (WAL-backed event loop)")
     Term.(
       const
-        (fun dim delta_p delta_r objective taxonomy_tsv taxonomy_decay
-             state_dir resume verify socket event_budget_ms queue_limit
-             p99_limit_ms snapshot_every max_clients ->
-          serve ~dim ~delta_p ~delta_r ~objective ~taxonomy_tsv ~taxonomy_decay
-            ~state_dir ~resume ~verify ~socket ~event_budget_ms ~queue_limit
-            ~p99_limit_ms ~snapshot_every ~max_clients)
-      $ dim $ delta_p $ delta_r $ objective_arg $ taxonomy_tsv_arg
-      $ taxonomy_decay_arg $ state_dir $ resume $ verify $ socket
-      $ event_budget $ queue_limit $ p99_limit $ snapshot_every $ max_clients)
+        (fun dim delta_p delta_r objective state_dir resume verify socket
+             event_budget_ms queue_limit p99_limit_ms snapshot_every
+             max_clients ->
+          serve ~dim ~delta_p ~delta_r ~objective ~state_dir ~resume ~verify
+            ~socket ~event_budget_ms ~queue_limit ~p99_limit_ms
+            ~snapshot_every ~max_clients)
+      $ dim $ delta_p $ delta_r $ objective_arg $ state_dir $ resume $ verify
+      $ socket $ event_budget $ queue_limit $ p99_limit $ snapshot_every $ max_clients)
 
 let () =
   (* Degraded runs report faults on stderr; with backtraces recorded the

@@ -44,15 +44,12 @@ type t = {
           [Error msg]: a checkpoint was offered but failed load
           certification — run fresh and report {!Solver.Stale_checkpoint} *)
   pool : Wgrap_par.Pool.t option;
-      (** domain pool for the paths whose result it cannot change (JRA
-          batches, gain-matrix rebuilds); [None] = sequential *)
+      (** domain pool for the path whose result it cannot change
+          (gain-matrix rebuilds); [None] = sequential *)
   objective : Objective.spec;
       (** the objective every solver entered through this context binds
           and scores against; defaults to {!Objective.coverage} (the
-          paper's Eq. 9, bit-identical to the pre-objective path). A
-          supplied [gains] matrix must have been created over the bound
-          objective's {!Objective.view}, which differs from the
-          instance for [Taxonomy]. *)
+          paper's Eq. 9, bit-identical to the pre-objective path). *)
 }
 
 val default : t

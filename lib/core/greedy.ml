@@ -5,7 +5,6 @@ type entry = { gain : float; reviewer : int; paper : int; version : int }
 let solve_impl ?deadline ?gains ?(candidates = 0) ?pool
     ?(objective = Objective.coverage) inst =
   let obj = Objective.bind objective inst in
-  let inst = Objective.view obj in
   (* Only a current-independent transform is sound here: a lazy heap
      assumes a popped stale gain can only over-estimate, which holds for
      coverage plus any modular term (Blend) but not for rank-dependent
@@ -113,7 +112,6 @@ let solve ?(ctx = Ctx.default) inst =
 
 let solve_rescan ?deadline ?(objective = Objective.coverage) inst =
   let obj = Objective.bind objective inst in
-  let inst = Objective.view obj in
   let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
   let dp = inst.Instance.delta_p and dr = inst.Instance.delta_r in
   let assignment = Assignment.empty ~n_papers:n_p in

@@ -9,7 +9,6 @@ type spec =
   | Coverage
   | Blend of { preferences : float array array; lambda : float }
   | Min
-  | Taxonomy of { tree : Taxonomy.t; decay : float }
 
 let coverage = Coverage
 
@@ -22,90 +21,71 @@ let blend ?(lambda = 0.7) preferences =
 
 let min_coverage = Min
 
-let taxonomy ?(decay = 0.5) tree =
-  if decay < 0. || decay > 1. || Float.is_nan decay then
-    invalid_arg "Objective.taxonomy: decay must lie in [0, 1]";
-  Taxonomy { tree; decay }
-
 let name = function
   | Coverage -> "coverage"
   | Blend _ -> "blend"
   | Min -> "min"
-  | Taxonomy _ -> "taxonomy"
 
-(* Submodularity: coverage satisfies Lemma 4; a blend adds a modular
-   (group-independent) bid term to it, and the taxonomy objective IS
-   coverage on a transformed instance. The min aggregates per-paper
-   scores through the rank order, which breaks the per-topic
+(* Submodularity: coverage satisfies Lemma 4, and a blend adds a
+   modular (group-independent) bid term to it. The min aggregates
+   per-paper scores through the rank order, which breaks the per-topic
    additivity Lemma 4 needs — SDGA's stage-confinement guarantee does
    not apply, so Solver.cra routes the greedy-seeded SRA chain. *)
 let submodular = function
-  | Coverage | Blend _ | Taxonomy _ -> true
+  | Coverage | Blend _ -> true
   | Min -> false
 
-type t = {
-  spec : spec;
-  view : Instance.t;
-      (* the instance solvers actually score against — [== inst] except
-         for transforming backends (Taxonomy smooths reviewer vectors) *)
-}
+type t = { spec : spec; inst : Instance.t }
 
 let bind spec inst =
-  match spec with
-  | Coverage | Min -> { spec; view = inst }
+  (match spec with
+  | Coverage | Min -> ()
   | Blend { preferences; _ } ->
       if
         Array.length preferences <> Instance.n_papers inst
         || Array.exists
              (fun row -> Array.length row <> Instance.n_reviewers inst)
              preferences
-      then invalid_arg "Objective.bind: preference matrix shape mismatch";
-      { spec; view = inst }
-  | Taxonomy { tree; decay } ->
-      if Taxonomy.dim tree <> Instance.n_topics inst then
-        invalid_arg "Objective.bind: taxonomy dimension mismatch";
-      let smoothed =
-        Array.map (Taxonomy.smooth tree ~decay) inst.Instance.reviewers
-      in
-      { spec; view = Instance.with_reviewers inst smoothed }
+      then invalid_arg "Objective.bind: preference matrix shape mismatch");
+  { spec; inst }
 
 let spec t = t.spec
-let view t = t.view
+let view t = t.inst
 
-(* The per-pair coverage component under the objective's view — the
-   score Eq. 9/10 keep-probabilities are built from. Identical to
-   {!pair_score} except for Blend, whose pair score adds the modular
+(* The per-pair coverage component — the score Eq. 9/10
+   keep-probabilities are built from. Identical to {!pair_score}
+   except for Blend, whose pair score adds the modular
    bid term the removal model deliberately ignores (removal targets
    topical misfit; bids shape the refill through {!stage_gain}). *)
 let coverage_score t ~paper ~reviewer =
-  Instance.pair_score t.view ~paper ~reviewer
+  Instance.pair_score t.inst ~paper ~reviewer
 
 let pair_score t ~paper ~reviewer =
-  let c = Instance.pair_score t.view ~paper ~reviewer in
+  let c = Instance.pair_score t.inst ~paper ~reviewer in
   match t.spec with
-  | Coverage | Min | Taxonomy _ -> c
+  | Coverage | Min -> c
   | Blend { preferences; lambda } ->
       (lambda *. c)
       +. (1. -. lambda)
          *. preferences.(paper).(reviewer)
-         /. float_of_int t.view.Instance.delta_p
+         /. float_of_int t.inst.Instance.delta_p
 
 let marginal_gain t ~group ~paper ~reviewer =
   let g =
-    Scoring.gain t.view.Instance.scoring ~group
-      t.view.Instance.reviewers.(reviewer) t.view.Instance.papers.(paper)
+    Scoring.gain t.inst.Instance.scoring ~group
+      t.inst.Instance.reviewers.(reviewer) t.inst.Instance.papers.(paper)
   in
   match t.spec with
-  | Coverage | Min | Taxonomy _ -> g
+  | Coverage | Min -> g
   | Blend { preferences; lambda } ->
       (lambda *. g)
       +. (1. -. lambda)
          *. preferences.(paper).(reviewer)
-         /. float_of_int t.view.Instance.delta_p
+         /. float_of_int t.inst.Instance.delta_p
 
 let per_paper_scores t assignment =
-  Array.init (Instance.n_papers t.view) (fun p ->
-      Assignment.paper_score t.view assignment p)
+  Array.init (Instance.n_papers t.inst) (fun p ->
+      Assignment.paper_score t.inst assignment p)
 
 (* Leximin geometric weights for the min objective: rank weight
    [ratio^rank] over the ascending sort of the per-paper coverages —
@@ -126,7 +106,7 @@ let leximin_ratio ~n_papers = 0.5 ** (4. /. float_of_int (max 1 n_papers))
 let round_tie_break t =
   match t.spec with
   | Min ->
-      let ratio = leximin_ratio ~n_papers:(Instance.n_papers t.view) in
+      let ratio = leximin_ratio ~n_papers:(Instance.n_papers t.inst) in
       Some
         (fun assignment ->
           let sorted = per_paper_scores t assignment in
@@ -138,21 +118,21 @@ let round_tie_break t =
               w := !w *. ratio)
             sorted;
           !acc)
-  | Coverage | Blend _ | Taxonomy _ -> None
+  | Coverage | Blend _ -> None
 
 let value t assignment =
   match t.spec with
-  | Coverage | Taxonomy _ -> Assignment.coverage t.view assignment
+  | Coverage -> Assignment.coverage t.inst assignment
   | Min ->
       let scores = per_paper_scores t assignment in
       if Array.length scores = 0 then 0.
       else Array.fold_left Float.min Float.infinity scores
   | Blend { preferences; lambda } ->
-      let dp = float_of_int t.view.Instance.delta_p in
+      let dp = float_of_int t.inst.Instance.delta_p in
       let acc = ref 0. in
       Array.iteri
         (fun p group ->
-          let c = Assignment.paper_score t.view assignment p in
+          let c = Assignment.paper_score t.inst assignment p in
           let bids =
             List.fold_left (fun s r -> s +. preferences.(p).(r)) 0. group
           in
@@ -166,9 +146,9 @@ let value t assignment =
    needs the per-round {!stage_gain} instead. *)
 let static_gain t : pair_gain option =
   match t.spec with
-  | Coverage | Min | Taxonomy _ -> None
+  | Coverage | Min -> None
   | Blend { preferences; lambda } ->
-      let dp = float_of_int t.view.Instance.delta_p in
+      let dp = float_of_int t.inst.Instance.delta_p in
       Some
         (fun ~paper ~reviewer ~coverage_gain ->
           (lambda *. coverage_gain)
@@ -183,7 +163,7 @@ let static_gain t : pair_gain option =
    available reviewers. *)
 let stage_gain t ~current : pair_gain option =
   match t.spec with
-  | Coverage | Taxonomy _ -> None
+  | Coverage -> None
   | Blend _ -> static_gain t
   | Min ->
       let scores = per_paper_scores t current in

@@ -6,8 +6,8 @@
     {!Instance.pair_score} directly (the wgrap_lint [direct-scoring]
     rule enforces this in solver modules). A {!spec} names the backend
     and its parameters; {!bind} attaches it to a concrete instance,
-    producing the {!view} the kernels and gain matrices actually score
-    against.
+    which it never copies or rewrites: every solver scores the instance
+    it was called with.
 
     Backends:
     - [Coverage] — the paper's weighted-coverage objective (Eq. 9),
@@ -18,11 +18,6 @@
       {b Not} submodular: Lemma 4's per-topic additivity fails, so
       {!Solver.cra} routes greedy-seeded SRA chains instead of
       SDGA-led ones.
-    - [Taxonomy] — hierarchical keyword similarity (Kalmukov): reviewer
-      expertise bleeds along a topic-tree with per-hop [decay]; realized
-      as coverage over an instance view with tree-smoothed reviewer
-      vectors ({!Taxonomy.smooth}), so every coverage kernel applies
-      unchanged.
 
     Every backend is monotone (adding a reviewer never lowers the
     value). Chain-routing contract: a solver ladder may lead with SDGA
@@ -40,7 +35,6 @@ type spec =
       (** [lambda * coverage + (1 - lambda) * bid / delta_p], with
           [preferences] a [P x R] non-negative bid matrix. *)
   | Min  (** The smallest per-paper coverage; [0.] with no papers. *)
-  | Taxonomy of { tree : Taxonomy.t; decay : float }
 
 (** {1 Constructors} *)
 
@@ -54,15 +48,11 @@ val blend : ?lambda:float -> float array array -> spec
 val min_coverage : spec
 (** [Min]: maximize the worst-off paper. *)
 
-val taxonomy : ?decay:float -> Taxonomy.t -> spec
-(** Default [decay = 0.5]. Raises [Invalid_argument] unless [decay]
-    lies in [0, 1]. *)
-
 (** {1 Spec inspection} *)
 
 val name : spec -> string
-(** ["coverage"], ["blend"], ["min"] or ["taxonomy"] — the
-    [--objective] vocabulary. *)
+(** ["coverage"], ["blend"] or ["min"]; [--objective] accepts
+    ["coverage"] and ["min"]. *)
 
 val submodular : spec -> bool
 (** Whether the induced set function satisfies Lemma 4's conditions, so
@@ -74,19 +64,14 @@ type t
 (** A spec bound to an instance: the thing solvers score against. *)
 
 val bind : spec -> Instance.t -> t
-(** Validates spec-vs-instance shape ([Blend] matrix dimensions,
-    [Taxonomy] tree dimension) and computes the scoring view. Raises
+(** Validates spec-vs-instance shape ([Blend] matrix dimensions) and
+    binds the instance as given, without copying it. Raises
     [Invalid_argument] on mismatch. *)
 
 val spec : t -> spec
 
 val view : t -> Instance.t
-(** The instance to build gain matrices, stages and JRA subproblems
-    over. Physically the bound instance except for [Taxonomy], which
-    rewrites the reviewer vectors; any externally supplied
-    {!Gain_matrix} (e.g. [ctx.gains]) must then have been created over
-    the view, not the raw instance — the solver entry points that bind
-    for you ({!Solver.cra}, {!Sdga.solve}, …) uphold this. *)
+(** The bound instance, physically the one passed to {!bind}. *)
 
 (** {1 Scoring} *)
 
@@ -95,7 +80,7 @@ val pair_score : t -> paper:int -> reviewer:int -> float
     term for [Blend]. *)
 
 val coverage_score : t -> paper:int -> reviewer:int -> float
-(** The pure coverage component under the view — what SRA's Eq. 10
+(** The pure coverage component — what SRA's Eq. 10
     keep-probabilities are built from (removal models topical misfit;
     modular terms steer the refill via {!stage_gain} instead). Equal to
     {!pair_score} for every backend except [Blend]. *)
@@ -117,7 +102,7 @@ val value : t -> Assignment.t -> float
 val static_gain : t -> pair_gain option
 (** A current-assignment-independent gain transform, if the backend has
     one ([Blend]'s bid term is modular). [None] means raw coverage
-    gains are already correct ([Coverage], [Taxonomy]) or the transform
+    gains are already correct ([Coverage]) or the transform
     is rank-dependent and must be recomputed per round ([Min]). Safe to
     bake into a lazy greedy heap. *)
 
@@ -138,5 +123,5 @@ val round_tie_break : t -> (Assignment.t -> float) option
     pinned so the weight halves across a quarter of the papers, over
     the ascending-sorted per-paper coverages) that flattens the
     coverage tail while the worst papers are stuck. [None]
-    ([Coverage], [Blend], [Taxonomy]) leaves acceptance strictly
+    ([Coverage], [Blend]) leaves acceptance strictly
     value-improving — the bit-parity contract of the default chain. *)

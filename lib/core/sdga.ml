@@ -7,13 +7,7 @@ let approximation_ratio ~delta_p ~integral =
 
 let solve ?(ctx = Ctx.default) inst =
   let deadline = ctx.Ctx.deadline in
-  (* Bind the objective once; every score below — stage gains, matrix
-     rows, checkpoint values — is taken against its view, so a
-     transforming backend (Taxonomy) is just coverage from here on. A
-     supplied [ctx.gains] matrix must already be over that view (the
-     Ctx entry points uphold this). *)
   let obj = Objective.bind ctx.Ctx.objective inst in
-  let inst = Objective.view obj in
   let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
   (* Resume only from a state captured in this phase; anything else
      (e.g. a mid-SRA state handed down by mistake) starts fresh. *)
@@ -67,7 +61,7 @@ let solve ?(ctx = Ctx.default) inst =
              min per_stage (inst.Instance.delta_r - used.(r)))
        in
        (* Recomputed per stage: the min's rank boost depends on the papers'
-          current scores; Coverage/Taxonomy return None (identity). *)
+          current scores; Coverage returns None (identity). *)
        let pair_gain = Objective.stage_gain obj ~current:assignment in
        let pairs =
          try

@@ -84,7 +84,8 @@ let describe_reason ?event ?deadline r =
 
 (* {1 JRA chain: BBA -> greedy} *)
 
-let jra_chain ?deadline problem =
+let jra ?(ctx = Ctx.default) problem =
+  let deadline = ctx.Ctx.deadline in
   match Jra_bba.solve ?deadline problem with
   | sol ->
       (* On expiry BBA returns its best incumbent (a greedy pick when it
@@ -101,30 +102,14 @@ let jra_chain ?deadline problem =
           Infeasible
             ("every JRA link failed to produce a group: " ^ describe_exn e))
 
-let jra ?(ctx = Ctx.default) problem =
-  jra_chain ?deadline:ctx.Ctx.deadline problem
-
-(* Workers run the whole anytime chain on their own problem; BBA and
-   the greedy pick keep call-local state, the deadline is shared read-only,
-   and each outcome carries its own reasons. *)
-let jra_batch ?(ctx = Ctx.default) problems =
-  let module Pool = Wgrap_par.Pool in
-  let pool = match ctx.Ctx.pool with Some p -> p | None -> Pool.sequential in
-  let deadline = ctx.Ctx.deadline in
-  Pool.run pool ~n:(Array.length problems) (fun i ->
-      jra_chain ?deadline problems.(i))
-
 (* {1 CRA chain: primary (SDGA or greedy, + SRA) -> SDGA -> per-stage greedy} *)
 
-(* The chain's one gain matrix: the caller's, or a fresh one over the
-   bound objective's view (a transforming backend, Taxonomy, smooths
-   reviewers), so every link shares rows. *)
+(* The chain's one gain matrix: the caller's, or a fresh one, so every
+   link shares rows. *)
 let chain_gains ctx inst =
   match ctx.Ctx.gains with
   | Some g -> g
-  | None ->
-      Gain_matrix.create ~candidates:ctx.Ctx.candidates
-        (Objective.view (Objective.bind ctx.Ctx.objective inst))
+  | None -> Gain_matrix.create ~candidates:ctx.Ctx.candidates inst
 
 (* A sub-context for one link: the chain's pool and objective and its
    gain matrix [gm], plus the link's own deadline, sink, resume state

@@ -10,7 +10,7 @@
     Each runner walks a chain of solvers from strongest to cheapest:
 
     - JRA: branch-and-bound ({!Jra_bba}) -> greedy pick ({!Jra.greedy});
-    - CRA, submodular objectives (coverage, blend, taxonomy): SDGA +
+    - CRA, submodular objectives (coverage, blend): SDGA +
       stochastic refinement ({!Sdga}, {!Sra}) -> SDGA alone -> per-stage
       greedy ({!Greedy}), with {!Repair.complete} patching any short
       groups left by a truncated run;
@@ -84,14 +84,6 @@ val jra : ?ctx:Ctx.t -> Jra.problem -> Jra.solution outcome
     greedy pick if it reached no leaf) when the deadline fires. The
     greedy pick also backstops a BBA fault. Never raises. *)
 
-val jra_batch : ?ctx:Ctx.t -> Jra.problem array -> Jra.solution outcome array
-(** {!jra} over a batch of independent problems, in input order. With a
-    parallel [ctx.pool] the chains run across domains (the deadline is
-    shared read-only; every other piece of chain state is per-problem),
-    and the outcomes are identical at any job count. [ctx.deadline]
-    covers the batch as a whole, exactly as a sequential loop over
-    {!jra} would behave. Each outcome carries its own reasons. This is
-    the one batch-JRA entry. *)
 
 val cra : ?refine:bool -> ?ctx:Ctx.t -> Instance.t -> Assignment.t outcome
 (** Full conference assignment. The primary link runs SDGA on half the

@@ -26,11 +26,7 @@ let refine ?(params = default_params) ?on_round ?(ctx = Ctx.default) inst
     start =
   let deadline = ctx.Ctx.deadline and checkpoint = ctx.Ctx.checkpoint in
   let rng = Ctx.rng_or ~seed:0 ctx in
-  (* Bind once; the view is what rows, stages and scores are taken
-     against (for a transforming backend a supplied [gains] must already
-     be over it — the Ctx entry points uphold this). *)
   let obj = Objective.bind ctx.Ctx.objective inst in
-  let inst = Objective.view obj in
   let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
   (* The shared gain matrix carries the Eq. 9 column sums (static across
      rounds), and its per-paper rows survive between rounds: a removal

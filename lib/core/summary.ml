@@ -73,11 +73,7 @@ let topic_balance inst scores =
 
 let compute ?(objective = Objective.coverage) inst assignment =
   let obj = Objective.bind objective inst in
-  let view = Objective.view obj in
-  let n_p = Instance.n_papers view and n_r = Instance.n_reviewers view in
-  (* Coverage stats are taken over the objective's view — under a
-     taxonomy objective a paper "covered" through a nearby topic counts
-     as covered, which is the point of the transform. *)
+  let n_p = Instance.n_papers inst and n_r = Instance.n_reviewers inst in
   let scores = Objective.per_paper_scores obj assignment in
   let workloads = Assignment.workloads assignment ~n_reviewers:n_r in
   let lo, hi = Stats.min_max scores in
@@ -88,7 +84,7 @@ let compute ?(objective = Objective.coverage) inst assignment =
   Array.iteri
     (fun p group ->
       List.iter
-        (fun r -> if Instance.forbidden view ~paper:p ~reviewer:r then incr coi_violations)
+        (fun r -> if Instance.forbidden inst ~paper:p ~reviewer:r then incr coi_violations)
         group)
     assignment.Assignment.groups;
   {
@@ -100,7 +96,7 @@ let compute ?(objective = Objective.coverage) inst assignment =
     coverage_p10 = Stats.percentile scores 0.1;
     coverage_max = hi;
     coverage_gini = gini scores;
-    topic_balance = topic_balance view scores;
+    topic_balance = topic_balance inst scores;
     objective_name = Objective.name objective;
     objective_value = Objective.value obj assignment;
     workload_min = w_min;

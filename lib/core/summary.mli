@@ -26,10 +26,8 @@ type t = {
 
 val compute : ?objective:Objective.spec -> Instance.t -> Assignment.t -> t
 (** [objective] (default {!Objective.coverage}) selects the scoring
-    backend: coverage statistics and fairness metrics are computed over
-    the objective's {!Objective.view} (so a taxonomy objective credits
-    coverage through nearby topics), and [objective_value] is
-    {!Objective.value}. *)
+    backend: [objective_value] is {!Objective.value}; the coverage
+    statistics and fairness metrics are the same for every backend. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line textual report. *)

@@ -252,10 +252,3 @@ let load_lenient ~authors_path ~papers_path =
   with
   | result -> result
   | exception Sys_error msg -> Error msg
-
-(* {1 taxonomy edge lists} *)
-
-let load_taxonomy ~dim path =
-  match read_lines path with
-  | lines -> Wgrap.Taxonomy.of_lines ~dim lines
-  | exception Sys_error msg -> Error msg

@@ -46,10 +46,3 @@ val load_lenient :
     to dense [0..n-1] in file order. The issue list records every
     dropped or altered row, in file order. [Error] only when a file is
     unreadable or nothing salvageable remains. *)
-
-val load_taxonomy : dim:int -> string -> (Wgrap.Taxonomy.t, string) result
-(** Load a topic-taxonomy edge list ({!Wgrap.Taxonomy.of_lines}: one
-    [child \t parent] per line, [-1]/[-] roots, [#]-comments) for the
-    [--objective taxonomy] backend. [dim] is the instance's topic
-    dimension; unreadable files and malformed or cyclic edges are
-    reported as [Error]. *)

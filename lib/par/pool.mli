@@ -10,10 +10,9 @@
 
     {b Determinism contract}: results are returned in task-index order
     no matter which domain computed them, so for a pure task function
-    the result is bit-identical at any job count. The solver paths that
-    use a pool ({!Wgrap.Solver.jra_batch}, {!Wgrap.Gain_matrix.rebuild})
-    build on this: their property tests pin [jobs = n] against
-    [jobs = 1] exactly. Work whose result would depend on the job count
+    the result is bit-identical at any job count. The solver path that
+    uses a pool ({!Wgrap.Gain_matrix.rebuild}) builds on this: its
+    property tests pin [jobs = n] against [jobs = 1] exactly. Work whose result would depend on the job count
     does not belong on a pool.
 
     {b Sharing contract}: task functions must not mutate state reachable

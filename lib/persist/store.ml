@@ -2,7 +2,6 @@ module Checkpoint = Wgrap.Checkpoint
 module Assignment = Wgrap.Assignment
 module Instance = Wgrap.Instance
 module Objective = Wgrap.Objective
-module Taxonomy = Wgrap.Taxonomy
 module Timer = Wgrap_util.Timer
 
 type cadence = Every_seconds of float | Every_rounds of int
@@ -25,10 +24,6 @@ let objective_fingerprint spec =
   | Objective.Coverage | Objective.Min -> Objective.name spec
   | Objective.Blend { preferences; lambda } ->
       digest (Printf.sprintf "%h" lambda :: List.map floats (Array.to_list preferences))
-  | Objective.Taxonomy { tree; decay } ->
-      digest
-        (Printf.sprintf "%h" decay
-        :: List.init (Taxonomy.dim tree) (fun v -> string_of_int (Taxonomy.parent tree v)))
 
 let fingerprint r =
   [

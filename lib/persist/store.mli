@@ -39,7 +39,7 @@ type run = {
 val fingerprint : run -> Codec.fingerprint
 (** The fields a snapshot records, in order: [objective] (the
     objective's name, plus an MD5 over its [%h]-printed payload for
-    [blend] and [taxonomy]), [candidates] and [refine]. *)
+    [blend]), [candidates] and [refine]. *)
 
 type t
 

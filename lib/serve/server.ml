@@ -61,13 +61,10 @@ type t = {
 exception Fatal of string
 
 let make ?durable cfg state =
-  (* the snapshot codec never records the objective (it is planner-only
-     config), so a decoded state always arrives with coverage; install
-     the configured one here. Dimension mismatches were caught when the
-     config was built, so failure here is a programming error. *)
-  (match State.set_objective state cfg.objective with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Server.make: " ^ m));
+  (* the snapshot codec never records the objective (it only shapes the
+     stats report), so a decoded state always arrives with coverage;
+     install the configured one here. *)
+  State.set_objective state cfg.objective;
   {
     cfg;
     state;

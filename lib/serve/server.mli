@@ -51,10 +51,9 @@ type config = {
   delta_p : int;
   delta_r : int;
   objective : Wgrap.Objective.spec;
-      (** planner-only scoring backend (default coverage): installed
-          into the state at construction, it shapes planned groups and
-          the [stats] summary but never the journal format — replay is
-          objective-independent *)
+      (** reporting backend (default coverage): installed into the
+          state at construction, it shapes only the [stats] summary,
+          never a planned group or the journal format *)
   event_budget : float option;  (** seconds of re-solve per mutation *)
   improve_slice : float;  (** seconds per idle improvement slice *)
   queue_limit : int;  (** admission queue bound *)
@@ -75,8 +74,7 @@ val create : ?durable:Durable.t -> config -> (t, string) result
 
 val of_state : ?durable:Durable.t -> config -> State.t -> t
 (** Server around a recovered state (see {!load_state}); installs
-    [config.objective] into it. Raises [Invalid_argument] when the
-    objective does not fit the state's dimension. *)
+    [config.objective] into it. *)
 
 val state : t -> State.t
 

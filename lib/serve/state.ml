@@ -6,15 +6,13 @@ module Ctx = Wgrap.Ctx
 module Instance = Wgrap.Instance
 module Assignment = Wgrap.Assignment
 module Objective = Wgrap.Objective
-module Taxonomy = Wgrap.Taxonomy
 module Summary = Wgrap.Summary
 module Timer = Wgrap_util.Timer
 module Crc32 = Wgrap_persist.Crc32
 
-(* The base coverage kernel. The resident objective (below) decides how
-   reviewer expertise is viewed before this kernel scores it; modular
-   or rank-dependent objective terms do not reshape per-event planning
-   (each event re-solves one paper), they surface in [summary]. *)
+(* The coverage kernel every planner scores with. The resident
+   objective (below) does not reshape per-event planning (each event
+   re-solves one paper); it surfaces only in [summary]. *)
 let scoring = Scoring.Weighted_coverage
 
 type t = {
@@ -31,35 +29,22 @@ type t = {
   mutable last_client : int;
   mutable applied : int;
   mutable objective : Objective.spec;
-      (** planner-only runtime config, like the event budget: it shapes
-          the groups the planners propose (and what {!summary} values),
-          but committed ops are journaled as data, so replay is
-          objective-independent and the snapshot codec never records
+      (** reporting-only runtime config: it shapes what {!summary}
+          values, never a plan, and the snapshot codec never records
           it *)
 }
 
-let validate_objective ~dim = function
-  | Objective.Taxonomy { tree; _ } when Taxonomy.dim tree <> dim ->
-      Error
-        (Printf.sprintf
-           "taxonomy is over %d topics but the instance dimension is %d"
-           (Taxonomy.dim tree) dim)
-  | _ -> Ok ()
-
-let create ?(objective = Objective.coverage) ~dim ~delta_p ~delta_r () =
+let create ~dim ~delta_p ~delta_r () =
   if dim < 1 then Error "dim must be >= 1"
   else if delta_p < 1 then Error "delta-p must be >= 1"
   else if delta_r < 1 then Error "delta-r must be >= 1"
   else
-    match validate_objective ~dim objective with
-    | Error m -> Error m
-    | Ok () ->
     Ok
       {
         dim;
         delta_p;
         delta_r;
-        objective;
+        objective = Objective.coverage;
         papers = Hashtbl.create 64;
         reviewers = Hashtbl.create 64;
         coi = Hashtbl.create 64;
@@ -76,20 +61,8 @@ let delta_p t = t.delta_p
 let delta_r t = t.delta_r
 let objective t = t.objective
 
-let set_objective t spec =
-  match validate_objective ~dim:t.dim spec with
-  | Error m -> Error m
-  | Ok () ->
-      t.objective <- spec;
-      Ok ()
+let set_objective t spec = t.objective <- spec
 
-(* How the resident objective sees a reviewer's expertise: identity for
-   every backend except the taxonomy transform, which bleeds expertise
-   along the topic tree exactly as Objective.bind's view does. *)
-let expertise t vec =
-  match t.objective with
-  | Objective.Taxonomy { tree; decay } -> Taxonomy.smooth tree ~decay vec
-  | _ -> vec
 let applied t = t.applied
 let last_client t = t.last_client
 let n_papers t = Hashtbl.length t.papers
@@ -110,7 +83,7 @@ let query t p =
         | [] -> 0.
         | _ ->
             Scoring.group_score scoring
-              (List.map (fun r -> expertise t (Hashtbl.find t.reviewers r)) g)
+              (List.map (Hashtbl.find t.reviewers) g)
               pvec
       in
       Some
@@ -128,7 +101,7 @@ let query t p =
    slots than capacity, or delta_p > R) still gets a report: the report
    instance caps delta_p at R and raises delta_r to the balanced
    minimum workload. Neither bound changes a reported value: Summary
-   and the coverage/min/taxonomy objectives never read them, and
+   and the coverage/min objectives never read them, and
    delta_p is kept whenever it fits. *)
 let summary t =
   let pids = Array.of_list (sorted_keys t.papers) in
@@ -247,7 +220,7 @@ let candidates ?(adj = fun _ -> 0) ?(banned = []) ?(members = []) t ~paper =
       else if Hashtbl.mem t.coi (paper, r) then acc
       else
         let spare = t.delta_r - workload_of t r + adj r in
-        if spare > 0 then (r, expertise t vec) :: acc else acc)
+        if spare > 0 then (r, vec) :: acc else acc)
     t.reviewers []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -260,7 +233,7 @@ let weighted_group_score ?override t ~paper group =
         (List.map
            (fun r ->
              weighted ?override t ~paper ~reviewer:r
-               (expertise t (Hashtbl.find t.reviewers r)))
+               (Hashtbl.find t.reviewers r))
            group)
         pvec
 
@@ -271,11 +244,8 @@ let greedy_fill ?deadline ?override t ~paper ~pvec ~have cands =
   let gvec = ref (Scoring.empty_group ~dim:t.dim) in
   List.iter
     (fun r ->
-      let v =
-        weighted ?override t ~paper ~reviewer:r
-          (expertise t (Hashtbl.find t.reviewers r))
-      in
-      TV.extend_max_into ~dst:!gvec v)
+      TV.extend_max_into ~dst:!gvec
+        (weighted ?override t ~paper ~reviewer:r (Hashtbl.find t.reviewers r)))
     have;
   let picked = ref (List.rev have) in
   let n = ref (List.length have) in

@@ -29,21 +29,9 @@
 
 type t
 
-val create :
-  ?objective:Wgrap.Objective.spec ->
-  dim:int ->
-  delta_p:int ->
-  delta_r:int ->
-  unit ->
-  (t, string) result
-(** Empty state; validates [dim >= 1], [delta_p >= 1], [delta_r >= 1],
-    and the objective's dimension (taxonomy tree vs [dim]). The
-    objective (default coverage) is planner-only runtime config: it
-    shapes how planners view reviewer expertise (the taxonomy
-    transform) and what {!summary} values, but every committed op is
-    journaled as data — replay and the snapshot codec are
-    objective-independent, so the same journal folds to the same
-    {!encode} under any objective. *)
+val create : dim:int -> delta_p:int -> delta_r:int -> unit -> (t, string) result
+(** Empty state under the coverage objective; validates [dim >= 1],
+    [delta_p >= 1] and [delta_r >= 1]. *)
 
 (** {2 Accessors} *)
 
@@ -53,10 +41,14 @@ val delta_r : t -> int
 
 val objective : t -> Wgrap.Objective.spec
 
-val set_objective : t -> Wgrap.Objective.spec -> (unit, string) result
+val set_objective : t -> Wgrap.Objective.spec -> unit
 (** Swap the resident objective (e.g. after {!decode}, which always
-    restores coverage); the next plan and {!summary} use it. Fails on a
-    dimension mismatch, leaving the state unchanged. *)
+    restores coverage). It shapes only what {!summary} values: every
+    planner scores plain weighted coverage of the reviewers' own
+    vectors under any objective, and every committed op is journaled
+    as data, so replay and the snapshot codec are objective-independent
+    and the same journal folds to the same {!encode} under any
+    objective. *)
 
 val applied : t -> int
 (** Sequence number of the last committed journal entry (0 = none). *)
@@ -77,8 +69,7 @@ val group : t -> int -> int list option
 type answer = {
   group : int list;
   score : float;
-      (** bid-unweighted coverage of the group under the resident
-          objective's expertise view, for reporting *)
+      (** bid-unweighted coverage of the group, for reporting *)
   short : bool;  (** the group is below [delta_p] *)
   is_pending : bool;
 }

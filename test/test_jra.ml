@@ -374,17 +374,6 @@ let chain_never_names_ilp =
           not (List.mem "jra-ilp" (links (Solver.jra ~ctx:(Ctx.make ?deadline ()) prob))))
         problems)
 
-let test_chain_batch_jobs () =
-  let problems = chain_problems (Rng.create 33) in
-  let key out =
-    (Solver.status out, Option.map (fun (s : Jra.solution) -> (s.group, s.score)) (Solver.value out), links out)
-  in
-  let at jobs =
-    Array.map key
-      (Solver.jra_batch ~ctx:(Ctx.make ~pool:(Wgrap_par.Pool.create ~jobs) ()) problems)
-  in
-  Alcotest.(check bool) "jobs 1 = jobs 2" true (at 1 = at 2)
-
 let () =
   Alcotest.run "jra"
     [
@@ -430,7 +419,6 @@ let () =
         [
           Alcotest.test_case "unbudgeted is BBA" `Quick test_chain_unbudgeted;
           Alcotest.test_case "expired deadline gives greedy" `Quick test_chain_expired;
-          Alcotest.test_case "jra_batch jobs 1 = jobs 2" `Quick test_chain_batch_jobs;
           QCheck_alcotest.to_alcotest chain_never_names_ilp;
         ] );
     ]

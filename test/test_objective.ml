@@ -4,10 +4,11 @@
    - coverage parity: binding the explicit Coverage spec is
      bit-identical to the default path on every solver entry (the
      refactor moved scoring behind Objective without changing it);
+   - binding: [Objective.bind] hands back the very instance it was
+     given, for every backend, so solvers score the instance they were
+     called with;
    - min: the value is the worst per-paper coverage, the routing
      flags, and the greedy-seeded chain stays feasible;
-   - taxonomy: the O(dim) up-then-down smoothing sweep against the
-     brute-force O(dim^2) similarity walk;
    - fairness: Summary's Gini and topic-balance against direct
      recomputations from the per-paper scores. *)
 
@@ -64,6 +65,29 @@ let coverage_parity_test =
       in
       List.for_all (fun (a, b) -> Assignment.equal a b) (pairs @ cra_pair))
 
+(* {1 Binding} *)
+
+(* Solvers score the instance they were called with and share gain
+   matrices built over it, so binding must never copy or rewrite it. *)
+let bind_keeps_instance =
+  QCheck.Test.make ~name:"bind returns the instance it was given" ~count:50
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n_r = 3 + Rng.int rng 8 in
+      let n_p = n_r + Rng.int rng 12 in
+      let inst = random_instance rng ~n_p ~n_r ~dp:2 in
+      let bids =
+        Array.init n_p (fun _ -> Array.init n_r (fun _ -> Rng.uniform rng))
+      in
+      List.for_all
+        (fun spec -> Objective.view (Objective.bind spec inst) == inst)
+        [
+          Objective.coverage;
+          Objective.min_coverage;
+          Objective.blend ~lambda:(Rng.uniform rng) bids;
+        ])
+
 (* {1 Min} *)
 
 let test_min_value_is_worst_paper () =
@@ -99,66 +123,6 @@ let min_chain_feasibility =
       match Solver.value (Solver.cra ~ctx inst) with
       | Some a -> Assignment.is_feasible inst a
       | None -> false)
-
-(* {1 Taxonomy} *)
-
-(* A random forest: parent of v drawn from [-1, v), so acyclic by
-   construction. *)
-let random_tree rng ~dim =
-  Taxonomy.create_exn
-    (Array.init dim (fun v -> if v = 0 then -1 else Rng.int rng (v + 1) - 1))
-
-let smooth_oracle tree ~decay vec =
-  Array.init (Array.length vec) (fun u ->
-      let best = ref 0. in
-      Array.iteri
-        (fun v x ->
-          let s = x *. Taxonomy.similarity tree ~decay u v in
-          if s > !best then best := s)
-        vec;
-      !best)
-
-let taxonomy_smooth_matches_walk =
-  QCheck.Test.make ~name:"taxonomy smooth = brute-force tree walk" ~count:200
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let dim = 2 + Rng.int rng 12 in
-      let tree =
-        if Rng.uniform rng < 0.5 then random_tree rng ~dim
-        else Taxonomy.balanced ~dim ~arity:(2 + Rng.int rng 3)
-      in
-      let decay = Rng.uniform rng in
-      let vec =
-        Array.init dim (fun _ ->
-            if Rng.uniform rng < 0.3 then 0. else Rng.uniform rng)
-      in
-      let got = Taxonomy.smooth tree ~decay vec in
-      let want = smooth_oracle tree ~decay vec in
-      Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) got want)
-
-let test_taxonomy_objective_scores_through_view () =
-  (* binding a taxonomy spec must equal coverage over the pre-smoothed
-     instance: the backend is exactly "coverage over the view" *)
-  let rng = Rng.create 43 in
-  let dim = 6 in
-  let inst = random_instance ~dim rng ~n_p:10 ~n_r:6 ~dp:2 in
-  let tree = Taxonomy.balanced ~dim ~arity:2 in
-  let decay = 0.5 in
-  let obj = Objective.bind (Objective.taxonomy ~decay tree) inst in
-  let smoothed =
-    Instance.create_exn
-      ~papers:(Array.init 10 (fun p -> Array.copy inst.Instance.papers.(p)))
-      ~reviewers:
-        (Array.init 6 (fun r ->
-             Taxonomy.smooth tree ~decay inst.Instance.reviewers.(r)))
-      ~delta_p:inst.Instance.delta_p ~delta_r:inst.Instance.delta_r ()
-  in
-  let a = Sdga.solve smoothed in
-  let cov = Objective.bind Objective.coverage smoothed in
-  Alcotest.(check (float 1e-9))
-    "taxonomy value = coverage value over smoothed view"
-    (Objective.value cov a) (Objective.value obj a)
 
 (* {1 Fairness metrics} *)
 
@@ -284,6 +248,7 @@ let () =
     [
       ( "parity",
         qsuite [ coverage_parity_test ] );
+      ("binding", qsuite [ bind_keeps_instance ]);
       (* The "owa" group and the OWA wording in three case names date
          from the weighted backend [Min] replaced; they are kept so the
          case ids stay stable across that change. *)
@@ -292,10 +257,6 @@ let () =
           test_min_value_is_worst_paper
         :: Alcotest.test_case "routing flags" `Quick test_routing_flags
         :: qsuite [ min_chain_feasibility ] );
-      ( "taxonomy",
-        Alcotest.test_case "objective = coverage over smoothed view" `Quick
-          test_taxonomy_objective_scores_through_view
-        :: qsuite [ taxonomy_smooth_matches_walk ] );
       ( "fairness",
         Alcotest.test_case "summary JSON shape" `Quick test_summary_json_shape
         :: Alcotest.test_case "min/owa beat coverage on min and Gini" `Slow

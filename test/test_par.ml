@@ -174,7 +174,7 @@ let solution_pair (s : Jra.solution) = (s.Jra.group, s.Jra.score)
 
 (* BBA fanned out over a pool: solutions and each problem's own search
    counters must match at any job count. *)
-let jra_batch_equivalence =
+let bba_pool_equivalence =
   QCheck.Test.make ~name:"Jra_bba.solve_counting jobs=N = jobs=1 = loop"
     ~count:60 seeds (fun seed ->
       let rng = Rng.create seed in
@@ -197,23 +197,6 @@ let jra_batch_equivalence =
       if seq <> par then
         QCheck.Test.fail_reportf "Pool.run jobs=%d differs from jobs=1"
           test_jobs;
-      true)
-
-let solver_jra_batch_equivalence =
-  QCheck.Test.make ~name:"Solver.jra_batch jobs=N = sequential jra calls"
-    ~count:60 seeds (fun seed ->
-      let rng = Rng.create seed in
-      let n_r = 5 + Rng.int rng 5 in
-      let n_p = n_r + Rng.int rng 6 in
-      let inst = random_instance rng ~n_p ~n_r ~dp:2 in
-      let problems = jra_problems rng inst ~n_p in
-      let one = Array.map (fun p -> Solver.jra p) problems in
-      let batch = Solver.jra_batch ~ctx:(Ctx.make ~pool:par_pool ()) problems in
-      let key out =
-        (Solver.status out, Option.map solution_pair (Solver.value out))
-      in
-      if Array.map key one <> Array.map key batch then
-        QCheck.Test.fail_report "jra_batch differs from per-problem jra";
       true)
 
 (* prime (sequential) and rebuild (row-parallel) must be bit-identical
@@ -290,8 +273,7 @@ let () =
           QCheck_alcotest.to_alcotest
             (cra_equivalence ~name:"Solver.cra jobs=N = jobs=1 (COI-tight)"
                ~coi_tight:true);
-          QCheck_alcotest.to_alcotest jra_batch_equivalence;
-          QCheck_alcotest.to_alcotest solver_jra_batch_equivalence;
+          QCheck_alcotest.to_alcotest bba_pool_equivalence;
           QCheck_alcotest.to_alcotest gain_matrix_equivalence;
         ] );
     ]

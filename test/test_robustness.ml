@@ -597,6 +597,32 @@ let test_cli_bad_numeric_flags () =
        ("--objective", assign @ [ "--objective"; "owa" ]);
      ])
 
+(* The objective vocabulary is coverage and min: any other name is a
+   usage error naming both, before any work, under assign and serve
+   alike, and the tree-smoothing flags of the deleted taxonomy backend
+   are unknown options (cmdliner's exit 124). *)
+let test_cli_objective_vocabulary () =
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      let code, out = Cli.run args in
+      Alcotest.(check int) (label ^ ": exit code\n" ^ out) 1 code;
+      Alcotest.(check bool) (label ^ ": names the choices\n" ^ out) true
+        (contains ~sub:"one of coverage, min (got \"taxonomy\")" out))
+    [
+      [ "assign"; "--preset"; "quick"; "--objective"; "taxonomy" ];
+      [ "serve"; "--dim"; "4"; "--objective"; "taxonomy" ];
+    ];
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      let code, out = Cli.run args in
+      Alcotest.(check int) (label ^ ": exit code\n" ^ out) 124 code)
+    [
+      [ "assign"; "--preset"; "quick"; "--taxonomy-tsv"; "tree.tsv" ];
+      [ "serve"; "--dim"; "4"; "--taxonomy-tsv"; "tree.tsv" ];
+    ]
+
 (* --delta-p reaches the preset instance: every output line names
    exactly that many reviewers, and a group size the preset's capacity
    cannot cover is a data error, not a crash. *)
@@ -760,5 +786,7 @@ let () =
             test_cli_jobs_capped;
           Alcotest.test_case "quick k=16 TSVs pinned by MD5" `Quick
             test_cli_pruned_digests;
+          Alcotest.test_case "--objective is coverage or min" `Quick
+            test_cli_objective_vocabulary;
         ] );
     ]

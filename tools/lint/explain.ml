@@ -122,8 +122,7 @@ let entries =
       prose =
         "The solver chain (SDGA, SRA, greedy, the CRA/JRA drivers, bid \
          blending) is parameterized by a pluggable Objective backend — \
-         weighted coverage, min fairness, taxonomy-smoothed expertise. A \
-         raw Scoring.* kernel call or Instance.pair_score inside those \
+         weighted coverage, bid blend, min fairness. A raw Scoring.* kernel call or Instance.pair_score inside those \
          modules hard-wires weighted-coverage semantics, so an --objective \
          min run would silently optimize the wrong function. Score through \
          Objective.pair_score / marginal_gain / value, or the \

@@ -39,7 +39,7 @@ let cancel_owners =
 
 (* Rule direct-scoring: inside the solver chain every score must flow
    through the bound Objective (or the Gain_matrix it primed) so a
-   pluggable backend — min, taxonomy — actually governs the solve. A
+   pluggable backend — min, blend — actually governs the solve. A
    raw Scoring.* kernel call or Instance.pair_score in these modules
    silently pins the weighted-coverage semantics no matter which
    --objective was selected. Input synthesis and reporting code inside

@@ -447,7 +447,7 @@ let swallowed_cancel =
 
 (* 10. direct-scoring: inside the solver chain, a raw scoring-kernel
    call pins the weighted-coverage semantics regardless of which
-   Objective backend the caller selected — min and taxonomy runs would
+   Objective backend the caller selected — min and blend runs would
    silently optimize the wrong function. Scores there must come from
    the bound Objective (pair_score / marginal_gain / value) or
    the Gain_matrix it primed. The structural helpers
